@@ -14,10 +14,11 @@ threads.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_solve, cholesky, solve_triangular
+from scipy.linalg import LinAlgError, cholesky, solve_triangular
 from scipy.spatial.distance import cdist
 
 from .errors import InvalidInputError, NumericalDegeneracyError
@@ -262,12 +263,19 @@ def kernel_matrix(spec: KernelSpec, X, Y) -> np.ndarray:
     return K
 
 
+#: Gram factors by kernel, for each log still in use.
+_GRAM_FACTORS = weakref.WeakKeyDictionary()
+
+
 def _noisy_gram_factor(kernel: KernelSpec, log: MeasurementLog):
-    """Cholesky factor of ``K(Y, Y) + noise_sd^2 I`` under the jitter policy."""
-    Kyy = kernel_matrix(kernel, log.locations, log.locations)
-    G = Kyy + (log.noise_sd**2) * np.eye(len(log))
-    L, _ = jittered_cholesky(G, base_jitter=kernel.jitter)
-    return L
+    """Read-only Cholesky factor of ``K(Y, Y) + noise_sd^2 I`` under the jitter policy,
+    kept while ``log`` lives, so conditioning on one log factorizes it once."""
+    factors = _GRAM_FACTORS.setdefault(log, {})
+    if kernel not in factors:
+        G = kernel_matrix(kernel, log.locations, log.locations) + log.noise_sd**2 * np.eye(len(log))
+        factors[kernel], _ = jittered_cholesky(G, base_jitter=kernel.jitter)
+        factors[kernel].flags.writeable = False
+    return factors[kernel]
 
 
 def posterior(mean: MeanSpec, kernel: KernelSpec, log: MeasurementLog, query) -> GaussianBelief:
@@ -287,55 +295,48 @@ def posterior(mean: MeanSpec, kernel: KernelSpec, log: MeasurementLog, query) ->
     X = as_points(query)
     if len(X) == 0:
         raise InvalidInputError("query must contain at least one location")
-    mx = mean.at(X)
-    Kxx = kernel_matrix(kernel, X, X)
-    if len(log) == 0:
-        return GaussianBelief(X, mx, Kxx)
-    L = _noisy_gram_factor(kernel, log)
-    Kxy = kernel_matrix(kernel, X, log.locations)
-    alpha = cho_solve((L, True), log.values - mean.at(log.locations))
-    mu = mx + Kxy @ alpha
-    half = solve_triangular(L, Kxy.T, lower=True)
-    cov = _symmetrize(Kxx - half.T @ half)
-    return GaussianBelief(X, mu, cov)
+    mu, _, cov = predictive_moments(mean, kernel, log, X, X)
+    return GaussianBelief(X, mu, _symmetrize(cov))
+
+
+def predictive_moments(mean: MeanSpec, kernel: KernelSpec, log: MeasurementLog, points, query):
+    """Posterior means ``(C,)`` and variances ``(C,)`` of the field at
+    ``points``, and their posterior cross-covariance ``(n, C)`` with ``query``.
+
+    One Gram factor serves all points; no points-by-points matrix is formed
+    unless ``query is points``.  Variances below zero by at most ``1e-10``
+    of the prior variance are clamped to zero, larger negatives become NaN.
+    """
+    P = as_points(points)
+    Q = P if query is points else as_points(query)
+    mu = np.full(len(P), float(mean.constant))
+    var = np.full(len(P), kernel.signal_variance)
+    cross = kernel_matrix(kernel, Q, P)
+    if len(log):
+        L = _noisy_gram_factor(kernel, log)
+        W = solve_triangular(L, kernel_matrix(kernel, log.locations, P), lower=True)
+        V = W if Q is P else solve_triangular(L, kernel_matrix(kernel, log.locations, Q), lower=True)
+        mu += solve_triangular(L, log.values - mean.at(log.locations), lower=True) @ W
+        var -= np.einsum("ij,ij->j", W, W)
+        cross -= V.T @ W
+    var = np.where(var < -1e-10 * kernel.signal_variance, np.nan, np.maximum(var, 0.0))
+    return mu, var, cross
 
 
 def predictive_measurement(
-    mean: MeanSpec,
-    kernel: KernelSpec,
-    log: MeasurementLog,
-    candidate,
-    include_noise: bool,
+    mean: MeanSpec, kernel: KernelSpec, log: MeasurementLog, candidate, include_noise: bool
 ) -> tuple[float, float]:
     """Predictive mean and variance of the next reading at ``candidate``.
 
     The variance is the posterior variance of the field value there;
-    ``include_noise=True`` adds the measurement-noise variance, which is the
-    correct spread of the reading itself.  Tiny negative variances from
-    cancellation are clamped to zero; negatives beyond ``1e-10`` of the
-    prior variance raise :class:`~senseplan.errors.NumericalDegeneracyError`.
+    ``include_noise=True`` adds the noise variance, the spread of the reading
+    itself.  This is the one-point case of :func:`predictive_moments`, but a
+    degenerate variance raises :class:`~senseplan.errors.NumericalDegeneracyError`.
     """
-    pt = as_point(candidate)
-    kcc = kernel.signal_variance
-    if len(log) == 0:
-        mu_z = float(mean.constant)
-        var_f = kcc
-    else:
-        L = _noisy_gram_factor(kernel, log)
-        kcy = kernel_matrix(kernel, pt[None, :], log.locations)[0]
-        alpha = cho_solve((L, True), log.values - mean.at(log.locations))
-        mu_z = float(mean.constant + kcy @ alpha)
-        w = solve_triangular(L, kcy, lower=True)
-        var_f = float(kcc - w @ w)
-    if var_f < 0.0:
-        if var_f >= -1e-10 * kcc:
-            var_f = 0.0
-        else:
-            raise NumericalDegeneracyError(
-                f"predictive variance {var_f:g} is negative beyond round-off"
-            )
-    var_z = var_f + (log.noise_sd**2 if include_noise else 0.0)
-    return mu_z, var_z
+    mu, var, _ = predictive_moments(mean, kernel, log, as_point(candidate)[None], [])
+    if np.isnan(var[0]):
+        raise NumericalDegeneracyError("predictive variance is negative beyond round-off")
+    return float(mu[0]), float(var[0]) + (log.noise_sd**2 if include_noise else 0.0)
 
 
 def sample_prior_field(mean: MeanSpec, kernel: KernelSpec, grid, seed: int) -> np.ndarray:

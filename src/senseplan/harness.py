@@ -38,7 +38,7 @@ from .errors import ConfigError, DataError, NumericalDegeneracyError, SensorPlan
 from .gp import KernelSpec, MeanSpec, MeasurementLog, as_points, jittered_cholesky, kernel_matrix
 from .infogain import edg_exact, edg_quadrature, edg_unnormalized_form
 from .metrics import METRIC_NAMES, aggregate_series
-from .planner import EpisodeTrace, ScenarioConfig, greedy_select, run_episode
+from .planner import EpisodeTrace, ScenarioConfig, _greedy_choice, run_episode
 from .seeding import (
     SEED_SCHEME,
     STREAM_FIELD,
@@ -414,29 +414,22 @@ def score_table(cfg: RunConfig, log: MeasurementLog) -> dict:
                 f"measurement log row {i + 1} at {tuple(pt)} lies outside the region of interest"
             )
     mean, kernel = _specs(cfg)
+    columns = {
+        "edg_exact": lambda c: edg_exact(mean, kernel, log, c, targets).value,
+        "edg_quadrature": lambda c: edg_quadrature(mean, kernel, log, c, targets),
+        "edg_unnormalized": lambda c: edg_unnormalized_form(mean, kernel, log, c, targets).value,
+    }
     rows = []
     for idx, cand in enumerate(candidates):
         row = {"index": idx, "x": float(cand[0]), "y": float(cand[1])}
-        try:
-            row["edg_exact"] = edg_exact(mean, kernel, log, cand, targets).value
-        except NumericalDegeneracyError:
-            row["edg_exact"] = float("nan")
-        try:
-            row["edg_quadrature"] = edg_quadrature(mean, kernel, log, cand, targets)
-        except NumericalDegeneracyError:
-            row["edg_quadrature"] = float("nan")
-        try:
-            row["edg_unnormalized"] = edg_unnormalized_form(
-                mean, kernel, log, cand, targets
-            ).value
-        except NumericalDegeneracyError:
-            row["edg_unnormalized"] = float("nan")
+        for name, evaluate in columns.items():
+            try:
+                row[name] = evaluate(cand)
+            except NumericalDegeneracyError:
+                row[name] = float("nan")
         rows.append(row)
-    chosen, score = greedy_select(mean, kernel, log, candidates, targets)
-    argmax = next(
-        i for i, c in enumerate(candidates) if c[0] == chosen[0] and c[1] == chosen[1]
-    )
-    return {"rows": rows, "argmax": argmax, "argmax_score": score}
+    argmax, gains = _greedy_choice(mean, kernel, log, candidates, targets)
+    return {"rows": rows, "argmax": argmax, "argmax_score": float(gains[argmax])}
 
 
 def render_score_table(table: dict) -> str:
@@ -449,7 +442,7 @@ def render_score_table(table: dict) -> str:
             f"{row['edg_unnormalized']:>16.8g}"
         )
     lines.append(
-        f"argmax: index {table['argmax']} with edg_exact {table['argmax_score']!r}"
+        f"argmax: index {table['argmax']} with planner score {table['argmax_score']!r}"
     )
     return "\n".join(lines)
 

@@ -8,10 +8,10 @@ post-measurement belief over the targets to the current belief.
 Three evaluation routes are provided and cross-checked in the tests:
 
 ``edg_exact``
-    Closed form.  Because the post-measurement covariance does not depend
-    on the reading and the KL divergence is quadratic in it, the
-    expectation reduces to a covariance-only ("structural") term plus the
-    expected quadratic mean shift.
+    Closed form for one candidate; the reference for the planner's batched
+    scores.  The post-measurement covariance is independent of the reading
+    and the KL divergence quadratic in it, so the expectation is a
+    covariance-only ("structural") term plus the expected mean shift.
 ``edg_quadrature``
     Direct Gauss-Hermite quadrature of the defining integral; the
     integrand is a quadratic polynomial in the reading, so a handful of

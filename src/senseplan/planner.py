@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from .errors import (
     InvalidInputError,
@@ -23,14 +24,16 @@ from .errors import (
     SensorPlanError,
 )
 from .gp import (
+    JITTER_LADDER,
     GaussianBelief,
     KernelSpec,
     MeanSpec,
     MeasurementLog,
     as_points,
+    jittered_cholesky,
     posterior,
+    predictive_moments,
 )
-from .infogain import edg_exact
 from .environment import GroundTruthField, field_value, measure
 from .metrics import (
     estimating_error,
@@ -42,6 +45,8 @@ from .seeding import STREAM_NOISE, STREAM_PLANNER, substream
 
 #: Recognized planner kinds, in the order used for seed derivation.
 PLANNER_KINDS = ("greedy-edg", "random")
+
+TIE_RTOL = 1e-10  #: Greedy scores within this fraction of the best are tied.
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,32 +123,33 @@ def _greedy_choice(
     log: MeasurementLog,
     candidates: np.ndarray,
     targets: np.ndarray,
-) -> tuple[int, float]:
-    """Index and score of the highest-gain candidate.
+) -> tuple[int, np.ndarray]:
+    """Index of the highest-gain candidate, and every candidate's gain.
 
-    Candidates whose gain evaluation degenerates numerically are skipped;
-    ties resolve to the lowest index, and re-measuring an already visited
-    location is allowed.
+    The gain is the reading's mutual information with the targets,
+    ``-0.5 * log1p(-g' S^-1 g / v)`` (target covariance ``S``, cross-covariance
+    ``g``, reading variance ``v``), from one conditioning on the log.  ``v``
+    and ``v - g' S^-1 g`` are floored at ``JITTER_LADDER[0]`` of the prior
+    variance so noise-free readings score finite.  Degenerate candidates gain
+    ``-inf``; scores within ``TIE_RTOL`` of the best tie, lowest index first.
     """
-    best_idx = -1
-    best_score = -math.inf
-    failed: list[int] = []
-    for idx, cand in enumerate(candidates):
-        try:
-            result = edg_exact(mean, kernel, log, cand, targets)
-        except NumericalDegeneracyError:
-            failed.append(idx)
-            continue
-        if result.value > best_score:
-            best_idx = idx
-            best_score = result.value
-    if best_idx < 0:
+    try:
+        S = posterior(mean, kernel, log, targets).cov
+        _, var_f, cross = predictive_moments(mean, kernel, log, candidates, targets)
+        L, _ = jittered_cholesky(S)
+    except NumericalDegeneracyError:
+        var_f = np.full(len(candidates), np.nan)
+    failed = np.flatnonzero(np.isnan(var_f)).tolist()
+    if len(failed) == len(candidates):
         raise PlanningError(
-            f"no candidate produced a usable gain score "
-            f"({len(failed)} of {len(candidates)} failed)",
+            f"none of the {len(failed)} candidates produced a usable gain score",
             failed_candidates=failed,
         )
-    return best_idx, best_score
+    floor = JITTER_LADDER[0] * kernel.signal_variance
+    v = np.maximum(var_f + log.noise_sd**2, floor)
+    explained = np.minimum(np.sum(solve_triangular(L, cross, lower=True) ** 2, axis=0), v - floor)
+    gains = np.where(np.isnan(v), -math.inf, -0.5 * np.log1p(-explained / v))
+    return int(np.flatnonzero(gains >= (1.0 - TIE_RTOL) * gains.max())[0]), gains
 
 
 def greedy_select(
@@ -153,13 +159,12 @@ def greedy_select(
     candidates,
     targets,
 ) -> tuple[np.ndarray, float]:
-    """Location of the candidate with the largest expected gain, and
-    the score itself."""
+    """Location of the highest-gain candidate, and its score."""
     cands = as_points(candidates)
     if len(cands) == 0:
         raise InvalidInputError("candidate set must be nonempty")
-    idx, score = _greedy_choice(mean, kernel, log, cands, as_points(targets))
-    return cands[idx], score
+    idx, gains = _greedy_choice(mean, kernel, log, cands, as_points(targets))
+    return cands[idx], float(gains[idx])
 
 
 def random_select(candidates, rng: np.random.Generator) -> np.ndarray:
@@ -193,9 +198,10 @@ def run_episode(config: ScenarioConfig, fld: GroundTruthField) -> EpisodeTrace:
     try:
         for k in range(1, config.horizon + 1):
             if config.planner_kind == "greedy-edg":
-                idx, score = _greedy_choice(
+                idx, gains = _greedy_choice(
                     config.mean, config.kernel, log, config.candidates, targets
                 )
+                score = gains[idx]
             else:
                 idx = int(planner_rng.integers(len(config.candidates)))
                 score = math.nan

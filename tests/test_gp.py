@@ -169,6 +169,18 @@ class TestPosterior:
         with pytest.raises(InvalidInputError):
             posterior(MeanSpec(), KernelSpec(1.0, 1.0), MeasurementLog.empty(1.0), [])
 
+    def test_one_log_under_two_kernels(self):
+        """The Gram factor kept for a log under one kernel is not reused
+        for another kernel on the same log."""
+        rng = np.random.default_rng(9)
+        mean, kernel, log, query = random_instance(rng)
+        other = KernelSpec(kernel.signal_variance * 3.0, kernel.lengthscale * 0.5)
+        posterior(mean, kernel, log, query)
+        belief = posterior(mean, other, log, query)
+        mu, cov = dense_posterior(mean, other, log, query)
+        np.testing.assert_allclose(belief.mean, mu, atol=1e-10, rtol=1e-10)
+        np.testing.assert_allclose(belief.cov, cov, atol=1e-10 * max(1.0, np.abs(cov).max()))
+
     def test_sequential_equals_batch_conditioning(self):
         """Appending measurements one at a time or all at once must agree."""
         rng = np.random.default_rng(5)

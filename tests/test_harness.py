@@ -2,6 +2,7 @@
 
 import ctypes
 import json
+import math
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -166,6 +167,25 @@ class TestExecuteRun:
         assert loaded["artifact"]["name"] == "senseplan"
         assert "seed_scheme" in loaded
         assert open(series_path).readline().strip() == "trial,planner,step,metric,value"
+
+    def test_zero_noise_scores_are_finite_in_run_json(self, tmp_path):
+        """Noise-free readings, repeats included (horizon 8 over 4
+        candidates), keep every greedy score finite and non-negative, so
+        run.json, written with allow_nan=False, is written at all.  A
+        repeat scores 0, so every candidate is read before any repeats."""
+        text = (
+            MINI.replace("noise_sd = 0.5", "noise_sd = 0")
+            .replace("horizon = 5", "horizon = 8")
+            .replace("planner = both", "planner = greedy-edg")
+        )
+        record = execute_run(parse_config_text(text))
+        run_path, _ = write_outputs(record, tmp_path / "out")
+        traces = json.loads(open(run_path).read())["traces"]
+        scores = [step["score"] for trace in traces for step in trace["steps"]]
+        assert len(scores) == 16
+        assert all(isinstance(s, float) and math.isfinite(s) and s >= 0 for s in scores)
+        for trace in traces:
+            assert len({step["chosen_index"] for step in trace["steps"][:4]}) == 4
 
 
 SYMMETRIC = """

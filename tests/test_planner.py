@@ -19,6 +19,7 @@ from senseplan import (
     edg_exact,
     edg_quadrature,
     greedy_select,
+    kernel_matrix,
     place_scenario,
     posterior,
     random_select,
@@ -98,11 +99,42 @@ class TestGreedySelect:
         assert scores[1] == scores[2] and scores[1] > scores[0]
         np.testing.assert_array_equal(loc, cands[1])
 
+    def test_round_off_ties_break_to_lowest_index(self):
+        """At an empty log every candidate on a target scores the largest
+        possible gain, 0.5 * ln(1 + s^2 / noise^2), up to round-off; the
+        first of them wins whatever the round-off."""
+        log = MeasurementLog.empty(0.5)
+        expected = 0.5 * math.log1p(KERNEL.signal_variance / 0.25)
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            targets = rng.uniform(0, 10, (8, 2))
+            on_targets = targets[rng.permutation(8)[:3]]
+            cands = np.vstack([rng.uniform(0, 10, (2, 2)), on_targets])
+            idx, gains = planner_mod._greedy_choice(MEAN, KERNEL, log, cands, targets)
+            assert idx == 2
+            np.testing.assert_allclose(gains[2:], expected, rtol=1e-12)
+
+    def test_score_vector_matches_edg_exact(self):
+        """Every candidate's score, not just the pick, agrees with the
+        per-candidate closed form."""
+        rng = np.random.default_rng(33)
+        for _ in range(20):
+            kernel = KernelSpec(rng.uniform(0.5, 5.0), rng.uniform(0.3, 4.0))
+            mean = MeanSpec(rng.normal())
+            targets = rng.uniform(0, 10, (7, 2))
+            cands = np.vstack([rng.uniform(0, 10, (9, 2)), targets[:2]])
+            k = int(rng.integers(0, 6))
+            noise = rng.uniform(0.1, 1.0)
+            log = MeasurementLog(rng.uniform(0, 10, (k, 2)), rng.normal(0, 1, k), noise)
+            _, gains = planner_mod._greedy_choice(mean, kernel, log, cands, targets)
+            ref = [edg_exact(mean, kernel, log, c, targets).value for c in cands]
+            np.testing.assert_allclose(gains, ref, rtol=1e-8, atol=1e-12)
+
     def test_all_candidates_degenerate_raises_planning_error(self, monkeypatch):
         def always_degenerate(*args, **kwargs):
             raise NumericalDegeneracyError("forced")
 
-        monkeypatch.setattr(planner_mod, "edg_exact", always_degenerate)
+        monkeypatch.setattr(planner_mod, "predictive_moments", always_degenerate)
         targets = np.array([[0.0, 0.0]])
         cands = np.array([[1.0, 1.0], [2.0, 2.0]])
         with pytest.raises(PlanningError) as err:
@@ -112,6 +144,52 @@ class TestGreedySelect:
     def test_empty_candidates_rejected(self):
         with pytest.raises(InvalidInputError):
             greedy_select(MEAN, KERNEL, MeasurementLog.empty(0.5), [], [[0.0, 0.0]])
+
+
+class TestZeroNoiseScores:
+    """Noise-free readings.  ``edg_exact`` is no reference here: at zero
+    noise its trace and log-determinant terms cancel badly."""
+
+    KERNEL = KernelSpec(signal_variance=4.0, lengthscale=1.0)
+    TARGETS = np.array([[1.0, 1.0], [8.0, 1.0], [4.5, 4.5]])
+    LOG = MeasurementLog(np.array([[1.0, 1.0]]), np.array([0.3]), 0.0)
+
+    def test_gains_finite_and_nonnegative(self):
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            targets = rng.uniform(0, 10, (6, 2))
+            cands = np.vstack([targets[:3], rng.uniform(0, 10, (5, 2))])
+            visited = cands[rng.integers(0, len(cands), 4)]
+            log = MeasurementLog(visited, rng.normal(0, 1, 4), 0.0)
+            _, gains = planner_mod._greedy_choice(MEAN, self.KERNEL, log, cands, targets)
+            assert np.all(np.isfinite(gains)) and np.all(gains >= 0)
+
+    def test_repeat_scores_about_zero(self):
+        _, gains = planner_mod._greedy_choice(
+            MEAN, self.KERNEL, self.LOG, np.array([[1.0, 1.0]]), self.TARGETS
+        )
+        assert 0.0 <= gains[0] < 1e-9
+
+    def test_unmeasured_target_outranks_every_other_candidate(self):
+        cands = np.array([[2.0, 2.0], [1.0, 1.0], [8.0, 1.0], [4.5, 4.5]])
+        idx, gains = planner_mod._greedy_choice(MEAN, self.KERNEL, self.LOG, cands, self.TARGETS)
+        assert idx == 2 and np.all(np.isfinite(gains))
+        assert gains[2] > max(gains[0], gains[1])
+
+    def test_near_candidate_matches_direct_conditioning(self):
+        """With the reading at a target, the gain at (2, 2) is
+        0.5 * ln(var(f | reading) / var(f | all targets)), both variances
+        taken by conditioning on noise-free points directly."""
+
+        def cond_var(points):
+            k = kernel_matrix(self.KERNEL, [[2.0, 2.0]], points)[0]
+            return 4.0 - k @ np.linalg.solve(kernel_matrix(self.KERNEL, points, points), k)
+
+        expected = 0.5 * math.log(cond_var([[1.0, 1.0]]) / cond_var(self.TARGETS))
+        _, gains = planner_mod._greedy_choice(
+            MEAN, self.KERNEL, self.LOG, np.array([[2.0, 2.0]]), self.TARGETS
+        )
+        np.testing.assert_allclose(gains[0], expected, rtol=1e-6)
 
 
 class TestRandomSelect:
@@ -250,15 +328,15 @@ class TestRunEpisode:
         """If scoring degenerates at step 3, the raised error carries the
         two completed steps."""
         calls = {"n": 0}
-        real = planner_mod.edg_exact
+        real = planner_mod.predictive_moments
 
         def flaky(*args, **kwargs):
-            if calls["n"] >= 2 * 3:  # two full steps over 3 candidates
+            if calls["n"] >= 2:  # one scoring call per step
                 raise NumericalDegeneracyError("forced")
             calls["n"] += 1
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(planner_mod, "edg_exact", flaky)
+        monkeypatch.setattr(planner_mod, "predictive_moments", flaky)
         cfg = make_config(n_candidates=3, n_shared=1, horizon=5)
         with pytest.raises(PlanningError) as err:
             run_episode(cfg, linear_field())
