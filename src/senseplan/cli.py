@@ -12,12 +12,9 @@ import sys
 from . import __version__
 from .config import PLANNER_CHOICES, load_config
 from .errors import (
-    ConfigError,
     DataError,
     FieldDomainError,
-    InvalidInputError,
     NumericalDegeneracyError,
-    PlacementError,
     PlanningError,
     SensorPlanError,
 )
@@ -41,8 +38,6 @@ def _exit_code_for(exc: SensorPlanError) -> int:
         return EXIT_DEGENERACY
     if isinstance(exc, (DataError, FieldDomainError)):
         return EXIT_DATA
-    if isinstance(exc, (ConfigError, InvalidInputError, PlacementError)):
-        return EXIT_CONFIG
     return EXIT_CONFIG
 
 
@@ -54,15 +49,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"senseplan {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_overrides=True):
+    def add_common(p):
         p.add_argument("--config", required=True, metavar="PATH", help="scenario config file")
-        if with_overrides:
-            p.add_argument("--seed", type=int, metavar="N", help="override master seed")
-            p.add_argument("--trials", type=int, metavar="N", help="override trial count")
-            p.add_argument("--horizon", type=int, metavar="N", help="override episode length")
-            p.add_argument(
-                "--planner", choices=PLANNER_CHOICES, help="override planner selection"
-            )
+        p.add_argument("--seed", type=int, metavar="N", help="override master seed")
+        p.add_argument("--trials", type=int, metavar="N", help="override trial count")
+        p.add_argument("--horizon", type=int, metavar="N", help="override episode length")
+        p.add_argument("--planner", choices=PLANNER_CHOICES, help="override planner selection")
 
     p_run = sub.add_parser("run", help="execute paired planning trials")
     add_common(p_run)
@@ -80,17 +72,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_val = sub.add_parser("validate", help="check a config without running it")
-    add_common(p_val, with_overrides=True)
+    add_common(p_val)
     return parser
 
 
 def _overrides(args) -> dict:
-    return {
-        "seed": getattr(args, "seed", None),
-        "trials": getattr(args, "trials", None),
-        "horizon": getattr(args, "horizon", None),
-        "planner": getattr(args, "planner", None),
-    }
+    return {key: getattr(args, key) for key in ("seed", "trials", "horizon", "planner")}
 
 
 def cmd_run(args) -> int:

@@ -9,12 +9,13 @@ ladder raises :class:`~senseplan.errors.NumericalDegeneracyError`.
 
 Everything here is a pure function of its inputs and every container is
 immutable after construction, so values can be shared freely across
-threads.
+threads.  Nothing is cached between calls: each conditioning builds and
+factors its own Gram matrix, so callers that need several quantities from
+one log ask :func:`predictive_moments` for all of them at once.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,12 +89,6 @@ class KernelSpec:
             raise InvalidInputError("lengthscale must be finite and > 0")
         if not (np.isfinite(self.jitter) and self.jitter >= 0):
             raise InvalidInputError("jitter must be finite and >= 0")
-
-    def __call__(self, x, y) -> float:
-        """Kernel value between two single locations."""
-        dx = as_point(x) - as_point(y)
-        r2 = float(dx @ dx)
-        return self.signal_variance * float(np.exp(-r2 / (2.0 * self.lengthscale**2)))
 
 
 @dataclass(frozen=True)
@@ -263,19 +258,11 @@ def kernel_matrix(spec: KernelSpec, X, Y) -> np.ndarray:
     return K
 
 
-#: Gram factors by kernel, for each log still in use.
-_GRAM_FACTORS = weakref.WeakKeyDictionary()
-
-
-def _noisy_gram_factor(kernel: KernelSpec, log: MeasurementLog):
-    """Read-only Cholesky factor of ``K(Y, Y) + noise_sd^2 I`` under the jitter policy,
-    kept while ``log`` lives, so conditioning on one log factorizes it once."""
-    factors = _GRAM_FACTORS.setdefault(log, {})
-    if kernel not in factors:
-        G = kernel_matrix(kernel, log.locations, log.locations) + log.noise_sd**2 * np.eye(len(log))
-        factors[kernel], _ = jittered_cholesky(G, base_jitter=kernel.jitter)
-        factors[kernel].flags.writeable = False
-    return factors[kernel]
+def _noisy_gram_factor(kernel: KernelSpec, log: MeasurementLog) -> np.ndarray:
+    """Cholesky factor of ``K(Y, Y) + noise_sd^2 I`` under the jitter policy."""
+    G = kernel_matrix(kernel, log.locations, log.locations) + log.noise_sd**2 * np.eye(len(log))
+    L, _ = jittered_cholesky(G, base_jitter=kernel.jitter)
+    return L
 
 
 def posterior(mean: MeanSpec, kernel: KernelSpec, log: MeasurementLog, query) -> GaussianBelief:

@@ -229,7 +229,7 @@ def execute_run(cfg: RunConfig, workers: int = 1) -> dict:
         results = [run_trial(cfg, t) for t in trials]
     else:
         with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
-            results = list(pool.map(_trial_worker, [(cfg, t) for t in trials]))
+            results = list(pool.map(functools.partial(run_trial, cfg), trials))
     results.sort(key=lambda r: r["trial"])
 
     aggregates = {}
@@ -277,11 +277,6 @@ def execute_run(cfg: RunConfig, workers: int = 1) -> dict:
 def _step_value(step: dict, metric: str) -> float:
     value = step["rmse"] if metric == "rmse-V" else step[METRIC_FIELDS[metric]]
     return float("nan") if value is None else float(value)
-
-
-def _trial_worker(args):
-    cfg, trial = args
-    return run_trial(cfg, trial)
 
 
 _OPENBLAS_SET_THREADS = (

@@ -40,7 +40,7 @@ from .gp import (
     KernelSpec,
     MeanSpec,
     MeasurementLog,
-    as_point,
+    _noisy_gram_factor,
     as_points,
     jittered_cholesky,
     kernel_matrix,
@@ -232,34 +232,23 @@ def edg_unnormalized_form(
     pts = as_points(targets)
     if len(pts) == 0:
         raise InvalidInputError("targets must contain at least one location")
-    pt = as_point(candidate)
     n = len(pts)
     if len(log) == 0:
         exact = edg_exact(mean, kernel, log, candidate, targets)
         return UnnormalizedFormResult(exact.value, None, fallback=True)
 
-    sigma2 = log.noise_sd**2
-    prev_locs = log.locations
-    k_prev = len(log)
-
-    G1 = kernel_matrix(kernel, prev_locs, prev_locs) + sigma2 * np.eye(k_prev)
-    L1, _ = jittered_cholesky(G1, base_jitter=kernel.jitter)
-    Kv1 = kernel_matrix(kernel, pts, prev_locs)
-    m1 = cho_solve((L1, True), Kv1.T).T
-
     mu_z, spread = predictive_measurement(mean, kernel, log, candidate, include_noise=False)
+    next_log = log.append(candidate, mu_z)
+    weights = lambda lg: cho_solve(  # noqa: E731
+        (_noisy_gram_factor(kernel, lg), True), kernel_matrix(kernel, pts, lg.locations).T
+    ).T
+    m1, m2 = weights(log), weights(next_log)
 
-    all_locs = np.vstack([prev_locs, pt[None, :]])
-    G2 = kernel_matrix(kernel, all_locs, all_locs) + sigma2 * np.eye(k_prev + 1)
-    L2, _ = jittered_cholesky(G2, base_jitter=kernel.jitter)
-    Kv2 = kernel_matrix(kernel, pts, all_locs)
-    m2 = cho_solve((L2, True), Kv2.T).T
-
-    v1 = log.values - mean.at(prev_locs)
+    v1 = log.values - mean.at(log.locations)
     v2 = np.append(v1, mu_z - mean.constant)
 
     cov_prev = posterior(mean, kernel, log, pts).cov
-    cov_next = posterior(mean, kernel, log.append(candidate, mu_z), pts).cov
+    cov_next = posterior(mean, kernel, next_log, pts).cov
     structural_sum, Lp = _structural_term(cov_prev, cov_next, n)
 
     solve_prev = lambda b: cho_solve((Lp, True), b)  # noqa: E731

@@ -128,15 +128,19 @@ def _greedy_choice(
 
     The gain is the reading's mutual information with the targets,
     ``-0.5 * log1p(-g' S^-1 g / v)`` (target covariance ``S``, cross-covariance
-    ``g``, reading variance ``v``), from one conditioning on the log.  ``v``
-    and ``v - g' S^-1 g`` are floored at ``JITTER_LADDER[0]`` of the prior
-    variance so noise-free readings score finite.  Degenerate candidates gain
-    ``-inf``; scores within ``TIE_RTOL`` of the best tie, lowest index first.
+    ``g``, reading variance ``v``).  One conditioning on the log, over the
+    targets followed by the candidates, gives ``S`` as the target block of its
+    cross-covariance with the targets and ``g`` and ``v`` as the candidate
+    block.  ``v`` and ``v - g' S^-1 g`` are floored at ``JITTER_LADDER[0]`` of
+    the prior variance so noise-free readings score finite.  Degenerate
+    candidates gain ``-inf``; scores within ``TIE_RTOL`` of the best tie,
+    lowest index first.
     """
+    n = len(targets)
     try:
-        S = posterior(mean, kernel, log, targets).cov
-        _, var_f, cross = predictive_moments(mean, kernel, log, candidates, targets)
-        L, _ = jittered_cholesky(S)
+        _, var, cross = predictive_moments(mean, kernel, log, np.vstack([targets, candidates]), targets)
+        L, _ = jittered_cholesky(cross[:, :n])
+        var_f, cross = var[n:], cross[:, n:]
     except NumericalDegeneracyError:
         var_f = np.full(len(candidates), np.nan)
     failed = np.flatnonzero(np.isnan(var_f)).tolist()

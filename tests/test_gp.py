@@ -5,9 +5,12 @@ textbook formulas with an explicit matrix inverse.  The library itself
 never forms an inverse, so agreement is a real cross-check.
 """
 
+from collections.abc import MutableMapping, MutableSequence, MutableSet
+
 import numpy as np
 import pytest
 
+import senseplan.gp as gp_mod
 from senseplan import (
     GaussianBelief,
     InvalidInputError,
@@ -292,3 +295,16 @@ class TestPriorSampling:
         K = kernel_matrix(kernel, grid, grid)
         np.testing.assert_allclose(draws.mean(axis=0), [1.0, 1.0, 1.0], atol=0.1)
         np.testing.assert_allclose(np.cov(draws.T), K, atol=0.15)
+
+
+def test_module_holds_no_mutable_state():
+    """``senseplan.gp`` keeps no module-level container or cache, so its
+    functions stay pure functions of their inputs, safe to share across
+    threads."""
+    held = [
+        name
+        for name, value in vars(gp_mod).items()
+        if not name.startswith("__")
+        and (isinstance(value, (MutableMapping, MutableSequence, MutableSet)) or hasattr(value, "cache_info"))
+    ]
+    assert held == []

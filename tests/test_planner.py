@@ -130,6 +130,26 @@ class TestGreedySelect:
             ref = [edg_exact(mean, kernel, log, c, targets).value for c in cands]
             np.testing.assert_allclose(gains, ref, rtol=1e-8, atol=1e-12)
 
+    def test_one_conditioning_per_decision(self, monkeypatch):
+        """A greedy decision conditions on the log once: one
+        ``predictive_moments`` call and no ``posterior`` call."""
+        calls = []
+        conditioning = planner_mod.predictive_moments
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return conditioning(*args, **kwargs)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("greedy scoring called posterior")
+
+        monkeypatch.setattr(planner_mod, "predictive_moments", counted)
+        monkeypatch.setattr(planner_mod, "posterior", forbidden)
+        rng = np.random.default_rng(4)
+        log = MeasurementLog(rng.uniform(0, 10, (3, 2)), rng.normal(0, 1, 3), 0.5)
+        greedy_select(MEAN, KERNEL, log, rng.uniform(0, 10, (6, 2)), rng.uniform(0, 10, (4, 2)))
+        assert len(calls) == 1
+
     def test_all_candidates_degenerate_raises_planning_error(self, monkeypatch):
         def always_degenerate(*args, **kwargs):
             raise NumericalDegeneracyError("forced")
