@@ -28,7 +28,7 @@ Coordinate pairs use ``x,y`` order (longitude, latitude for geodata).
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np

@@ -222,6 +222,26 @@ def _infer_spacing(coords: np.ndarray, axis_name: str, path: str) -> float:
     return d
 
 
+def _csv_rows(path, header: tuple[str, ...], what: str):
+    """``(line number, fields)`` of each nonblank data row of a CSV file that
+    starts with ``header``; ``what`` names the file if it cannot be opened."""
+    try:
+        fh = open(str(path), newline="")
+    except OSError as exc:
+        raise DataError(f"{path}: cannot open {what} ({exc})") from exc
+    with fh:
+        reader = csv.reader(fh)
+        first = next(reader, None)
+        if first is None or [h.strip() for h in first] != list(header):
+            raise DataError(f"{path}:1: expected header '{','.join(header)}'")
+        for lineno, row in enumerate(reader, start=2):
+            if not row or (len(row) == 1 and not row[0].strip()):
+                continue
+            if len(row) != len(header):
+                raise DataError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
+            yield lineno, row
+
+
 def load_grid_csv(path) -> GridData:
     """Parse a ``lat,lon,value`` CSV into :class:`GridData`.
 
@@ -232,40 +252,27 @@ def load_grid_csv(path) -> GridData:
     """
     path = str(path)
     rows: list[tuple[float, float, float]] = []
-    try:
-        fh = open(path, newline="")
-    except OSError as exc:
-        raise DataError(f"{path}: cannot open grid CSV ({exc})") from exc
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["lat", "lon", "value"]:
-            raise DataError(f"{path}:1: expected header 'lat,lon,value'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 3:
-                raise DataError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
+    for lineno, row in _csv_rows(path, ("lat", "lon", "value"), "grid CSV"):
+        try:
+            lat = float(row[0])
+            lon = float(row[1])
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: bad coordinate ({exc})") from exc
+        token = row[2].strip()
+        if token == "NA":
+            val = np.nan
+        else:
             try:
-                lat = float(row[0])
-                lon = float(row[1])
+                val = float(token)
             except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: bad coordinate ({exc})") from exc
-            token = row[2].strip()
-            if token == "NA":
-                val = np.nan
-            else:
-                try:
-                    val = float(token)
-                except ValueError as exc:
-                    raise DataError(
-                        f"{path}:{lineno}: bad value {token!r} (use 'NA' for missing)"
-                    ) from exc
-                if not np.isfinite(val):
-                    raise DataError(f"{path}:{lineno}: non-finite value")
-            if not (np.isfinite(lat) and np.isfinite(lon)):
-                raise DataError(f"{path}:{lineno}: non-finite coordinate")
-            rows.append((lat, lon, val))
+                raise DataError(
+                    f"{path}:{lineno}: bad value {token!r} (use 'NA' for missing)"
+                ) from exc
+            if not np.isfinite(val):
+                raise DataError(f"{path}:{lineno}: non-finite value")
+        if not (np.isfinite(lat) and np.isfinite(lon)):
+            raise DataError(f"{path}:{lineno}: non-finite coordinate")
+        rows.append((lat, lon, val))
     if not rows:
         raise DataError(f"{path}: no data rows")
 

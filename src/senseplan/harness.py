@@ -10,7 +10,6 @@ process, which keeps the output bytes independent of the worker count.
 
 from __future__ import annotations
 
-import csv
 import ctypes
 import functools
 import hashlib
@@ -18,7 +17,6 @@ import io
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from typing import Optional
 
 import numpy as np
 
@@ -30,6 +28,7 @@ from .environment import (
     GroundTruthField,
     PolygonMask,
     RoIMask,
+    _csv_rows,
     load_grid_csv,
     place_scenario,
     sample_field,
@@ -38,7 +37,7 @@ from .errors import ConfigError, DataError, NumericalDegeneracyError, SensorPlan
 from .gp import KernelSpec, MeanSpec, MeasurementLog, as_points, jittered_cholesky, kernel_matrix
 from .infogain import edg_exact, edg_quadrature, edg_unnormalized_form
 from .metrics import METRIC_NAMES, aggregate_series
-from .planner import EpisodeTrace, ScenarioConfig, _greedy_choice, run_episode
+from .planner import EpisodeTrace, ScenarioConfig, _greedy_on_log, run_episode
 from .seeding import (
     SEED_SCHEME,
     STREAM_FIELD,
@@ -368,31 +367,16 @@ def load_log_csv(path, noise_sd: float) -> MeasurementLog:
 
     A file with only the header row yields an empty log.
     """
-    points = []
-    values = []
-    try:
-        fh = open(str(path), newline="")
-    except OSError as exc:
-        raise DataError(f"{path}: cannot open measurement log ({exc})") from exc
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["x", "y", "value"]:
-            raise DataError(f"{path}:1: expected header 'x,y,value'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 3:
-                raise DataError(f"{path}:{lineno}: expected 3 fields, got {len(row)}")
-            try:
-                x, y, v = (float(p) for p in row)
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: non-numeric field ({exc})") from exc
-            points.append((x, y))
-            values.append(v)
-    if not points:
-        return MeasurementLog.empty(noise_sd)
-    return MeasurementLog(np.array(points), np.array(values), noise_sd)
+    rows = []
+    for lineno, row in _csv_rows(path, ("x", "y", "value"), "measurement log"):
+        try:
+            rows.append([float(p) for p in row])
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: non-numeric field ({exc})") from exc
+        if not np.all(np.isfinite(rows[-1])):
+            raise DataError(f"{path}:{lineno}: non-finite field")
+    table = np.array(rows).reshape(-1, 3)
+    return MeasurementLog(table[:, :2], table[:, 2], noise_sd)
 
 
 def score_table(cfg: RunConfig, log: MeasurementLog) -> dict:
@@ -423,7 +407,7 @@ def score_table(cfg: RunConfig, log: MeasurementLog) -> dict:
             except NumericalDegeneracyError:
                 row[name] = float("nan")
         rows.append(row)
-    argmax, gains = _greedy_choice(mean, kernel, log, candidates, targets)
+    argmax, gains = _greedy_on_log(mean, kernel, log, candidates, targets)
     return {"rows": rows, "argmax": argmax, "argmax_score": float(gains[argmax])}
 
 

@@ -3,9 +3,10 @@
 Each episode starts from the prior, then repeats for a fixed horizon:
 pick a candidate location (greedily by expected information gain, or
 uniformly at random), take one noisy reading there, fold it into the
-measurement log, and score the posterior over the target set.  Episodes
-are deterministic given the scenario seed; noise and planner randomness
-come from separate substreams so paired comparisons stay paired.
+measurement log, and score the posterior over the target set, whose one
+conditioning per step also scores the next greedy decision.  Episodes are
+deterministic given the scenario seed; noise and planner randomness come
+from separate substreams so paired comparisons stay paired.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from .gp import (
     MeanSpec,
     MeasurementLog,
     as_points,
+    _symmetrize,
     jittered_cholesky,
-    posterior,
     predictive_moments,
 )
 from .environment import GroundTruthField, field_value, measure
@@ -117,43 +118,46 @@ class EpisodeTrace:
     final_belief: Optional[GaussianBelief] = field(default=None, repr=False)
 
 
-def _greedy_choice(
-    mean: MeanSpec,
-    kernel: KernelSpec,
-    log: MeasurementLog,
-    candidates: np.ndarray,
-    targets: np.ndarray,
-) -> tuple[int, np.ndarray]:
+def _no_usable_gain(count: int) -> PlanningError:
+    message = f"none of the {count} candidates produced a usable gain score"
+    return PlanningError(message, failed_candidates=list(range(count)))
+
+
+def _greedy_choice(kernel: KernelSpec, noise_sd: float, var, cross) -> tuple[int, np.ndarray]:
     """Index of the highest-gain candidate, and every candidate's gain.
 
-    The gain is the reading's mutual information with the targets,
-    ``-0.5 * log1p(-g' S^-1 g / v)`` (target covariance ``S``, cross-covariance
-    ``g``, reading variance ``v``).  One conditioning on the log, over the
-    targets followed by the candidates, gives ``S`` as the target block of its
-    cross-covariance with the targets and ``g`` and ``v`` as the candidate
-    block.  ``v`` and ``v - g' S^-1 g`` are floored at ``JITTER_LADDER[0]`` of
-    the prior variance so noise-free readings score finite.  Degenerate
-    candidates gain ``-inf``; scores within ``TIE_RTOL`` of the best tie,
-    lowest index first.
+    ``var`` and ``cross`` are the predictive moments of the targets and then
+    the candidates, queried against the targets.  The gain is the reading's
+    mutual information with the targets, ``-0.5 * log1p(-g' S^-1 g / v)``,
+    with ``S`` the target block of ``cross``, ``g`` its candidate block and
+    ``v`` the reading variance.  ``v`` and ``v - g' S^-1 g`` are floored at
+    ``JITTER_LADDER[0]`` of the prior variance so noise-free readings score
+    finite.  Degenerate candidates gain ``-inf``; scores within
+    ``TIE_RTOL`` of the best tie, lowest index first.
     """
-    n = len(targets)
+    n = len(cross)
+    var_f, g = var[n:], cross[:, n:]
     try:
-        _, var, cross = predictive_moments(mean, kernel, log, np.vstack([targets, candidates]), targets)
         L, _ = jittered_cholesky(cross[:, :n])
-        var_f, cross = var[n:], cross[:, n:]
     except NumericalDegeneracyError:
-        var_f = np.full(len(candidates), np.nan)
-    failed = np.flatnonzero(np.isnan(var_f)).tolist()
-    if len(failed) == len(candidates):
-        raise PlanningError(
-            f"none of the {len(failed)} candidates produced a usable gain score",
-            failed_candidates=failed,
-        )
+        raise _no_usable_gain(len(var_f)) from None
+    if np.all(np.isnan(var_f)):
+        raise _no_usable_gain(len(var_f))
     floor = JITTER_LADDER[0] * kernel.signal_variance
-    v = np.maximum(var_f + log.noise_sd**2, floor)
-    explained = np.minimum(np.sum(solve_triangular(L, cross, lower=True) ** 2, axis=0), v - floor)
+    v = np.maximum(var_f + noise_sd**2, floor)
+    explained = np.minimum(np.sum(solve_triangular(L, g, lower=True) ** 2, axis=0), v - floor)
     gains = np.where(np.isnan(v), -math.inf, -0.5 * np.log1p(-explained / v))
     return int(np.flatnonzero(gains >= (1.0 - TIE_RTOL) * gains.max())[0]), gains
+
+
+def _greedy_on_log(mean: MeanSpec, kernel: KernelSpec, log: MeasurementLog, candidates, targets):
+    """:func:`_greedy_choice` on one conditioning of ``log``; a Gram matrix
+    that cannot be factorized fails every candidate."""
+    try:
+        _, var, cross = predictive_moments(mean, kernel, log, np.vstack([targets, candidates]), targets)
+    except NumericalDegeneracyError:
+        raise _no_usable_gain(len(candidates)) from None
+    return _greedy_choice(kernel, log.noise_sd, var, cross)
 
 
 def greedy_select(
@@ -167,7 +171,7 @@ def greedy_select(
     cands = as_points(candidates)
     if len(cands) == 0:
         raise InvalidInputError("candidate set must be nonempty")
-    idx, gains = _greedy_choice(mean, kernel, log, cands, as_points(targets))
+    idx, gains = _greedy_on_log(mean, kernel, log, cands, as_points(targets))
     return cands[idx], float(gains[idx])
 
 
@@ -189,7 +193,10 @@ def run_episode(config: ScenarioConfig, fld: GroundTruthField) -> EpisodeTrace:
     noise_rng = substream(config.seed, STREAM_NOISE, config.trial_index, planner_idx)
     planner_rng = substream(config.seed, STREAM_PLANNER, config.trial_index, planner_idx)
 
+    greedy = config.planner_kind == "greedy-edg"
     targets = config.targets
+    n = len(targets)
+    points = np.vstack([targets, config.candidates]) if greedy else targets
     truth = np.array([field_value(fld, pt) for pt in targets])
     try:
         shared_t, _ = intersection_indices(targets, config.candidates)
@@ -198,13 +205,11 @@ def run_episode(config: ScenarioConfig, fld: GroundTruthField) -> EpisodeTrace:
 
     log = MeasurementLog.empty(config.noise_sd)
     steps: list[EpisodeStep] = []
-    belief: Optional[GaussianBelief] = None
+    mu, var, cross = predictive_moments(config.mean, config.kernel, log, points, targets)
     try:
         for k in range(1, config.horizon + 1):
-            if config.planner_kind == "greedy-edg":
-                idx, gains = _greedy_choice(
-                    config.mean, config.kernel, log, config.candidates, targets
-                )
+            if greedy:
+                idx, gains = _greedy_choice(config.kernel, config.noise_sd, var, cross)
                 score = gains[idx]
             else:
                 idx = int(planner_rng.integers(len(config.candidates)))
@@ -212,13 +217,12 @@ def run_episode(config: ScenarioConfig, fld: GroundTruthField) -> EpisodeTrace:
             location = config.candidates[idx]
             reading = measure(fld, location, config.noise_sd, noise_rng)
             log = log.append(location, reading)
-            belief = posterior(config.mean, config.kernel, log, targets)
+            mu, var, cross = predictive_moments(config.mean, config.kernel, log, points, targets)
 
-            err = estimating_error(belief.mean, truth)
-            var = estimating_variance(belief.cov)
+            mu_t, var_t = mu[:n], cross[:, :n].diagonal()
             if shared_t is not None:
-                err_i = estimating_error(belief.mean[shared_t], truth[shared_t])
-                var_i = estimating_variance(belief.cov[np.ix_(shared_t, shared_t)])
+                err_i = estimating_error(mu_t[shared_t], truth[shared_t])
+                var_i = estimating_variance(var_t[shared_t])
             else:
                 err_i = math.nan
                 var_i = math.nan
@@ -229,16 +233,21 @@ def run_episode(config: ScenarioConfig, fld: GroundTruthField) -> EpisodeTrace:
                     chosen=(float(location[0]), float(location[1])),
                     score=float(score),
                     measurement=float(reading),
-                    error=err,
-                    variance=var,
+                    error=estimating_error(mu_t, truth),
+                    variance=estimating_variance(var_t),
                     error_shared=err_i,
                     variance_shared=var_i,
-                    rmse=rmse(belief.mean, truth),
+                    rmse=rmse(mu_t, truth),
                 )
             )
     except SensorPlanError as exc:
-        exc.partial_trace = EpisodeTrace(
-            config=config, steps=tuple(steps), final_belief=belief
-        )
+        exc.partial_trace = _trace(config, steps, mu, cross)
         raise
+    return _trace(config, steps, mu, cross)
+
+
+def _trace(config: ScenarioConfig, steps: list, mu: np.ndarray, cross: np.ndarray) -> EpisodeTrace:
+    """Trace whose final belief is the target block of the last moments."""
+    n = len(config.targets)
+    belief = GaussianBelief(config.targets, mu[:n], _symmetrize(cross[:, :n])) if steps else None
     return EpisodeTrace(config=config, steps=tuple(steps), final_belief=belief)

@@ -173,8 +173,9 @@ class TestPosterior:
             posterior(MeanSpec(), KernelSpec(1.0, 1.0), MeasurementLog.empty(1.0), [])
 
     def test_one_log_under_two_kernels(self):
-        """The Gram factor kept for a log under one kernel is not reused
-        for another kernel on the same log."""
+        """Conditioning a log under one kernel does not affect conditioning
+        the same log under another: the second posterior matches its dense
+        oracle."""
         rng = np.random.default_rng(9)
         mean, kernel, log, query = random_instance(rng)
         other = KernelSpec(kernel.signal_variance * 3.0, kernel.lengthscale * 0.5)

@@ -271,9 +271,10 @@ class TestLogCSV:
         from senseplan.errors import DataError
 
         p = tmp_path / "bad.csv"
-        p.write_text("x,y,value\n1.0,2.0,3.0\n1.0,oops,3.0\n")
-        with pytest.raises(DataError, match=":3"):
-            load_log_csv(p, noise_sd=0.5)
+        for bad_row in ("1.0,oops,3.0", "1.0,2.0,nan", "inf,2.0,3.0"):
+            p.write_text(f"x,y,value\n1.0,2.0,3.0\n{bad_row}\n")
+            with pytest.raises(DataError, match=":3"):
+                load_log_csv(p, noise_sd=0.5)
 
 
 class TestCLI:

@@ -18,11 +18,15 @@ from senseplan import (
     ScenarioConfig,
     edg_exact,
     edg_quadrature,
+    estimating_error,
+    estimating_variance,
     greedy_select,
+    intersection_indices,
     kernel_matrix,
     place_scenario,
     posterior,
     random_select,
+    rmse,
     run_episode,
     sample_field,
 )
@@ -110,7 +114,7 @@ class TestGreedySelect:
             targets = rng.uniform(0, 10, (8, 2))
             on_targets = targets[rng.permutation(8)[:3]]
             cands = np.vstack([rng.uniform(0, 10, (2, 2)), on_targets])
-            idx, gains = planner_mod._greedy_choice(MEAN, KERNEL, log, cands, targets)
+            idx, gains = planner_mod._greedy_on_log(MEAN, KERNEL, log, cands, targets)
             assert idx == 2
             np.testing.assert_allclose(gains[2:], expected, rtol=1e-12)
 
@@ -126,7 +130,7 @@ class TestGreedySelect:
             k = int(rng.integers(0, 6))
             noise = rng.uniform(0.1, 1.0)
             log = MeasurementLog(rng.uniform(0, 10, (k, 2)), rng.normal(0, 1, k), noise)
-            _, gains = planner_mod._greedy_choice(mean, kernel, log, cands, targets)
+            _, gains = planner_mod._greedy_on_log(mean, kernel, log, cands, targets)
             ref = [edg_exact(mean, kernel, log, c, targets).value for c in cands]
             np.testing.assert_allclose(gains, ref, rtol=1e-8, atol=1e-12)
 
@@ -144,7 +148,7 @@ class TestGreedySelect:
             raise AssertionError("greedy scoring called posterior")
 
         monkeypatch.setattr(planner_mod, "predictive_moments", counted)
-        monkeypatch.setattr(planner_mod, "posterior", forbidden)
+        monkeypatch.setattr(planner_mod, "posterior", forbidden, raising=False)
         rng = np.random.default_rng(4)
         log = MeasurementLog(rng.uniform(0, 10, (3, 2)), rng.normal(0, 1, 3), 0.5)
         greedy_select(MEAN, KERNEL, log, rng.uniform(0, 10, (6, 2)), rng.uniform(0, 10, (4, 2)))
@@ -181,18 +185,18 @@ class TestZeroNoiseScores:
             cands = np.vstack([targets[:3], rng.uniform(0, 10, (5, 2))])
             visited = cands[rng.integers(0, len(cands), 4)]
             log = MeasurementLog(visited, rng.normal(0, 1, 4), 0.0)
-            _, gains = planner_mod._greedy_choice(MEAN, self.KERNEL, log, cands, targets)
+            _, gains = planner_mod._greedy_on_log(MEAN, self.KERNEL, log, cands, targets)
             assert np.all(np.isfinite(gains)) and np.all(gains >= 0)
 
     def test_repeat_scores_about_zero(self):
-        _, gains = planner_mod._greedy_choice(
+        _, gains = planner_mod._greedy_on_log(
             MEAN, self.KERNEL, self.LOG, np.array([[1.0, 1.0]]), self.TARGETS
         )
         assert 0.0 <= gains[0] < 1e-9
 
     def test_unmeasured_target_outranks_every_other_candidate(self):
         cands = np.array([[2.0, 2.0], [1.0, 1.0], [8.0, 1.0], [4.5, 4.5]])
-        idx, gains = planner_mod._greedy_choice(MEAN, self.KERNEL, self.LOG, cands, self.TARGETS)
+        idx, gains = planner_mod._greedy_on_log(MEAN, self.KERNEL, self.LOG, cands, self.TARGETS)
         assert idx == 2 and np.all(np.isfinite(gains))
         assert gains[2] > max(gains[0], gains[1])
 
@@ -206,7 +210,7 @@ class TestZeroNoiseScores:
             return 4.0 - k @ np.linalg.solve(kernel_matrix(self.KERNEL, points, points), k)
 
         expected = 0.5 * math.log(cond_var([[1.0, 1.0]]) / cond_var(self.TARGETS))
-        _, gains = planner_mod._greedy_choice(
+        _, gains = planner_mod._greedy_on_log(
             MEAN, self.KERNEL, self.LOG, np.array([[2.0, 2.0]]), self.TARGETS
         )
         np.testing.assert_allclose(gains[0], expected, rtol=1e-6)
@@ -253,6 +257,51 @@ class TestRunEpisode:
         belief = posterior(MEAN, KERNEL, log, cfg.targets)
         np.testing.assert_array_equal(trace.final_belief.mean, belief.mean)
         np.testing.assert_array_equal(trace.final_belief.cov, belief.cov)
+
+    def test_one_conditioning_per_step(self, monkeypatch):
+        """An episode conditions once before the first step and once after
+        each reading, whichever planner runs it, and never calls
+        ``posterior``."""
+        calls = []
+        conditioning = planner_mod.predictive_moments
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return conditioning(*args, **kwargs)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("run_episode called posterior")
+
+        monkeypatch.setattr(planner_mod, "predictive_moments", counted)
+        monkeypatch.setattr(planner_mod, "posterior", forbidden, raising=False)
+        for kind in ("greedy-edg", "random"):
+            calls.clear()
+            cfg = make_config(planner_kind=kind, horizon=5)
+            run_episode(cfg, linear_field())
+            assert len(calls) == cfg.horizon + 1
+
+    def test_step_metrics_match_fresh_posterior(self):
+        """Every step's metrics equal those of a fresh posterior on that
+        step's log prefix."""
+        for kind in ("greedy-edg", "random"):
+            cfg = make_config(planner_kind=kind, horizon=6)
+            fld = linear_field()
+            trace = run_episode(cfg, fld)
+            truth = np.array([fld.value(pt) for pt in cfg.targets])
+            shared, _ = intersection_indices(cfg.targets, cfg.candidates)
+            log = MeasurementLog.empty(cfg.noise_sd)
+            for step in trace.steps:
+                log = log.append(step.chosen, step.measurement)
+                belief = posterior(MEAN, KERNEL, log, cfg.targets)
+                expected = (
+                    estimating_error(belief.mean, truth),
+                    estimating_variance(belief.cov),
+                    estimating_error(belief.mean[shared], truth[shared]),
+                    estimating_variance(belief.cov[np.ix_(shared, shared)]),
+                    rmse(belief.mean, truth),
+                )
+                got = (step.error, step.variance, step.error_shared, step.variance_shared, step.rmse)
+                np.testing.assert_allclose(got, expected, rtol=1e-12)
 
     def test_choices_stay_in_candidate_set(self):
         for kind in ("greedy-edg", "random"):
@@ -348,15 +397,15 @@ class TestRunEpisode:
         """If scoring degenerates at step 3, the raised error carries the
         two completed steps."""
         calls = {"n": 0}
-        real = planner_mod.predictive_moments
+        real = planner_mod.jittered_cholesky
 
         def flaky(*args, **kwargs):
-            if calls["n"] >= 2:  # one scoring call per step
+            if calls["n"] >= 2:  # one target-covariance factor per decision
                 raise NumericalDegeneracyError("forced")
             calls["n"] += 1
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(planner_mod, "predictive_moments", flaky)
+        monkeypatch.setattr(planner_mod, "jittered_cholesky", flaky)
         cfg = make_config(n_candidates=3, n_shared=1, horizon=5)
         with pytest.raises(PlanningError) as err:
             run_episode(cfg, linear_field())
