@@ -96,6 +96,25 @@ class RunConfig:
         return PLANNER_KINDS if self.planner == "both" else (self.planner,)
 
 
+def _finite(tokens, label: str, issues: list[str], bad=None, count=None) -> Optional[tuple]:
+    """``tokens`` as finite floats, or None after one issue naming ``label``.
+
+    A token that is not a number, or a token count other than ``count``,
+    reports ``bad`` (by default ``<label>: not a number (<first token>)``).
+    """
+    try:
+        values = tuple(float(t) for t in tokens)
+    except (TypeError, ValueError):
+        values = None
+    if values is None or count not in (None, len(values)):
+        issues.append(bad or f"{label}: not a number ({tokens[0]!r})")
+        return None
+    if not np.all(np.isfinite(values)):
+        issues.append(f"{label}: must be finite")
+        return None
+    return values
+
+
 def _parse_pairs(text: str, what: str, issues: list[str]) -> tuple:
     """Parse 'x,y; x,y; ...' into a tuple of (float, float) pairs."""
     pairs = []
@@ -107,26 +126,18 @@ def _parse_pairs(text: str, what: str, issues: list[str]) -> tuple:
         if len(parts) != 2:
             issues.append(f"{what}: expected 'x,y' pairs separated by ';', got {chunk!r}")
             return ()
-        try:
-            pairs.append((float(parts[0]), float(parts[1])))
-        except ValueError:
-            issues.append(f"{what}: non-numeric coordinate in {chunk!r}")
+        pair = _finite(parts, what, issues, f"{what}: non-numeric coordinate in {chunk!r}")
+        if pair is None:
             return ()
+        pairs.append(pair)
     if not pairs:
         issues.append(f"{what}: no coordinate pairs given")
     return tuple(pairs)
 
 
 def _get_float(section, key: str, issues: list[str], label: str) -> float:
-    raw = section.get(key)
-    try:
-        value = float(raw)
-    except (TypeError, ValueError):
-        issues.append(f"{label}.{key}: not a number ({raw!r})")
-        return float("nan")
-    if not np.isfinite(value):
-        issues.append(f"{label}.{key}: must be finite")
-    return value
+    value = _finite([section.get(key)], f"{label}.{key}", issues)
+    return float("nan") if value is None else value[0]
 
 
 def _get_int(section, key: str, issues: list[str], label: str) -> int:
@@ -197,13 +208,9 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
     if mean_raw.lower() == "auto":
         mean_constant = None
     else:
-        try:
-            mean_constant = float(mean_raw)
-            if not np.isfinite(mean_constant):
-                issues.append("mean.constant: must be finite")
-        except ValueError:
-            issues.append(f"mean.constant: expected a number or 'auto', got {mean_raw!r}")
-            mean_constant = None
+        bad = f"mean.constant: expected a number or 'auto', got {mean_raw!r}"
+        value = _finite([mean_raw], "mean.constant", issues, bad)
+        mean_constant = None if value is None else value[0]
     for key in merged["mean"]:
         if key not in _DEFAULTS["mean"]:
             issues.append(f"mean.{key}: unknown key")
@@ -239,22 +246,18 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
                     if not chunk:
                         continue
                     parts = [p.strip() for p in chunk.split(",")]
-                    try:
-                        amp, cx, cy, width = (float(p) for p in parts)
-                    except ValueError:
-                        issues.append(
-                            f"field.bumps: expected 'amp,cx,cy,width' groups, got {chunk!r}"
-                        )
+                    bad = f"field.bumps: expected 'amp,cx,cy,width' groups, got {chunk!r}"
+                    bump = _finite(parts, "field.bumps", issues, bad, count=4)
+                    if bump is None:
                         continue
-                    if width <= 0:
+                    if bump[3] <= 0:
                         issues.append("field.bumps: widths must be > 0")
-                    bumps.append((amp, cx, cy, width))
+                    bumps.append(bump)
                 params.append(("bumps", tuple(bumps)))
             else:
-                try:
-                    params.append((key, float(raw)))
-                except ValueError:
-                    issues.append(f"field.{key}: not a number ({raw!r})")
+                value = _finite([raw], f"field.{key}", issues)
+                if value is not None:
+                    params.append((key, value[0]))
         analytic_params = tuple(sorted(params))
     elif field_kind == "gp-sample":
         extra = set(fld) - {"kind"}
@@ -276,13 +279,9 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
     elif roi_kind == "rectangle":
         raw = roi.get("rect", "")
         parts = [p.strip() for p in raw.replace(";", ",").split(",") if p.strip()]
-        try:
-            vals = tuple(float(p) for p in parts)
-        except ValueError:
-            vals = ()
-        if len(vals) != 4:
-            issues.append(f"roi.rect: expected 'xmin, ymin, xmax, ymax', got {raw!r}")
-        else:
+        bad = f"roi.rect: expected 'xmin, ymin, xmax, ymax', got {raw!r}"
+        vals = _finite(parts, "roi.rect", issues, bad, count=4)
+        if vals is not None:
             if not (vals[2] > vals[0] and vals[3] > vals[1]):
                 issues.append("roi.rect: max coordinates must exceed min coordinates")
             roi_rect = vals

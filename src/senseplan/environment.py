@@ -151,7 +151,6 @@ class GridData:
         ii, jj = np.nonzero(np.isfinite(vals))
         centers = np.column_stack([self.lon_coords[jj], self.lat_coords[ii]])
         object.__setattr__(self, "_cell_index", np.column_stack([ii, jj]))
-        object.__setattr__(self, "_flat_index", ii * nlon + jj)
         object.__setattr__(self, "_tree", cKDTree(centers))
 
     @property
@@ -160,12 +159,13 @@ class GridData:
 
     def nearest_cell(self, point) -> tuple[int, int, float]:
         """Nearest non-missing cell ``(i, j, distance)``; ties go to the
-        lowest row-major index."""
+        lowest row-major index, which is the lowest tree index because
+        ``np.nonzero`` lists the cells in row-major order."""
         pt = as_point(point)
         dist, _ = self._tree.query(pt)
         radius = dist * (1.0 + 1e-12)
         ball = self._tree.query_ball_point(pt, radius)
-        best = min(ball, key=lambda b: self._flat_index[b])
+        best = min(ball)
         i, j = self._cell_index[best]
         return int(i), int(j), float(dist)
 

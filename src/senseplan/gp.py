@@ -11,7 +11,8 @@ Everything here is a pure function of its inputs and every container is
 immutable after construction, so values can be shared freely across
 threads.  Nothing is cached between calls: each conditioning builds and
 factors its own Gram matrix, so callers that need several quantities from
-one log ask :func:`predictive_moments` for all of them at once.
+one log ask :func:`predictive_moments` for all of them at once.  Its query
+set is a prefix of its points, so one triangular solve serves both.
 """
 
 from __future__ import annotations
@@ -245,17 +246,12 @@ def _symmetrize(a: np.ndarray) -> np.ndarray:
 def kernel_matrix(spec: KernelSpec, X, Y) -> np.ndarray:
     """Cross-covariance matrix with entries ``k(x_i, y_j)``.
 
-    When ``X`` and ``Y`` hold identical coordinates the result is made
-    exactly symmetric with diagonal equal to ``spec.signal_variance``.
+    When ``X`` and ``Y`` hold identical coordinates the result is exactly
+    symmetric with diagonal ``spec.signal_variance``: ``cdist`` computes
+    ``(a - b)**2`` and ``(b - a)**2`` alike and gives 0 on the diagonal.
     """
-    xp = as_points(X)
-    yp = as_points(Y)
-    d2 = cdist(xp, yp, "sqeuclidean")
-    K = spec.signal_variance * np.exp(-d2 / (2.0 * spec.lengthscale**2))
-    if xp.shape == yp.shape and np.array_equal(xp, yp):
-        K = _symmetrize(K)
-        np.fill_diagonal(K, spec.signal_variance)
-    return K
+    d2 = cdist(as_points(X), as_points(Y), "sqeuclidean")
+    return spec.signal_variance * np.exp(-d2 / (2.0 * spec.lengthscale**2))
 
 
 def _noisy_gram_factor(kernel: KernelSpec, log: MeasurementLog) -> np.ndarray:
@@ -282,30 +278,32 @@ def posterior(mean: MeanSpec, kernel: KernelSpec, log: MeasurementLog, query) ->
     X = as_points(query)
     if len(X) == 0:
         raise InvalidInputError("query must contain at least one location")
-    mu, _, cov = predictive_moments(mean, kernel, log, X, X)
+    mu, _, cov = predictive_moments(mean, kernel, log, X, len(X))
     return GaussianBelief(X, mu, _symmetrize(cov))
 
 
-def predictive_moments(mean: MeanSpec, kernel: KernelSpec, log: MeasurementLog, points, query):
+def predictive_moments(mean: MeanSpec, kernel: KernelSpec, log: MeasurementLog, points, n_query: int):
     """Posterior means ``(C,)`` and variances ``(C,)`` of the field at
-    ``points``, and their posterior cross-covariance ``(n, C)`` with ``query``.
+    ``points``, and the posterior cross-covariance ``(n_query, C)`` of
+    their first ``n_query`` rows with all of them.
 
-    One Gram factor serves all points; no points-by-points matrix is formed
-    unless ``query is points``.  Variances below zero by at most ``1e-10``
-    of the prior variance are clamped to zero, larger negatives become NaN.
+    One Gram factor and one triangular solve serve every point; the query
+    block reuses the solve's first ``n_query`` columns.  Variances below
+    zero by at most ``1e-10`` of the prior variance are clamped to zero,
+    larger negatives become NaN.
     """
     P = as_points(points)
-    Q = P if query is points else as_points(query)
+    if not 0 <= n_query <= len(P):
+        raise InvalidInputError(f"n_query must be in [0, {len(P)}], got {n_query}")
     mu = np.full(len(P), float(mean.constant))
     var = np.full(len(P), kernel.signal_variance)
-    cross = kernel_matrix(kernel, Q, P)
+    cross = kernel_matrix(kernel, P[:n_query], P)
     if len(log):
         L = _noisy_gram_factor(kernel, log)
         W = solve_triangular(L, kernel_matrix(kernel, log.locations, P), lower=True)
-        V = W if Q is P else solve_triangular(L, kernel_matrix(kernel, log.locations, Q), lower=True)
         mu += solve_triangular(L, log.values - mean.at(log.locations), lower=True) @ W
         var -= np.einsum("ij,ij->j", W, W)
-        cross -= V.T @ W
+        cross -= W[:, :n_query].T @ W
     var = np.where(var < -1e-10 * kernel.signal_variance, np.nan, np.maximum(var, 0.0))
     return mu, var, cross
 
@@ -320,7 +318,7 @@ def predictive_measurement(
     itself.  This is the one-point case of :func:`predictive_moments`, but a
     degenerate variance raises :class:`~senseplan.errors.NumericalDegeneracyError`.
     """
-    mu, var, _ = predictive_moments(mean, kernel, log, as_point(candidate)[None], [])
+    mu, var, _ = predictive_moments(mean, kernel, log, as_point(candidate)[None], 0)
     if np.isnan(var[0]):
         raise NumericalDegeneracyError("predictive variance is negative beyond round-off")
     return float(mu[0]), float(var[0]) + (log.noise_sd**2 if include_noise else 0.0)

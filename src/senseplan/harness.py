@@ -45,12 +45,14 @@ from .seeding import (
     substream_seed,
 )
 
-#: Map from series.csv metric name to the EpisodeStep attribute behind it.
+#: Map from aggregated metric name to the EpisodeStep attribute behind it;
+#: series.csv writes the METRIC_NAMES among them.
 METRIC_FIELDS = {
     "error-V": "error",
     "variance-V": "variance",
     "error-I": "error_shared",
     "variance-I": "variance_shared",
+    "rmse-V": "rmse",
 }
 
 
@@ -244,7 +246,7 @@ def execute_run(cfg: RunConfig, workers: int = 1) -> dict:
                     for res in results
                 ]
             )
-            for name in list(METRIC_FIELDS) + ["rmse-V"]
+            for name in METRIC_FIELDS
         }
         for name, arr in stacked.items():
             series = aggregate_series(name, arr)
@@ -274,7 +276,7 @@ def execute_run(cfg: RunConfig, workers: int = 1) -> dict:
 
 
 def _step_value(step: dict, metric: str) -> float:
-    value = step["rmse"] if metric == "rmse-V" else step[METRIC_FIELDS[metric]]
+    value = step[METRIC_FIELDS[metric]]
     return float("nan") if value is None else float(value)
 
 

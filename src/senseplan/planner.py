@@ -154,7 +154,7 @@ def _greedy_on_log(mean: MeanSpec, kernel: KernelSpec, log: MeasurementLog, cand
     """:func:`_greedy_choice` on one conditioning of ``log``; a Gram matrix
     that cannot be factorized fails every candidate."""
     try:
-        _, var, cross = predictive_moments(mean, kernel, log, np.vstack([targets, candidates]), targets)
+        _, var, cross = predictive_moments(mean, kernel, log, np.vstack([targets, candidates]), len(targets))
     except NumericalDegeneracyError:
         raise _no_usable_gain(len(candidates)) from None
     return _greedy_choice(kernel, log.noise_sd, var, cross)
@@ -205,7 +205,7 @@ def run_episode(config: ScenarioConfig, fld: GroundTruthField) -> EpisodeTrace:
 
     log = MeasurementLog.empty(config.noise_sd)
     steps: list[EpisodeStep] = []
-    mu, var, cross = predictive_moments(config.mean, config.kernel, log, points, targets)
+    mu, var, cross = predictive_moments(config.mean, config.kernel, log, points, n)
     try:
         for k in range(1, config.horizon + 1):
             if greedy:
@@ -217,7 +217,7 @@ def run_episode(config: ScenarioConfig, fld: GroundTruthField) -> EpisodeTrace:
             location = config.candidates[idx]
             reading = measure(fld, location, config.noise_sd, noise_rng)
             log = log.append(location, reading)
-            mu, var, cross = predictive_moments(config.mean, config.kernel, log, points, targets)
+            mu, var, cross = predictive_moments(config.mean, config.kernel, log, points, n)
 
             mu_t, var_t = mu[:n], cross[:, :n].diagonal()
             if shared_t is not None:

@@ -113,6 +113,50 @@ kind = teleport
         with pytest.raises(ConfigError, match="kernel.bandwidth"):
             parse_config_text(bad2)
 
+    def test_non_finite_numbers_name_their_key(self):
+        """``nan`` and ``inf`` are rejected at parse time, each naming the
+        key it came from."""
+        rectangle = """
+[mean]
+constant = inf
+
+[field]
+kind = analytic
+name = linear
+a = nan
+bumps = 1,2,2,inf
+
+[roi]
+kind = rectangle
+rect = 0, 0, inf, 10
+
+[placement]
+kind = explicit
+targets = 1,1; nan,2
+candidates = 1,1; 2,-inf
+"""
+        polygon = MINIMAL.replace("rectangle", "polygon").replace(
+            "rect = 0, 0, 10, 10", "polygon = 0,0; 10,0; nan,10"
+        )
+        keys = {
+            rectangle: (
+                "mean.constant",
+                "field.a",
+                "field.bumps",
+                "roi.rect",
+                "placement.targets",
+                "placement.candidates",
+            ),
+            polygon: ("roi.polygon",),
+        }
+        for text, named in keys.items():
+            with pytest.raises(ConfigError) as err:
+                parse_config_text(text)
+            msg = str(err.value)
+            for key in named:
+                assert f"{key}: must be finite" in msg
+            assert f"{len(named)} configuration problem(s)" in msg
+
     def test_missing_roi_for_synthetic_field(self):
         with pytest.raises(ConfigError, match="roi.kind"):
             parse_config_text("[field]\nkind = gp-sample\n")

@@ -24,7 +24,7 @@ from senseplan import (
     predictive_measurement,
     sample_prior_field,
 )
-from senseplan.gp import as_point, as_points
+from senseplan.gp import as_point, as_points, predictive_moments
 
 
 def dense_posterior(mean, kernel, log, query):
@@ -99,8 +99,10 @@ class TestKernelMatrix:
                 lengthscale=rng.uniform(0.2, 3.0),
             )
             pts = rng.uniform(-5, 5, (rng.integers(2, 12), 2))
+            pts = np.vstack([pts, pts[:1]])  # a duplicated row
             K = kernel_matrix(k, pts, pts)
             np.testing.assert_array_equal(K, K.T)
+            np.testing.assert_array_equal(np.diagonal(K), k.signal_variance)
             eigs = np.linalg.eigvalsh(K)
             assert eigs.min() >= -1e-10 * max(eigs.max(), 1.0)
 
@@ -228,6 +230,29 @@ class TestPosterior:
         belief = posterior(mean, kernel, log, pts)
         np.testing.assert_allclose(belief.mean, vals, atol=1e-8)
         assert np.all(belief.marginal_variances() < 1e-6)
+
+
+class TestPredictiveMoments:
+    def test_query_is_a_prefix_of_the_points(self):
+        """With points ``[targets; candidates]`` and ``n_query = len(targets)``
+        the target block is the targets' posterior and the candidate block is
+        the dense oracle's cross-covariance; ``n_query = 0`` queries nothing."""
+        rng = np.random.default_rng(41)
+        for _ in range(20):
+            mean, kernel, log, targets = random_instance(rng)
+            points = np.vstack([targets, rng.uniform(0, 8, (5, 2))])
+            n = len(targets)
+            mu, var, cross = predictive_moments(mean, kernel, log, points, n)
+            belief = posterior(mean, kernel, log, targets)
+            dense_mu, dense_cov = dense_posterior(mean, kernel, log, points)
+            np.testing.assert_allclose(mu[:n], belief.mean, rtol=1e-12)
+            np.testing.assert_allclose(cross[:, :n], belief.cov, rtol=1e-12)
+            np.testing.assert_allclose(mu[n:], dense_mu[n:], rtol=1e-12)
+            np.testing.assert_allclose(cross[:, n:], dense_cov[:n, n:], rtol=1e-12)
+            _, _, none = predictive_moments(mean, kernel, log, points, 0)
+            assert none.shape == (0, len(points))
+        with pytest.raises(InvalidInputError):
+            predictive_moments(mean, kernel, log, points, len(points) + 1)
 
 
 class TestGaussianBelief:

@@ -35,3 +35,55 @@ def test_modules_import_only_what_they_use():
         if path.name != "__init__.py" and (names := unused_imports(path.read_text()))
     }
     assert unused == {}
+
+
+def private_definitions(tree: ast.Module) -> dict:
+    """Module-level ``_``-prefixed functions and constants, by name, with
+    the node that defines each."""
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            defined[node.name] = node
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    defined[target.id] = node
+    return {
+        name: node
+        for name, node in defined.items()
+        if name.startswith("_") and not name.startswith("__")
+    }
+
+
+def references(tree: ast.AST, skip=None) -> set:
+    """Names read in ``tree``, as bare names or attributes, outside ``skip``."""
+    found = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_private_helpers_are_used():
+    """Every private module-level function or constant in the package is
+    read somewhere in the package outside its own definition, so a path
+    that a new one replaced does not linger."""
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    unused = []
+    for module, tree in trees.items():
+        for name, node in private_definitions(tree).items():
+            used = any(
+                name in references(other, skip=node if other is tree else None)
+                for other in trees.values()
+            )
+            if not used:
+                unused.append(f"{module}: {name}")
+    assert unused == []
