@@ -26,6 +26,7 @@ from .harness import (
     validate_run_config,
     write_outputs,
 )
+from .metrics import METRIC_NAMES
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -89,7 +90,7 @@ def cmd_run(args) -> int:
         return EXIT_DATA if (data_issues and not config_issues) else EXIT_CONFIG
     record = execute_run(cfg, workers=args.workers)
     run_path, series_path = write_outputs(record, args.out)
-    n_rows = sum(len(t["steps"]) for t in record["traces"]) * 4
+    n_rows = sum(len(t["steps"]) for t in record["traces"]) * len(METRIC_NAMES)
     print(f"wrote {run_path}")
     print(f"wrote {series_path} ({n_rows} metric rows)")
     return EXIT_OK

@@ -101,8 +101,11 @@ class PolygonMask(RoIMask):
 
 
 @dataclass(frozen=True, eq=False)
-class GridData:
+class GridData(RoIMask):
     """Values on a regular lat/lon lattice; NaN cells are outside the RoI.
+
+    As a region of interest it holds the points within the support radius
+    of a non-missing cell, the same points where :meth:`value_at` answers.
 
     ``values[i, j]`` sits at latitude ``lat0 + i*dlat`` and longitude
     ``lon0 + j*dlon``.  ``lat_present``/``lon_present`` record which lattice
@@ -193,19 +196,6 @@ class GridData:
             float(lons.max() + 0.5 * self.dlon),
             float(lats.max() + 0.5 * self.dlat),
         )
-
-
-@dataclass(frozen=True, eq=False)
-class GridMask(RoIMask):
-    """RoI defined by the non-missing cells of gridded data."""
-
-    grid: GridData
-
-    def contains(self, point) -> bool:
-        return self.grid.contains(point)
-
-    def bounds(self):
-        return self.grid.bounds()
 
 
 def _infer_spacing(coords: np.ndarray, axis_name: str, path: str) -> float:
@@ -380,8 +370,6 @@ ANALYTIC_CATALOG = {
 class GroundTruthField:
     """Deterministic scalar field over a region of interest."""
 
-    kind: str = "abstract"
-
     def value(self, point) -> float:
         raise NotImplementedError
 
@@ -394,13 +382,12 @@ class GridField(GroundTruthField):
     """Field backed by gridded data; nearest non-missing cell lookup."""
 
     grid: GridData
-    kind = "grid"
 
     def value(self, point) -> float:
         return self.grid.value_at(point)
 
     def roi(self) -> RoIMask:
-        return GridMask(self.grid)
+        return self.grid
 
 
 @dataclass(frozen=True, eq=False)
@@ -410,7 +397,6 @@ class AnalyticField(GroundTruthField):
     name: str
     params: Mapping[str, object]
     region: RoIMask
-    kind = "analytic"
 
     def __post_init__(self):
         if self.name not in ANALYTIC_CATALOG:
@@ -437,7 +423,6 @@ class SampledField(GroundTruthField):
     nodes: np.ndarray
     node_values: np.ndarray
     region: RoIMask
-    kind = "gp-sample"
 
     def __post_init__(self):
         nodes = as_points(self.nodes)
@@ -472,9 +457,7 @@ def sample_field(
     region: RoIMask,
 ) -> SampledField:
     """Draw one prior field realization at ``nodes`` and wrap it as a field."""
-    pts = as_points(nodes)
-    values = sample_prior_field(mean, kernel, pts, seed)
-    return SampledField(pts, values, region)
+    return SampledField(nodes, sample_prior_field(mean, kernel, nodes, seed), region)
 
 
 def field_value(fld: GroundTruthField, x) -> float:

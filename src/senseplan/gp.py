@@ -13,6 +13,13 @@ threads.  Nothing is cached between calls: each conditioning builds and
 factors its own Gram matrix, so callers that need several quantities from
 one log ask :func:`predictive_moments` for all of them at once.  Its query
 set is a prefix of its points, so one triangular solve serves both.
+
+Location arrays are checked once, where they enter a public entry point
+(:func:`posterior`, :func:`predictive_moments`,
+:func:`predictive_measurement`, :func:`sample_prior_field` and the
+constructors of :class:`MeasurementLog` and :class:`GaussianBelief`).
+Code below that point, :func:`kernel_matrix` included, takes those
+arrays as they are.
 """
 
 from __future__ import annotations
@@ -246,11 +253,15 @@ def _symmetrize(a: np.ndarray) -> np.ndarray:
 def kernel_matrix(spec: KernelSpec, X, Y) -> np.ndarray:
     """Cross-covariance matrix with entries ``k(x_i, y_j)``.
 
+    ``X`` and ``Y`` are ``(n, 2)`` float arrays that the caller has already
+    validated (for instance with :func:`as_points`); nothing is checked or
+    copied here.
+
     When ``X`` and ``Y`` hold identical coordinates the result is exactly
     symmetric with diagonal ``spec.signal_variance``: ``cdist`` computes
     ``(a - b)**2`` and ``(b - a)**2`` alike and gives 0 on the diagonal.
     """
-    d2 = cdist(as_points(X), as_points(Y), "sqeuclidean")
+    d2 = cdist(X, Y, "sqeuclidean")
     return spec.signal_variance * np.exp(-d2 / (2.0 * spec.lengthscale**2))
 
 
@@ -301,7 +312,7 @@ def predictive_moments(mean: MeanSpec, kernel: KernelSpec, log: MeasurementLog, 
     if len(log):
         L = _noisy_gram_factor(kernel, log)
         W = solve_triangular(L, kernel_matrix(kernel, log.locations, P), lower=True)
-        mu += solve_triangular(L, log.values - mean.at(log.locations), lower=True) @ W
+        mu += solve_triangular(L, log.values - mean.constant, lower=True) @ W
         var -= np.einsum("ij,ij->j", W, W)
         cross -= W[:, :n_query].T @ W
     var = np.where(var < -1e-10 * kernel.signal_variance, np.nan, np.maximum(var, 0.0))
@@ -332,4 +343,4 @@ def sample_prior_field(mean: MeanSpec, kernel: KernelSpec, grid, seed: int) -> n
     K = kernel_matrix(kernel, pts, pts)
     L, _ = jittered_cholesky(K, base_jitter=kernel.jitter)
     rng = np.random.default_rng(seed)
-    return mean.at(pts) + L @ rng.standard_normal(len(pts))
+    return mean.constant + L @ rng.standard_normal(len(pts))

@@ -96,9 +96,7 @@ def _specs(cfg: RunConfig) -> tuple[MeanSpec, KernelSpec]:
 def trial_placement(cfg: RunConfig, mask: RoIMask, trial: int):
     """Target and candidate sets for one trial (shared across planners)."""
     if cfg.placement_kind == "explicit":
-        return as_points(np.array(cfg.explicit_targets)), as_points(
-            np.array(cfg.explicit_candidates)
-        )
+        return as_points(cfg.explicit_targets), as_points(cfg.explicit_candidates)
     seed = substream_seed(cfg.seed, STREAM_PLACEMENT, trial)
     return place_scenario(mask, cfg.n_targets, cfg.n_candidates, cfg.n_shared, seed)
 
@@ -442,10 +440,9 @@ def validate_run_config(cfg: RunConfig) -> tuple[list[str], list[str]]:
     config_issues: list[str] = []
     data_issues: list[str] = []
 
-    grid = None
     if cfg.field_kind == "grid":
         try:
-            grid = _grid_cached(cfg.grid_csv)
+            _grid_cached(cfg.grid_csv)
         except (DataError, OSError) as exc:
             data_issues.append(str(exc))
             return config_issues, data_issues
@@ -456,25 +453,23 @@ def validate_run_config(cfg: RunConfig) -> tuple[list[str], list[str]]:
         config_issues.append(str(exc))
         return config_issues, data_issues
 
-    mean, kernel = _specs(cfg)
+    _, kernel = _specs(cfg)
 
     if cfg.placement_kind == "explicit":
         for name, pts in (("target", cfg.explicit_targets), ("candidate", cfg.explicit_candidates)):
             for i, pt in enumerate(pts):
-                if not mask.contains(np.array(pt)):
+                if not mask.contains(pt):
                     config_issues.append(
                         f"{name} {i} at {pt} lies outside the region of interest"
                     )
         if config_issues:
             return config_issues, data_issues
-        targets = as_points(np.array(cfg.explicit_targets))
-        candidates = as_points(np.array(cfg.explicit_candidates))
-    else:
-        try:
-            targets, candidates = trial_placement(cfg, mask, 0)
-        except SensorPlanError as exc:
-            config_issues.append(f"placement probe failed: {exc}")
-            return config_issues, data_issues
+
+    try:
+        targets, candidates = trial_placement(cfg, mask, 0)
+    except SensorPlanError as exc:
+        config_issues.append(f"placement probe failed: {exc}")
+        return config_issues, data_issues
 
     pts = _unique_points(targets, candidates)
     try:

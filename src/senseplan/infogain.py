@@ -41,7 +41,6 @@ from .gp import (
     MeanSpec,
     MeasurementLog,
     _noisy_gram_factor,
-    as_points,
     jittered_cholesky,
     kernel_matrix,
     posterior,
@@ -164,10 +163,8 @@ def edg_exact(
     the mean update and ``var_z`` the predictive variance of the reading
     (measurement noise included).
     """
-    pts = as_points(targets)
-    if len(pts) == 0:
-        raise InvalidInputError("targets must contain at least one location")
-    prev = posterior(mean, kernel, log, pts)
+    prev = posterior(mean, kernel, log, targets)
+    pts = prev.query
     mu_z, var_z = predictive_measurement(mean, kernel, log, candidate, include_noise=True)
     at_mean = posterior(mean, kernel, log.append(candidate, mu_z), pts)
     shifted = posterior(mean, kernel, log.append(candidate, mu_z + 1.0), pts)
@@ -193,10 +190,8 @@ def edg_quadrature(
     ``z = mu_z + sqrt(2 var_z) t``.  Deterministic; serves as the
     independent oracle for :func:`edg_exact`.
     """
-    pts = as_points(targets)
-    if len(pts) == 0:
-        raise InvalidInputError("targets must contain at least one location")
-    prev = posterior(mean, kernel, log, pts)
+    prev = posterior(mean, kernel, log, targets)
+    pts = prev.query
     mu_z, var_z = predictive_measurement(mean, kernel, log, candidate, include_noise=True)
     t, w = quad.nodes()
     scale = math.sqrt(2.0 * var_z)
@@ -229,14 +224,12 @@ def edg_unnormalized_form(
     the score command.  With an empty log the variant's matrices are empty,
     so the exact value is returned with ``fallback=True``.
     """
-    pts = as_points(targets)
-    if len(pts) == 0:
-        raise InvalidInputError("targets must contain at least one location")
-    n = len(pts)
     if len(log) == 0:
         exact = edg_exact(mean, kernel, log, candidate, targets)
         return UnnormalizedFormResult(exact.value, None, fallback=True)
 
+    prev = posterior(mean, kernel, log, targets)
+    pts, cov_prev = prev.query, prev.cov
     mu_z, spread = predictive_measurement(mean, kernel, log, candidate, include_noise=False)
     next_log = log.append(candidate, mu_z)
     weights = lambda lg: cho_solve(  # noqa: E731
@@ -244,12 +237,11 @@ def edg_unnormalized_form(
     ).T
     m1, m2 = weights(log), weights(next_log)
 
-    v1 = log.values - mean.at(log.locations)
+    v1 = log.values - mean.constant
     v2 = np.append(v1, mu_z - mean.constant)
 
-    cov_prev = posterior(mean, kernel, log, pts).cov
     cov_next = posterior(mean, kernel, next_log, pts).cov
-    structural_sum, Lp = _structural_term(cov_prev, cov_next, n)
+    structural_sum, Lp = _structural_term(cov_prev, cov_next, len(pts))
 
     solve_prev = lambda b: cho_solve((Lp, True), b)  # noqa: E731
     m2t_sinv_m2 = m2.T @ solve_prev(m2)

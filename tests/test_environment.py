@@ -10,7 +10,6 @@ from senseplan import (
     FieldDomainError,
     GridData,
     GridField,
-    GridMask,
     InvalidInputError,
     KernelSpec,
     MeanSpec,
@@ -147,8 +146,8 @@ class TestGridLookup:
 
     def test_mask_agrees_with_field_support(self):
         g = self.grid()
-        mask = GridMask(g)
         fld = GridField(g)
+        mask = fld.roi()
         for pt in [(0.0, 0.0), (2.5, 1.2), (-2.0, -2.0), (9.0, 9.0)]:
             inside = mask.contains(pt)
             try:

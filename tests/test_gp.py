@@ -18,10 +18,18 @@ from senseplan import (
     MeanSpec,
     MeasurementLog,
     NumericalDegeneracyError,
+    PolygonMask,
+    ScenarioConfig,
+    edg_exact,
+    edg_quadrature,
+    edg_unnormalized_form,
+    greedy_select,
     jittered_cholesky,
     kernel_matrix,
     posterior,
     predictive_measurement,
+    random_select,
+    sample_field,
     sample_prior_field,
 )
 from senseplan.gp import as_point, as_points, predictive_moments
@@ -74,6 +82,71 @@ class TestPointCoercion:
             as_points([[np.inf, 0.0]])
         with pytest.raises(InvalidInputError):
             as_point([1.0])
+
+    def test_predictive_moments_coerces_its_points_once(self, monkeypatch):
+        """Points are checked where they enter; the kernel matrices and the
+        prior mean below that use the checked array as it is."""
+        mean, kernel, log, query = random_instance(np.random.default_rng(5), n_obs=4, n_query=3)
+        calls = []
+
+        def counting(locations):
+            calls.append(locations)
+            return as_points(locations)
+
+        monkeypatch.setattr(gp_mod, "as_points", counting)
+        predictive_moments(mean, kernel, log, query, 2)
+        assert len(calls) == 1
+
+    def test_entry_points_reject_malformed_points(self):
+        """Each public entry point that takes locations checks them: a
+        non-finite coordinate or a three-column array raises
+        InvalidInputError, and the EDG routes reject empty targets."""
+        kernel = KernelSpec(signal_variance=2.0, lengthscale=1.0)
+        mean = MeanSpec(constant=0.5)
+        log = MeasurementLog([[1.0, 1.0]], [0.3], noise_sd=0.4)
+        good = np.array([[0.0, 0.0], [2.0, 1.0]])
+        region = PolygonMask.rectangle(-1.0, -1.0, 5.0, 5.0)
+
+        def scenario(targets, candidates):
+            return ScenarioConfig(targets, candidates, 0.4, 2, kernel, mean, "random", seed=1)
+
+        takes_points = {
+            "posterior": lambda p: posterior(mean, kernel, log, p),
+            "predictive_moments": lambda p: predictive_moments(mean, kernel, log, p, 1),
+            "predictive_measurement": lambda p: predictive_measurement(mean, kernel, log, p[-1:], False),
+            "greedy_select candidates": lambda p: greedy_select(mean, kernel, log, p, good),
+            "greedy_select targets": lambda p: greedy_select(mean, kernel, log, good, p),
+            "random_select": lambda p: random_select(p, np.random.default_rng(0)),
+            "ScenarioConfig targets": lambda p: scenario(p, good),
+            "ScenarioConfig candidates": lambda p: scenario(good, p),
+            "MeasurementLog": lambda p: MeasurementLog(p, np.zeros(len(p)), noise_sd=0.4),
+            "MeasurementLog.append": lambda p: log.append(p[-1:], 1.0),
+            "sample_field": lambda p: sample_field(mean, kernel, p, 3, region),
+        }
+        takes_targets = {
+            "edg_exact": lambda p: edg_exact(mean, kernel, log, (1.5, 0.5), p),
+            "edg_quadrature": lambda p: edg_quadrature(mean, kernel, log, (1.5, 0.5), p),
+            "edg_unnormalized_form": lambda p: edg_unnormalized_form(mean, kernel, log, (1.5, 0.5), p),
+        }
+        malformed = {
+            "non-finite": np.array([[0.0, 0.0], [np.nan, 1.0]]),
+            "three columns": np.ones((2, 3)),
+        }
+        cases = [(name, call, malformed) for name, call in takes_points.items()]
+        cases += [
+            (name, call, {**malformed, "empty": np.empty((0, 2))})
+            for name, call in takes_targets.items()
+        ]
+        accepted = []
+        for name, call, inputs in cases:
+            call(good)
+            for kind, points in inputs.items():
+                try:
+                    call(points)
+                except InvalidInputError:
+                    continue
+                accepted.append(f"{name}: {kind}")
+        assert accepted == []
 
 
 class TestKernelMatrix:

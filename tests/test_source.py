@@ -87,3 +87,63 @@ def test_private_helpers_are_used():
             if not used:
                 unused.append(f"{module}: {name}")
     assert unused == []
+
+
+#: The functions that coerce locations with ``as_points`` or ``as_point``:
+#: the public entry points, the field and mask queries, and the placement
+#: that builds the point sets.  Code below them takes the checked arrays
+#: as they are.
+COERCING_FUNCTIONS = {
+    "environment.AnalyticField.value",
+    "environment.GridData.nearest_cell",
+    "environment.PolygonMask.__post_init__",
+    "environment.PolygonMask.contains",
+    "environment.SampledField.__post_init__",
+    "environment.SampledField.value",
+    "environment.place_scenario",
+    "gp.GaussianBelief.__post_init__",
+    "gp.MeanSpec.at",
+    "gp.MeasurementLog.__post_init__",
+    "gp.MeasurementLog.append",
+    "gp.posterior",
+    "gp.predictive_measurement",
+    "gp.predictive_moments",
+    "gp.sample_prior_field",
+    "harness.trial_placement",
+    "metrics.intersection_indices",
+    "planner.ScenarioConfig.__post_init__",
+    "planner.greedy_select",
+    "planner.random_select",
+}
+
+
+def coercing_functions(tree: ast.Module, module: str) -> set:
+    """Qualified names of the functions and methods in ``tree`` that call
+    ``as_points`` or ``as_point``."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            if (
+                isinstance(child, ast.Call)
+                and isinstance(child.func, ast.Name)
+                and child.func.id in ("as_points", "as_point")
+            ):
+                found.add(scope)
+            visit(child, scope)
+
+    visit(tree, module)
+    return found
+
+
+def test_points_are_coerced_only_at_the_boundary():
+    """Location arrays are checked where they enter the package, so no
+    inner routine (``kernel_matrix``, the EDG routes below their first
+    ``posterior``) coerces them again."""
+    found = set()
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        found |= coercing_functions(ast.parse(path.read_text()), path.stem)
+    assert found == COERCING_FUNCTIONS
