@@ -3,20 +3,20 @@
 A candidate sensing location is scored by the expected discrimination
 gain (EDG): the expectation, over the predictive distribution of the
 unseen reading, of the Kullback-Leibler divergence from the
-post-measurement belief over the targets to the current belief.
-
-Three evaluation routes are provided and cross-checked in the tests:
+post-measurement belief over the targets to the current belief.  For a
+Gaussian belief it is the reading's mutual information with the targets
+(Lindley 1956), ``-0.5 * log1p(-rho)`` with ``rho = g' S^-1 g / v`` the
+share of the reading variance ``v`` that the targets explain.  This
+module owns that one closed form; the planner and :func:`edg_exact`
+both evaluate it.  The routes, cross-checked in the tests:
 
 ``edg_exact``
-    Closed form for one candidate; the reference for the planner's batched
-    scores.  The post-measurement covariance is independent of the reading
-    and the KL divergence quadratic in it, so the expectation is a
-    covariance-only ("structural") term plus the expected mean shift.
+    The closed form for one candidate, split into the mean-shift term
+    ``0.5 * rho`` and the covariance-only ("structural") rest.
 ``edg_quadrature``
-    Direct Gauss-Hermite quadrature of the defining integral; the
-    integrand is a quadratic polynomial in the reading, so a handful of
-    nodes already integrates it exactly.  This route is the independent
-    oracle for the closed form.
+    Gauss-Hermite quadrature of the defining integral, through
+    :func:`kl_gaussian`; exact with a few nodes, as the integrand is
+    quadratic in the reading.  The independent oracle for the closed form.
 ``edg_unnormalized_form``
     A closed-form variant that weights the integrand by an unnormalized
     Gaussian (extra sqrt(pi) and spread-cubed factors) and omits the
@@ -34,17 +34,21 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NumericalDegeneracyError
 from .gp import (
+    JITTER_LADDER,
     GaussianBelief,
     KernelSpec,
     MeanSpec,
     MeasurementLog,
     _noisy_gram_factor,
+    as_point,
+    as_points,
     jittered_cholesky,
     kernel_matrix,
     posterior,
     predictive_measurement,
+    predictive_moments,
 )
 
 
@@ -113,38 +117,47 @@ class UnnormalizedFormResult:
 def kl_gaussian(post: GaussianBelief, pre: GaussianBelief) -> float:
     """KL divergence D(post || pre) between Gaussian beliefs on one query set.
 
-    Evaluates ``0.5 * (tr(Q^-1 P) - ln(det P / det Q) - n + dm' Q^-1 dm)``
-    with ``P = post.cov``, ``Q = pre.cov`` and ``dm`` the mean difference,
-    via Cholesky factors under the shared jitter policy.
+    ``0.5 * (sum(lam - log1p(lam)) + dm' Q^-1 dm)`` with ``Q = pre.cov``,
+    ``dm`` the mean difference and ``lam`` the eigenvalues of
+    ``L^-1 (P - Q) L^-T``, ``P = post.cov`` and ``L`` the jittered factor of
+    ``Q``: the trace/log-det form per eigenvalue, with ``Q``'s jitter added
+    to ``P`` too, so it does not cancel.  ``lam`` is clipped at -1, so a
+    ``post`` singular where ``pre`` is not gives ``+inf``.
 
     Raises
     ------
     InvalidInputError
         If the two beliefs are not over the identical query list.
     NumericalDegeneracyError
-        If a covariance cannot be factorized after jitter escalation.
+        If ``pre.cov`` cannot be factorized after jitter escalation.
     """
     if not np.array_equal(post.query, pre.query):
         raise InvalidInputError("beliefs must be over the same query locations")
-    n = len(pre)
-    Lq, _ = jittered_cholesky(pre.cov)
-    Lp, _ = jittered_cholesky(post.cov)
-    trace_term = float(np.trace(cho_solve((Lq, True), post.cov)))
-    logdet_q = 2.0 * float(np.sum(np.log(np.diagonal(Lq))))
-    logdet_p = 2.0 * float(np.sum(np.log(np.diagonal(Lp))))
-    dm = post.mean - pre.mean
-    w = solve_triangular(Lq, dm, lower=True)
-    return 0.5 * (trace_term - (logdet_p - logdet_q) - n + float(w @ w))
+    L, _ = jittered_cholesky(pre.cov)
+    half = solve_triangular(L, post.cov - pre.cov, lower=True)
+    lam = np.maximum(np.linalg.eigvalsh(solve_triangular(L, half.T, lower=True)), -1.0)
+    w = solve_triangular(L, post.mean - pre.mean, lower=True)
+    with np.errstate(divide="ignore"):
+        return 0.5 * (float(np.sum(lam - np.log1p(lam))) + float(w @ w))
 
 
-def _structural_term(cov_prev: np.ndarray, cov_next: np.ndarray, n: int) -> tuple[float, np.ndarray]:
-    """Covariance-only KL part and the Cholesky factor of ``cov_prev``."""
-    Lp, _ = jittered_cholesky(cov_prev)
-    Ln, _ = jittered_cholesky(cov_next)
-    trace_term = float(np.trace(cho_solve((Lp, True), cov_next)))
-    logdet_prev = 2.0 * float(np.sum(np.log(np.diagonal(Lp))))
-    logdet_next = 2.0 * float(np.sum(np.log(np.diagonal(Ln))))
-    return 0.5 * (trace_term - (logdet_next - logdet_prev) - n), Lp
+def _explained_share(kernel: KernelSpec, noise_sd: float, var, cross) -> np.ndarray:
+    """Share ``g' S^-1 g / v`` of each reading's variance explained by the targets.
+
+    ``var`` and ``cross`` are the predictive moments of the targets and then
+    the candidates, queried against the targets: ``S`` is the target block
+    of ``cross``, ``g`` a candidate's column and ``v`` its reading variance.
+    ``v`` and ``v - g' S^-1 g`` are floored at ``JITTER_LADDER[0]`` of the
+    prior variance, so noise-free readings score finite.  NaN marks a
+    degenerate candidate; an ``S`` that cannot be factorized raises
+    :class:`~senseplan.errors.NumericalDegeneracyError`.
+    """
+    n = len(cross)
+    L, _ = jittered_cholesky(cross[:, :n])
+    floor = JITTER_LADDER[0] * kernel.signal_variance
+    v = np.maximum(var[n:] + noise_sd**2, floor)
+    explained = np.minimum(np.sum(solve_triangular(L, cross[:, n:], lower=True) ** 2, axis=0), v - floor)
+    return explained / v
 
 
 def edg_exact(
@@ -156,23 +169,19 @@ def edg_exact(
 ) -> EDGResult:
     """Expected discrimination gain of measuring at ``candidate``, closed form.
 
-    The post-measurement covariance over the targets is independent of the
-    reading, and the posterior mean is affine in it, so the expected KL
-    divergence is the structural term plus
-    ``0.5 * (a' cov_prev^-1 a) * var_z`` where ``a`` is the gain vector of
-    the mean update and ``var_z`` the predictive variance of the reading
-    (measurement noise included).
+    The one-candidate case of the planner's scorer, from one conditioning
+    over targets and candidate.  Raises InvalidInputError on empty targets
+    and NumericalDegeneracyError on a degenerate candidate.
     """
-    prev = posterior(mean, kernel, log, targets)
-    pts = prev.query
-    mu_z, var_z = predictive_measurement(mean, kernel, log, candidate, include_noise=True)
-    at_mean = posterior(mean, kernel, log.append(candidate, mu_z), pts)
-    shifted = posterior(mean, kernel, log.append(candidate, mu_z + 1.0), pts)
-    gain = shifted.mean - at_mean.mean
-    structural, Lp = _structural_term(prev.cov, at_mean.cov, len(pts))
-    w = solve_triangular(Lp, gain, lower=True)
-    mean_shift = 0.5 * float(w @ w) * var_z
-    return EDGResult(structural + mean_shift, structural, mean_shift)
+    pts = as_points(targets)
+    if len(pts) == 0:
+        raise InvalidInputError("targets must contain at least one location")
+    _, var, cross = predictive_moments(mean, kernel, log, np.vstack([pts, as_point(candidate)]), len(pts))
+    share = float(_explained_share(kernel, log.noise_sd, var, cross)[0])
+    if math.isnan(share):
+        raise NumericalDegeneracyError("predictive variance is negative beyond round-off")
+    value = float(-0.5 * np.log1p(-share))
+    return EDGResult(value, value - 0.5 * share, 0.5 * share)
 
 
 def edg_quadrature(
@@ -240,8 +249,8 @@ def edg_unnormalized_form(
     v1 = log.values - mean.constant
     v2 = np.append(v1, mu_z - mean.constant)
 
-    cov_next = posterior(mean, kernel, next_log, pts).cov
-    structural_sum, Lp = _structural_term(cov_prev, cov_next, len(pts))
+    structural_sum = edg_exact(mean, kernel, log, candidate, pts).structural_term
+    Lp, _ = jittered_cholesky(cov_prev)
 
     solve_prev = lambda b: cho_solve((Lp, True), b)  # noqa: E731
     m2t_sinv_m2 = m2.T @ solve_prev(m2)

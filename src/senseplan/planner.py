@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import (
     InvalidInputError,
@@ -25,17 +24,16 @@ from .errors import (
     SensorPlanError,
 )
 from .gp import (
-    JITTER_LADDER,
     GaussianBelief,
     KernelSpec,
     MeanSpec,
     MeasurementLog,
     as_points,
     _symmetrize,
-    jittered_cholesky,
     predictive_moments,
 )
 from .environment import GroundTruthField, field_value, measure
+from .infogain import _explained_share
 from .metrics import (
     estimating_error,
     estimating_variance,
@@ -126,27 +124,19 @@ def _no_usable_gain(count: int) -> PlanningError:
 def _greedy_choice(kernel: KernelSpec, noise_sd: float, var, cross) -> tuple[int, np.ndarray]:
     """Index of the highest-gain candidate, and every candidate's gain.
 
-    ``var`` and ``cross`` are the predictive moments of the targets and then
-    the candidates, queried against the targets.  The gain is the reading's
-    mutual information with the targets, ``-0.5 * log1p(-g' S^-1 g / v)``,
-    with ``S`` the target block of ``cross``, ``g`` its candidate block and
-    ``v`` the reading variance.  ``v`` and ``v - g' S^-1 g`` are floored at
-    ``JITTER_LADDER[0]`` of the prior variance so noise-free readings score
-    finite.  Degenerate candidates gain ``-inf``; scores within
+    The gain is the reading's mutual information with the targets,
+    ``-0.5 * log1p(-rho)``, with ``rho`` from
+    :func:`~senseplan.infogain._explained_share` on the moments ``var`` and
+    ``cross``.  Degenerate candidates gain ``-inf``; scores within
     ``TIE_RTOL`` of the best tie, lowest index first.
     """
-    n = len(cross)
-    var_f, g = var[n:], cross[:, n:]
     try:
-        L, _ = jittered_cholesky(cross[:, :n])
+        share = _explained_share(kernel, noise_sd, var, cross)
     except NumericalDegeneracyError:
-        raise _no_usable_gain(len(var_f)) from None
-    if np.all(np.isnan(var_f)):
-        raise _no_usable_gain(len(var_f))
-    floor = JITTER_LADDER[0] * kernel.signal_variance
-    v = np.maximum(var_f + noise_sd**2, floor)
-    explained = np.minimum(np.sum(solve_triangular(L, g, lower=True) ** 2, axis=0), v - floor)
-    gains = np.where(np.isnan(v), -math.inf, -0.5 * np.log1p(-explained / v))
+        raise _no_usable_gain(len(var) - len(cross)) from None
+    if np.all(np.isnan(share)):
+        raise _no_usable_gain(len(share))
+    gains = np.where(np.isnan(share), -math.inf, -0.5 * np.log1p(-share))
     return int(np.flatnonzero(gains >= (1.0 - TIE_RTOL) * gains.max())[0]), gains
 
 
@@ -168,10 +158,10 @@ def greedy_select(
     targets,
 ) -> tuple[np.ndarray, float]:
     """Location of the highest-gain candidate, and its score."""
-    cands = as_points(candidates)
-    if len(cands) == 0:
-        raise InvalidInputError("candidate set must be nonempty")
-    idx, gains = _greedy_on_log(mean, kernel, log, cands, as_points(targets))
+    cands, pts = as_points(candidates), as_points(targets)
+    if len(cands) == 0 or len(pts) == 0:
+        raise InvalidInputError("candidates and targets must be nonempty")
+    idx, gains = _greedy_on_log(mean, kernel, log, cands, pts)
     return cands[idx], float(gains[idx])
 
 

@@ -42,6 +42,8 @@ from senseplan.cli import main
 from senseplan.config import parse_config_text
 from senseplan.harness import execute_run
 
+from reference import edg_reference
+
 
 def report(tag: str, ok: bool, detail: str) -> None:
     print(f"{tag} {'PASS' if ok else 'FAIL'}: {detail}")
@@ -84,6 +86,21 @@ def test_a1_closed_form_matches_quadrature_oracle():
         worst <= 1e-8 and elapsed < 30.0,
         f"max relative discrepancy {worst:.3e} over 200 instances in {elapsed:.1f}s",
     )
+
+
+def test_a1_instances_match_extended_precision_reference():
+    """On four of A1's instances, among them 171 whose gain is about 7e-13,
+    the closed form and the quadrature oracle each agree with a 40-digit
+    evaluation of the definition to 1e-8 relative."""
+    rng = np.random.default_rng(202601)
+    instances = [random_edg_instance(rng) for _ in range(172)]
+    for i in (3, 50, 120, 171):
+        mean, kernel, log, cand, targets = instances[i]
+        ref = edg_reference(kernel, log, cand, targets)
+        exact = edg_exact(mean, kernel, log, cand, targets).value
+        quad = edg_quadrature(mean, kernel, log, cand, targets, QuadratureSpec(64))
+        assert abs(exact - ref) <= 1e-8 * ref, (i, exact, ref)
+        assert abs(quad - ref) <= 1e-8 * ref, (i, quad, ref)
 
 
 A2_CONFIG = """

@@ -100,7 +100,8 @@ class TestPointCoercion:
     def test_entry_points_reject_malformed_points(self):
         """Each public entry point that takes locations checks them: a
         non-finite coordinate or a three-column array raises
-        InvalidInputError, and the EDG routes reject empty targets."""
+        InvalidInputError, and the EDG routes and ``greedy_select`` reject
+        empty targets."""
         kernel = KernelSpec(signal_variance=2.0, lengthscale=1.0)
         mean = MeanSpec(constant=0.5)
         log = MeasurementLog([[1.0, 1.0]], [0.3], noise_sd=0.4)
@@ -115,15 +116,16 @@ class TestPointCoercion:
             "predictive_moments": lambda p: predictive_moments(mean, kernel, log, p, 1),
             "predictive_measurement": lambda p: predictive_measurement(mean, kernel, log, p[-1:], False),
             "greedy_select candidates": lambda p: greedy_select(mean, kernel, log, p, good),
-            "greedy_select targets": lambda p: greedy_select(mean, kernel, log, good, p),
             "random_select": lambda p: random_select(p, np.random.default_rng(0)),
             "ScenarioConfig targets": lambda p: scenario(p, good),
             "ScenarioConfig candidates": lambda p: scenario(good, p),
             "MeasurementLog": lambda p: MeasurementLog(p, np.zeros(len(p)), noise_sd=0.4),
             "MeasurementLog.append": lambda p: log.append(p[-1:], 1.0),
             "sample_field": lambda p: sample_field(mean, kernel, p, 3, region),
+            "edg_exact candidate": lambda p: edg_exact(mean, kernel, log, p[-1:], good),
         }
         takes_targets = {
+            "greedy_select targets": lambda p: greedy_select(mean, kernel, log, good, p),
             "edg_exact": lambda p: edg_exact(mean, kernel, log, (1.5, 0.5), p),
             "edg_quadrature": lambda p: edg_quadrature(mean, kernel, log, (1.5, 0.5), p),
             "edg_unnormalized_form": lambda p: edg_unnormalized_form(mean, kernel, log, (1.5, 0.5), p),

@@ -6,10 +6,12 @@ KL kernel itself) Monte Carlo estimation of the log density ratio.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+import senseplan.infogain as infogain_mod
 from senseplan import (
     GaussianBelief,
     InvalidInputError,
@@ -106,6 +108,16 @@ class TestKLGaussian:
         with pytest.raises(InvalidInputError):
             kl_gaussian(P, Q2)
 
+    def test_singular_post_against_nonsingular_pre_is_infinite(self):
+        """A post with zero variance where the pre has some is infinitely
+        far from it, and saying so raises no floating-point warning."""
+        q = np.array([[0.0, 0.0], [1.0, 0.0]])
+        P = GaussianBelief(query=q, mean=np.zeros(2), cov=np.diag([2.0, 0.0]))
+        Q = GaussianBelief(query=q, mean=np.zeros(2), cov=np.eye(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert kl_gaussian(P, Q) == math.inf
+
 
 def _log_density(x, mu, cov):
     dim = len(mu)
@@ -171,6 +183,27 @@ class TestEDGExact:
         far = np.array([100.0, 100.0])
         r = edg_exact(MeanSpec(0.0), kernel, MeasurementLog.empty(0.5), far, targets)
         assert abs(r.value) < 1e-12
+
+    def test_one_conditioning_per_call(self, monkeypatch):
+        """One ``edg_exact`` call conditions on the log once: one
+        ``predictive_moments`` call, and no ``posterior`` or
+        ``predictive_measurement`` call."""
+        calls = []
+        conditioning = infogain_mod.predictive_moments
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return conditioning(*args, **kwargs)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("edg_exact conditioned on the log a second time")
+
+        monkeypatch.setattr(infogain_mod, "predictive_moments", counted)
+        monkeypatch.setattr(infogain_mod, "posterior", forbidden)
+        monkeypatch.setattr(infogain_mod, "predictive_measurement", forbidden)
+        mean, kernel, log, cand, targets = random_scenario(np.random.default_rng(17), n_obs=3)
+        edg_exact(mean, kernel, log, cand, targets)
+        assert len(calls) == 1
 
     def test_diminishing_returns_on_repeat(self):
         """Measuring the same spot again is worth strictly less, sigma > 0."""

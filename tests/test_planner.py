@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import senseplan.infogain as infogain_mod
 import senseplan.planner as planner_mod
 from senseplan import (
     AnalyticField,
@@ -171,8 +172,9 @@ class TestGreedySelect:
 
 
 class TestZeroNoiseScores:
-    """Noise-free readings.  ``edg_exact`` is no reference here: at zero
-    noise its trace and log-determinant terms cancel badly."""
+    """Noise-free readings, one of them at a target: its posterior
+    variance is zero, so the target covariance is singular and every route
+    must factor it under jitter."""
 
     KERNEL = KernelSpec(signal_variance=4.0, lengthscale=1.0)
     TARGETS = np.array([[1.0, 1.0], [8.0, 1.0], [4.5, 4.5]])
@@ -214,6 +216,16 @@ class TestZeroNoiseScores:
             MEAN, self.KERNEL, self.LOG, np.array([[2.0, 2.0]]), self.TARGETS
         )
         np.testing.assert_allclose(gains[0], expected, rtol=1e-6)
+
+    def test_edg_routes_match_direct_conditioning(self):
+        """``edg_exact`` and the quadrature oracle give the gain at (2, 2)
+        of the test above, 2.15104633e-6 when its two noise-free
+        conditionings are done at 40 digits."""
+        expected = 2.1510463332e-6
+        cand = np.array([2.0, 2.0])
+        exact = edg_exact(MEAN, self.KERNEL, self.LOG, cand, self.TARGETS).value
+        quad = edg_quadrature(MEAN, self.KERNEL, self.LOG, cand, self.TARGETS)
+        np.testing.assert_allclose([exact, quad], expected, rtol=1e-6)
 
 
 class TestRandomSelect:
@@ -397,7 +409,7 @@ class TestRunEpisode:
         """If scoring degenerates at step 3, the raised error carries the
         two completed steps."""
         calls = {"n": 0}
-        real = planner_mod.jittered_cholesky
+        real = infogain_mod.jittered_cholesky
 
         def flaky(*args, **kwargs):
             if calls["n"] >= 2:  # one target-covariance factor per decision
@@ -405,7 +417,7 @@ class TestRunEpisode:
             calls["n"] += 1
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(planner_mod, "jittered_cholesky", flaky)
+        monkeypatch.setattr(infogain_mod, "jittered_cholesky", flaky)
         cfg = make_config(n_candidates=3, n_shared=1, horizon=5)
         with pytest.raises(PlanningError) as err:
             run_episode(cfg, linear_field())
