@@ -18,6 +18,7 @@ from .errors import (
     PlanningError,
     SensorPlanError,
 )
+from .gp import MeasurementLog
 from .harness import (
     execute_run,
     load_log_csv,
@@ -101,8 +102,6 @@ def cmd_score(args) -> int:
     if args.log is not None:
         log = load_log_csv(args.log, cfg.noise_sd)
     else:
-        from .gp import MeasurementLog
-
         log = MeasurementLog.empty(cfg.noise_sd)
     table = score_table(cfg, log)
     print(render_score_table(table))

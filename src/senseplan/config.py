@@ -1,9 +1,17 @@
-"""Run configuration: INI-style files, defaults, validation, and echo.
+"""Run configuration: one key table for defaults, parsing, validation and echo.
 
 A run is described by a sectioned key-value file (configparser syntax).
-Every key has a default except the field definition, and the resolved
-value of every key, default or not, is echoed into the run record so a
-record can be re-validated and re-run without the original file.
+``_KEYS`` lists every section and key with its default text, in the
+order the run record echoes them; every key has a default except the
+field and region definitions.  Parsing, the unknown-key check and the
+echo all read that table, and the resolved value of every key, default
+or not, is echoed into the run record so a record can be re-validated
+and re-run without the original file.
+
+Command-line overrides (``--seed``, ``--trials``, ``--horizon``,
+``--planner``) replace the file's ``[scenario]`` values before
+validation, so they pass the same checks and any problem with one is
+reported, naming the file, together with the file's own problems.
 
 Sections and keys::
 
@@ -16,52 +24,77 @@ Sections and keys::
                            or bumps/offset for gauss-bumps)
                 gp-sample: no extra keys (one prior draw per trial)
     [roi]       kind = rectangle | polygon | grid
-                rect = xmin, ymin, xmax, ymax
-                polygon = x1,y1; x2,y2; ...
+                rectangle: rect = xmin, ymin, xmax, ymax
+                polygon:   polygon = x1,y1; x2,y2; ...
+                grid:      no extra keys (implied for grid fields)
     [placement] kind = sample | explicit
                 sample:   n_targets, n_candidates, n_shared
                 explicit: targets, candidates ("x,y; x,y; ...")
 
-Coordinate pairs use ``x,y`` order (longitude, latitude for geodata).
+A field or region takes only the keys of its kind; any other key is
+reported.  Coordinate pairs use ``x,y`` order (longitude, latitude for
+geodata).
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
 
+from .environment import ANALYTIC_CATALOG
 from .errors import ConfigError
 from .planner import PLANNER_KINDS
 
 #: Planner choices accepted by configs and the command line.
 PLANNER_CHOICES = PLANNER_KINDS + ("both",)
 
-_DEFAULTS = {
-    "scenario": {
-        "horizon": "10",
-        "trials": "20",
-        "noise_sd": "1.0",
-        "planner": "both",
-        "seed": "0",
-    },
-    "kernel": {
-        "signal_variance": "1.0",
-        "lengthscale": "1.0",
-        "jitter": "0.0",
-    },
-    "mean": {
-        "constant": "auto",
-    },
+#: Every section and key with its default text ("" for none), in echo
+#: order.  A key named like an int, float or str field of ``RunConfig``
+#: is a scalar and parses into that field.
+_KEYS = {
+    "scenario": {"horizon": "10", "trials": "20", "noise_sd": "1.0", "planner": "both", "seed": "0"},
+    "kernel": {"signal_variance": "1.0", "lengthscale": "1.0", "jitter": "0.0"},
+    "mean": {"constant": "auto"},
+    "field": {"kind": ""},
+    "roi": {"kind": ""},
     "placement": {
         "kind": "sample",
         "n_targets": "61",
         "n_candidates": "60",
         "n_shared": "5",
+        "targets": "",
+        "candidates": "",
     },
 }
+
+#: The keys each kind of field, region and placement reads besides
+#: ``kind``, each with the ``RunConfig`` field it fills.  An analytic
+#: field also takes its function's parameters.
+_KIND_KEYS = {
+    "field": {"grid": {"grid_csv": "grid_csv"}, "analytic": {"name": "analytic_name"}, "gp-sample": {}},
+    "roi": {"rectangle": {"rect": "roi_rect"}, "polygon": {"polygon": "roi_polygon"}, "grid": {}},
+    "placement": {
+        "sample": {key: key for key in ("n_targets", "n_candidates", "n_shared")},
+        "explicit": {"targets": "explicit_targets", "candidates": "explicit_candidates"},
+    },
+}
+
+#: Bounds on scalar values, written as the problem they raise states them.
+_BOUNDS = {
+    "horizon": ">= 1",
+    "trials": ">= 1",
+    "noise_sd": ">= 0",
+    "signal_variance": "> 0",
+    "lengthscale": "> 0",
+    "jitter": ">= 0",
+    "n_targets": ">= 1",
+    "n_candidates": ">= 1",
+}
+_COMPARE = {">=": operator.ge, ">": operator.gt}
 
 
 @dataclass(frozen=True)
@@ -78,22 +111,27 @@ class RunConfig:
     jitter: float
     mean_constant: Optional[float]  # None means "auto"
     field_kind: str
-    grid_csv: Optional[str] = None
-    analytic_name: Optional[str] = None
-    analytic_params: tuple = ()
-    roi_kind: Optional[str] = None
-    roi_rect: Optional[tuple] = None
-    roi_polygon: Optional[tuple] = None
-    placement_kind: str = "sample"
-    n_targets: int = 61
-    n_candidates: int = 60
-    n_shared: int = 5
-    explicit_targets: Optional[tuple] = None
-    explicit_candidates: Optional[tuple] = None
+    grid_csv: Optional[str]
+    analytic_name: Optional[str]
+    analytic_params: tuple
+    roi_kind: str
+    roi_rect: Optional[tuple]
+    roi_polygon: Optional[tuple]
+    placement_kind: str
+    n_targets: int
+    n_candidates: int
+    n_shared: int
+    explicit_targets: Optional[tuple]
+    explicit_candidates: Optional[tuple]
 
     @property
     def planner_kinds(self) -> tuple[str, ...]:
         return PLANNER_KINDS if self.planner == "both" else (self.planner,)
+
+
+#: ``RunConfig`` field types by name ("int", "float", ...), which say how
+#: a scalar key parses.
+_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 
 def _finite(tokens, label: str, issues: list[str], bad=None, count=None) -> Optional[tuple]:
@@ -135,143 +173,132 @@ def _parse_pairs(text: str, what: str, issues: list[str]) -> tuple:
     return tuple(pairs)
 
 
-def _get_float(section, key: str, issues: list[str], label: str) -> float:
-    value = _finite([section.get(key)], f"{label}.{key}", issues)
-    return float("nan") if value is None else value[0]
+def _parse_bumps(text: str, issues: list[str]) -> tuple:
+    """Parse 'amp,cx,cy,width; ...' into 4-tuples, skipping bad groups."""
+    bumps = []
+    for chunk in text.split(";"):
+        chunk = chunk.strip()
+        if not chunk:
+            continue
+        parts = [p.strip() for p in chunk.split(",")]
+        bad = f"field.bumps: expected 'amp,cx,cy,width' groups, got {chunk!r}"
+        bump = _finite(parts, "field.bumps", issues, bad, count=4)
+        if bump is None:
+            continue
+        if bump[3] <= 0:
+            issues.append("field.bumps: widths must be > 0")
+        bumps.append(bump)
+    return tuple(bumps)
 
 
-def _get_int(section, key: str, issues: list[str], label: str) -> int:
-    raw = section.get(key)
-    try:
-        return int(raw)
-    except (TypeError, ValueError):
-        issues.append(f"{label}.{key}: not an integer ({raw!r})")
-        return 0
+def _scalars(section: str, body: dict, issues: list[str]) -> dict:
+    """The section's scalar keys, each parsed as its ``RunConfig`` field's
+    type; a key that fails to parse reports one issue and reads None."""
+    values = {}
+    for key in _KEYS[section]:
+        label, raw, kind = f"{section}.{key}", body[key], _TYPES.get(key)
+        if kind == "str":
+            values[key] = raw.strip()
+        elif kind == "float":
+            value = _finite([raw], label, issues)
+            values[key] = None if value is None else value[0]
+        elif kind == "int":
+            try:
+                values[key] = int(raw)
+            except ValueError:
+                issues.append(f"{label}: not an integer ({raw!r})")
+                values[key] = None
+    return values
 
 
-def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
+def _check_bounds(section: str, values: dict, issues: list[str]) -> None:
+    """Report every parsed value outside its bound in ``_BOUNDS``; a value
+    that failed to parse has been reported already."""
+    for key, value in values.items():
+        if key in _BOUNDS and value is not None:
+            op, limit = _BOUNDS[key].split()
+            if not _COMPARE[op](value, float(limit)):
+                issues.append(f"{section}.{key}: must be {_BOUNDS[key]}")
+
+
+def _unknown(section: str, keys, allowed, issues: list[str], suffix: str = "") -> None:
+    issues.extend(f"{section}.{key}: unknown key{suffix}" for key in keys if key not in allowed)
+
+
+def parse_config_text(
+    text: str, source: str = "<config>", overrides: Optional[dict] = None
+) -> RunConfig:
     """Parse and validate configuration text.
 
-    All violations are collected and reported together in the raised
-    ConfigError, one line per offending field.
+    The non-None values of ``overrides`` replace the ``[scenario]`` keys
+    of the same name before validation.  All violations are collected and
+    reported together in the raised ConfigError, one line per offending
+    field.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
         parser.read_string(text, source=source)
     except configparser.Error as exc:
         raise ConfigError(f"{source}: cannot parse config: {exc}") from exc
+    if overrides:
+        parser.read_dict({"scenario": {k: v for k, v in overrides.items() if v is not None}})
 
-    issues: list[str] = []
-    known = {"scenario", "kernel", "mean", "field", "roi", "placement"}
-    for name in parser.sections():
-        if name not in known:
-            issues.append(f"unknown section [{name}]")
-
-    merged = {
-        sec: dict(_DEFAULTS.get(sec, {}), **(dict(parser[sec]) if parser.has_section(sec) else {}))
-        for sec in known
+    issues = [f"unknown section [{name}]" for name in parser.sections() if name not in _KEYS]
+    body = {
+        sec: dict(keys, **(parser[sec] if parser.has_section(sec) else {}))
+        for sec, keys in _KEYS.items()
     }
 
-    scen = merged["scenario"]
-    horizon = _get_int(scen, "horizon", issues, "scenario")
-    trials = _get_int(scen, "trials", issues, "scenario")
-    noise_sd = _get_float(scen, "noise_sd", issues, "scenario")
-    seed = _get_int(scen, "seed", issues, "scenario")
-    planner = scen.get("planner", "both").strip()
-    if horizon < 1:
-        issues.append("scenario.horizon: must be >= 1")
-    if trials < 1:
-        issues.append("scenario.trials: must be >= 1")
-    if np.isfinite(noise_sd) and noise_sd < 0:
-        issues.append("scenario.noise_sd: must be >= 0")
-    if planner not in PLANNER_CHOICES:
-        issues.append(f"scenario.planner: {planner!r} not in {PLANNER_CHOICES}")
-    for key in scen:
-        if key not in _DEFAULTS["scenario"]:
-            issues.append(f"scenario.{key}: unknown key")
+    values = _scalars("scenario", body["scenario"], issues)
+    _check_bounds("scenario", values, issues)
+    if values["planner"] not in PLANNER_CHOICES:
+        issues.append(f"scenario.planner: {values['planner']!r} not in {PLANNER_CHOICES}")
+    _unknown("scenario", body["scenario"], _KEYS["scenario"], issues)
 
-    kern = merged["kernel"]
-    signal_variance = _get_float(kern, "signal_variance", issues, "kernel")
-    lengthscale = _get_float(kern, "lengthscale", issues, "kernel")
-    jitter = _get_float(kern, "jitter", issues, "kernel")
-    if np.isfinite(signal_variance) and signal_variance <= 0:
-        issues.append("kernel.signal_variance: must be > 0")
-    if np.isfinite(lengthscale) and lengthscale <= 0:
-        issues.append("kernel.lengthscale: must be > 0")
-    if np.isfinite(jitter) and jitter < 0:
-        issues.append("kernel.jitter: must be >= 0")
-    for key in kern:
-        if key not in _DEFAULTS["kernel"]:
-            issues.append(f"kernel.{key}: unknown key")
+    kernel = _scalars("kernel", body["kernel"], issues)
+    _check_bounds("kernel", kernel, issues)
+    _unknown("kernel", body["kernel"], _KEYS["kernel"], issues)
+    values.update(kernel)
 
-    mean_raw = merged["mean"].get("constant", "auto").strip()
-    if mean_raw.lower() == "auto":
-        mean_constant = None
-    else:
+    mean_raw = body["mean"]["constant"].strip()
+    values["mean_constant"] = None
+    if mean_raw.lower() != "auto":
         bad = f"mean.constant: expected a number or 'auto', got {mean_raw!r}"
         value = _finite([mean_raw], "mean.constant", issues, bad)
-        mean_constant = None if value is None else value[0]
-    for key in merged["mean"]:
-        if key not in _DEFAULTS["mean"]:
-            issues.append(f"mean.{key}: unknown key")
+        values["mean_constant"] = None if value is None else value[0]
+    _unknown("mean", body["mean"], _KEYS["mean"], issues)
 
-    fld = merged["field"]
-    field_kind = fld.get("kind", "").strip()
-    grid_csv = None
-    analytic_name = None
-    analytic_params: tuple = ()
+    fld = body["field"]
+    field_kind = values["field_kind"] = fld["kind"].strip()
+    values.update(grid_csv=None, analytic_name=None, analytic_params=())
     if field_kind == "grid":
-        grid_csv = fld.get("grid_csv", "").strip()
-        if not grid_csv:
+        values["grid_csv"] = fld.get("grid_csv", "").strip()
+        if not values["grid_csv"]:
             issues.append("field.grid_csv: required for grid fields")
-        extra = set(fld) - {"kind", "grid_csv"}
-        for key in sorted(extra):
-            issues.append(f"field.{key}: unknown key for grid fields")
     elif field_kind == "analytic":
-        analytic_name = fld.get("name", "").strip()
-        from .environment import ANALYTIC_CATALOG
-
-        if analytic_name not in ANALYTIC_CATALOG:
-            issues.append(
-                f"field.name: {analytic_name!r} not in {sorted(ANALYTIC_CATALOG)}"
-            )
+        name = values["analytic_name"] = fld.get("name", "").strip()
+        if name not in ANALYTIC_CATALOG:
+            issues.append(f"field.name: {name!r} not in {sorted(ANALYTIC_CATALOG)}")
         params = []
         for key, raw in fld.items():
-            if key in ("kind", "name"):
-                continue
             if key == "bumps":
-                bumps = []
-                for chunk in raw.split(";"):
-                    chunk = chunk.strip()
-                    if not chunk:
-                        continue
-                    parts = [p.strip() for p in chunk.split(",")]
-                    bad = f"field.bumps: expected 'amp,cx,cy,width' groups, got {chunk!r}"
-                    bump = _finite(parts, "field.bumps", issues, bad, count=4)
-                    if bump is None:
-                        continue
-                    if bump[3] <= 0:
-                        issues.append("field.bumps: widths must be > 0")
-                    bumps.append(bump)
-                params.append(("bumps", tuple(bumps)))
-            else:
+                params.append(("bumps", _parse_bumps(raw, issues)))
+            elif key not in ("kind", "name"):
                 value = _finite([raw], f"field.{key}", issues)
                 if value is not None:
                     params.append((key, value[0]))
-        analytic_params = tuple(sorted(params))
-    elif field_kind == "gp-sample":
-        extra = set(fld) - {"kind"}
-        for key in sorted(extra):
-            issues.append(f"field.{key}: unknown key for gp-sample fields")
+        values["analytic_params"] = tuple(sorted(params))
     elif not field_kind:
         issues.append("field.kind: required (grid | analytic | gp-sample)")
-    else:
+    elif field_kind != "gp-sample":
         issues.append(f"field.kind: {field_kind!r} not one of grid, analytic, gp-sample")
+    if field_kind in ("grid", "gp-sample"):
+        allowed = {"kind", *_KIND_KEYS["field"][field_kind]}
+        _unknown("field", sorted(fld), allowed, issues, f" for {field_kind} fields")
 
-    roi = merged["roi"]
-    roi_kind = roi.get("kind", "").strip() or None
-    roi_rect = None
-    roi_polygon = None
+    roi = body["roi"]
+    roi_kind = roi["kind"].strip() or None
+    values.update(roi_rect=None, roi_polygon=None)
     if field_kind == "grid":
         if roi_kind not in (None, "grid"):
             issues.append("roi.kind: grid fields take their RoI from the data support")
@@ -280,121 +307,74 @@ def parse_config_text(text: str, source: str = "<config>") -> RunConfig:
         raw = roi.get("rect", "")
         parts = [p.strip() for p in raw.replace(";", ",").split(",") if p.strip()]
         bad = f"roi.rect: expected 'xmin, ymin, xmax, ymax', got {raw!r}"
-        vals = _finite(parts, "roi.rect", issues, bad, count=4)
-        if vals is not None:
-            if not (vals[2] > vals[0] and vals[3] > vals[1]):
-                issues.append("roi.rect: max coordinates must exceed min coordinates")
-            roi_rect = vals
+        rect = values["roi_rect"] = _finite(parts, "roi.rect", issues, bad, count=4)
+        if rect is not None and not (rect[2] > rect[0] and rect[3] > rect[1]):
+            issues.append("roi.rect: max coordinates must exceed min coordinates")
     elif roi_kind == "polygon":
-        roi_polygon = _parse_pairs(roi.get("polygon", ""), "roi.polygon", issues)
-        if roi_polygon and len(roi_polygon) < 3:
+        polygon = values["roi_polygon"] = _parse_pairs(roi.get("polygon", ""), "roi.polygon", issues)
+        if polygon and len(polygon) < 3:
             issues.append("roi.polygon: need at least 3 vertices")
     elif roi_kind is None and field_kind in ("analytic", "gp-sample"):
         issues.append("roi.kind: required for analytic and gp-sample fields")
     elif roi_kind is not None:
         issues.append(f"roi.kind: {roi_kind!r} not one of rectangle, polygon, grid")
+    if field_kind == "grid" or roi_kind in ("rectangle", "polygon"):
+        allowed = {"kind", *_KIND_KEYS["roi"][roi_kind]}
+        _unknown("roi", sorted(roi), allowed, issues, f" for {roi_kind} regions")
+    values["roi_kind"] = roi_kind
 
-    plc = merged["placement"]
-    placement_kind = plc.get("kind", "sample").strip()
-    n_targets = _get_int(plc, "n_targets", issues, "placement")
-    n_candidates = _get_int(plc, "n_candidates", issues, "placement")
-    n_shared = _get_int(plc, "n_shared", issues, "placement")
-    explicit_targets = None
-    explicit_candidates = None
+    plc = body["placement"]
+    placement_kind = values["placement_kind"] = plc["kind"].strip()
+    counts = _scalars("placement", plc, issues)
+    values.update(counts, explicit_targets=None, explicit_candidates=None)
     if placement_kind == "sample":
-        if n_targets < 1:
-            issues.append("placement.n_targets: must be >= 1")
-        if n_candidates < 1:
-            issues.append("placement.n_candidates: must be >= 1")
-        if not (0 <= n_shared <= min(max(n_targets, 0), max(n_candidates, 0))):
+        _check_bounds("placement", counts, issues)
+        n_targets, n_candidates, n_shared = counts.values()
+        if None not in counts.values() and not (
+            0 <= n_shared <= min(max(n_targets, 0), max(n_candidates, 0))
+        ):
             issues.append("placement.n_shared: must satisfy 0 <= n_shared <= min(n_targets, n_candidates)")
     elif placement_kind == "explicit":
-        explicit_targets = _parse_pairs(plc.get("targets", ""), "placement.targets", issues)
-        explicit_candidates = _parse_pairs(
-            plc.get("candidates", ""), "placement.candidates", issues
+        targets = _parse_pairs(plc["targets"], "placement.targets", issues)
+        candidates = _parse_pairs(plc["candidates"], "placement.candidates", issues)
+        values.update(
+            explicit_targets=targets,
+            explicit_candidates=candidates,
+            n_targets=len(targets),
+            n_candidates=len(candidates),
+            n_shared=len(set(targets) & set(candidates)),
         )
-        n_targets = len(explicit_targets)
-        n_candidates = len(explicit_candidates)
-        shared = {t for t in explicit_targets} & {c for c in explicit_candidates}
-        n_shared = len(shared)
     else:
         issues.append(f"placement.kind: {placement_kind!r} not one of sample, explicit")
-    allowed_plc = {"kind", "n_targets", "n_candidates", "n_shared", "targets", "candidates"}
-    for key in plc:
-        if key not in allowed_plc:
-            issues.append(f"placement.{key}: unknown key")
+    _unknown("placement", plc, _KEYS["placement"], issues)
 
     if issues:
         raise ConfigError(
             f"{source}: {len(issues)} configuration problem(s):\n  - "
             + "\n  - ".join(issues)
         )
-
-    return RunConfig(
-        horizon=horizon,
-        trials=trials,
-        noise_sd=noise_sd,
-        planner=planner,
-        seed=seed,
-        signal_variance=signal_variance,
-        lengthscale=lengthscale,
-        jitter=jitter,
-        mean_constant=mean_constant,
-        field_kind=field_kind,
-        grid_csv=grid_csv,
-        analytic_name=analytic_name,
-        analytic_params=analytic_params,
-        roi_kind=roi_kind,
-        roi_rect=roi_rect,
-        roi_polygon=roi_polygon,
-        placement_kind=placement_kind,
-        n_targets=n_targets,
-        n_candidates=n_candidates,
-        n_shared=n_shared,
-        explicit_targets=explicit_targets,
-        explicit_candidates=explicit_candidates,
-    )
+    return RunConfig(**values)
 
 
 def load_config(path, overrides: Optional[dict] = None) -> RunConfig:
-    """Read a config file, apply command-line overrides, and validate."""
+    """Read a config file and validate it with ``overrides`` in place of
+    its ``[scenario]`` values (see :func:`parse_config_text`)."""
     try:
         with open(str(path)) as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    cfg = parse_config_text(text, source=str(path))
-    if overrides:
-        cfg = apply_overrides(cfg, overrides)
-    return cfg
+    return parse_config_text(text, source=str(path), overrides=overrides)
 
 
-def apply_overrides(cfg: RunConfig, overrides: dict) -> RunConfig:
-    """Return a copy of ``cfg`` with non-None override values applied."""
-    from dataclasses import replace
-
-    clean = {k: v for k, v in overrides.items() if v is not None}
-    if not clean:
-        return cfg
-    allowed = {"seed", "trials", "horizon", "planner"}
-    unknown = set(clean) - allowed
-    if unknown:
-        raise ConfigError(f"unsupported overrides: {sorted(unknown)}")
-    if "planner" in clean and clean["planner"] not in PLANNER_CHOICES:
-        raise ConfigError(f"planner override {clean['planner']!r} not in {PLANNER_CHOICES}")
-    for key in ("seed", "trials", "horizon"):
-        if key in clean:
-            clean[key] = int(clean[key])
-    if clean.get("trials", cfg.trials) < 1:
-        raise ConfigError("trials override must be >= 1")
-    if clean.get("horizon", cfg.horizon) < 1:
-        raise ConfigError("horizon override must be >= 1")
-    return replace(cfg, **clean)
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
+def _text(value) -> str:
+    """``value`` as config text: ``a, b, ...`` for a tuple of numbers and
+    ``a,b; c,d; ...`` for a tuple of tuples.  ``str`` gives the shortest
+    text that parses back to the same float."""
+    if isinstance(value, tuple):
+        if value and isinstance(value[0], tuple):
+            return "; ".join(",".join(map(str, group)) for group in value)
+        return ", ".join(map(str, value))
     return str(value)
 
 
@@ -403,54 +383,20 @@ def echo_config(cfg: RunConfig, resolved_mean: float) -> dict:
 
     The result round-trips through configparser, so a run record can be
     re-validated and re-run without the original file.  ``resolved_mean``
-    is the numeric value an 'auto' mean resolved to.
+    is the numeric value an 'auto' mean resolved to.  A grid field's
+    region is implied and not echoed.
     """
-    sections: dict[str, dict[str, str]] = {
-        "scenario": {
-            "horizon": str(cfg.horizon),
-            "trials": str(cfg.trials),
-            "noise_sd": _fmt(cfg.noise_sd),
-            "planner": cfg.planner,
-            "seed": str(cfg.seed),
-        },
-        "kernel": {
-            "signal_variance": _fmt(cfg.signal_variance),
-            "lengthscale": _fmt(cfg.lengthscale),
-            "jitter": _fmt(cfg.jitter),
-        },
-        "mean": {"constant": _fmt(resolved_mean)},
+    sections = {
+        sec: {key: _text(getattr(cfg, key)) for key in _KEYS[sec]} for sec in ("scenario", "kernel")
     }
-    fld: dict[str, str] = {"kind": cfg.field_kind}
-    if cfg.field_kind == "grid":
-        fld["grid_csv"] = cfg.grid_csv or ""
-    elif cfg.field_kind == "analytic":
-        fld["name"] = cfg.analytic_name or ""
-        for key, value in cfg.analytic_params:
-            if key == "bumps":
-                fld["bumps"] = "; ".join(
-                    ",".join(_fmt(x) for x in bump) for bump in value
-                )
-            else:
-                fld[key] = _fmt(value)
-    sections["field"] = fld
-    if cfg.roi_kind and cfg.roi_kind != "grid":
-        roi: dict[str, str] = {"kind": cfg.roi_kind}
-        if cfg.roi_kind == "rectangle":
-            roi["rect"] = ", ".join(_fmt(v) for v in cfg.roi_rect)
-        else:
-            roi["polygon"] = "; ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in cfg.roi_polygon)
-        sections["roi"] = roi
-    plc: dict[str, str] = {"kind": cfg.placement_kind}
-    if cfg.placement_kind == "sample":
-        plc["n_targets"] = str(cfg.n_targets)
-        plc["n_candidates"] = str(cfg.n_candidates)
-        plc["n_shared"] = str(cfg.n_shared)
-    else:
-        plc["targets"] = "; ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in cfg.explicit_targets)
-        plc["candidates"] = "; ".join(
-            f"{_fmt(x)},{_fmt(y)}" for x, y in cfg.explicit_candidates
-        )
-    sections["placement"] = plc
+    sections["mean"] = {"constant": _text(resolved_mean)}
+    for sec, kinds in _KIND_KEYS.items():
+        kind = getattr(cfg, f"{sec}_kind")
+        sections[sec] = {"kind": kind}
+        sections[sec].update((key, _text(getattr(cfg, attr))) for key, attr in kinds[kind].items())
+    sections["field"].update((key, _text(value)) for key, value in cfg.analytic_params)
+    if cfg.roi_kind == "grid":
+        del sections["roi"]
     return sections
 
 

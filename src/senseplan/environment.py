@@ -42,6 +42,13 @@ SUPPORT_DIAGONALS = 2.0
 MAX_PLACEMENT_ATTEMPTS = 1_000_000
 
 
+def _nearest(tree: cKDTree, pt: np.ndarray) -> tuple[int, float]:
+    """Index of the tree point nearest ``pt`` and its distance; ties go to
+    the lowest index."""
+    dist, _ = tree.query(pt)
+    return min(tree.query_ball_point(pt, dist * (1.0 + 1e-12))), dist
+
+
 # ---------------------------------------------------------------------------
 # Regions of interest
 # ---------------------------------------------------------------------------
@@ -164,11 +171,7 @@ class GridData(RoIMask):
         """Nearest non-missing cell ``(i, j, distance)``; ties go to the
         lowest row-major index, which is the lowest tree index because
         ``np.nonzero`` lists the cells in row-major order."""
-        pt = as_point(point)
-        dist, _ = self._tree.query(pt)
-        radius = dist * (1.0 + 1e-12)
-        ball = self._tree.query_ball_point(pt, radius)
-        best = min(ball)
+        best, dist = _nearest(self._tree, as_point(point))
         i, j = self._cell_index[best]
         return int(i), int(j), float(dist)
 
@@ -441,9 +444,7 @@ class SampledField(GroundTruthField):
         pt = as_point(point)
         if not self.region.contains(pt):
             raise FieldDomainError(f"point {tuple(pt)} is outside the region of interest")
-        dist, _ = self._tree.query(pt)
-        ball = self._tree.query_ball_point(pt, dist * (1.0 + 1e-12))
-        return float(self.node_values[min(ball)])
+        return float(self.node_values[_nearest(self._tree, pt)[0]])
 
     def roi(self) -> RoIMask:
         return self.region

@@ -15,6 +15,7 @@ import functools
 import hashlib
 import io
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 
@@ -344,8 +345,6 @@ def render_series_csv(record: dict) -> str:
 
 def write_outputs(record: dict, out_dir) -> tuple[str, str]:
     """Write run.json and series.csv; returns their paths."""
-    import os
-
     os.makedirs(str(out_dir), exist_ok=True)
     run_path = os.path.join(str(out_dir), "run.json")
     series_path = os.path.join(str(out_dir), "series.csv")

@@ -3,7 +3,6 @@
 import pytest
 
 from senseplan.config import (
-    apply_overrides,
     echo_config,
     load_config,
     parse_config_text,
@@ -157,6 +156,33 @@ candidates = 1,1; 2,-inf
                 assert f"{key}: must be finite" in msg
             assert f"{len(named)} configuration problem(s)" in msg
 
+    def test_a_key_that_fails_to_parse_skips_its_range_checks(self):
+        """An unparsable number is one problem: neither its own bound nor a
+        bound that depends on it (``n_shared``) is checked."""
+        cases = {
+            "[scenario]\nhorizon = ten\n": "scenario.horizon: not an integer ('ten')",
+            "[scenario]\ntrials = x\n": "scenario.trials: not an integer ('x')",
+            "[scenario]\nnoise_sd = x\n": "scenario.noise_sd: not a number ('x')",
+            "[placement]\nn_targets = x\n": "placement.n_targets: not an integer ('x')",
+            "[placement]\nn_candidates = 1.5\n": "placement.n_candidates: not an integer ('1.5')",
+        }
+        for section, problem in cases.items():
+            with pytest.raises(ConfigError) as err:
+                parse_config_text(MINIMAL + section)
+            assert str(err.value) == f"<config>: 1 configuration problem(s):\n  - {problem}"
+
+    def test_roi_rejects_keys_its_kind_does_not_take(self):
+        grid = "[field]\nkind = grid\ngrid_csv = field.csv\n[roi]\nrect = 0, 0, 1, 1\n"
+        cases = {
+            MINIMAL + "rectt = 1\n": "roi.rectt: unknown key for rectangle regions",
+            MINIMAL + "polygon = 0,0; 1,0; 1,1\n": "roi.polygon: unknown key for rectangle regions",
+            grid: "roi.rect: unknown key for grid regions",
+        }
+        for text, problem in cases.items():
+            with pytest.raises(ConfigError) as err:
+                parse_config_text(text)
+            assert str(err.value) == f"<config>: 1 configuration problem(s):\n  - {problem}"
+
     def test_missing_roi_for_synthetic_field(self):
         with pytest.raises(ConfigError, match="roi.kind"):
             parse_config_text("[field]\nkind = gp-sample\n")
@@ -167,10 +193,13 @@ candidates = 1,1; 2,-inf
 
 
 class TestOverrides:
+    """Overrides replace ``[scenario]`` values before validation, so they
+    pass the same checks as the file's own values."""
+
     def test_cli_style_overrides(self):
         cfg = parse_config_text(MINIMAL)
-        out = apply_overrides(
-            cfg, {"seed": 5, "trials": 2, "horizon": 7, "planner": "random"}
+        out = parse_config_text(
+            MINIMAL, overrides={"seed": 5, "trials": 2, "horizon": 7, "planner": "random"}
         )
         assert (out.seed, out.trials, out.horizon, out.planner) == (5, 2, 7, "random")
         # untouched fields survive
@@ -178,15 +207,31 @@ class TestOverrides:
 
     def test_none_values_are_ignored(self):
         cfg = parse_config_text(MINIMAL)
-        out = apply_overrides(cfg, {"seed": None, "trials": None})
+        out = parse_config_text(MINIMAL, overrides={"seed": None, "trials": None})
         assert out == cfg
 
     def test_invalid_override_values(self):
-        cfg = parse_config_text(MINIMAL)
         with pytest.raises(ConfigError):
-            apply_overrides(cfg, {"trials": 0})
+            parse_config_text(MINIMAL, overrides={"trials": 0})
         with pytest.raises(ConfigError):
-            apply_overrides(cfg, {"planner": "oracle"})
+            parse_config_text(MINIMAL, overrides={"planner": "oracle"})
+
+    def test_override_problems_are_gathered_and_name_the_file(self, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_text(MINIMAL)
+        with pytest.raises(ConfigError) as err:
+            load_config(path, {"trials": 0, "horizon": 0})
+        msg = str(err.value)
+        assert msg.startswith(f"{path}: 2 configuration problem(s)")
+        assert "scenario.trials: must be >= 1" in msg
+        assert "scenario.horizon: must be >= 1" in msg
+
+    def test_override_replaces_a_bad_file_value(self, tmp_path):
+        path = tmp_path / "run.ini"
+        path.write_text("[scenario]\ntrials = 0\n" + MINIMAL)
+        with pytest.raises(ConfigError, match="scenario.trials: must be >= 1"):
+            load_config(path)
+        assert load_config(path, {"trials": 3}).trials == 3
 
 
 class TestEcho:

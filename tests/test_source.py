@@ -37,6 +37,21 @@ def test_modules_import_only_what_they_use():
     assert unused == {}
 
 
+def test_imports_sit_at_module_top_level():
+    """No module imports inside a function, class or block: each import is
+    a statement of the module body."""
+    nested = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        top = {id(node) for node in tree.body}
+        nested += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top
+        ]
+    assert nested == []
+
+
 def private_definitions(tree: ast.Module) -> dict:
     """Module-level ``_``-prefixed functions and constants, by name, with
     the node that defines each."""
