@@ -3,37 +3,22 @@
 A run is described by a sectioned key-value file (configparser syntax).
 ``_KEYS`` lists every section and key with its default text, in the
 order the run record echoes them; every key has a default except the
-field and region definitions.  Parsing, the unknown-key check and the
-echo all read that table, and the resolved value of every key, default
-or not, is echoed into the run record so a record can be re-validated
-and re-run without the original file.
+field and region definitions.  ``_KIND_KEYS`` names the keys each kind
+of field (grid, analytic, gp-sample), region (rectangle, polygon, grid)
+and placement (sample, explicit) takes besides ``kind``; an analytic
+field also takes its function's parameters, each with the default in
+its signature (:func:`~senseplan.environment.analytic_defaults`).  Any
+other key is reported.  Parsing, the unknown-key check and the echo all
+read these tables, and the resolved value of every key, default or not,
+is echoed into the run record so a record can be re-validated and re-run
+without the original file.
 
 Command-line overrides (``--seed``, ``--trials``, ``--horizon``,
 ``--planner``) replace the file's ``[scenario]`` values before
-validation, so they pass the same checks and any problem with one is
-reported, naming the file, together with the file's own problems.
-
-Sections and keys::
-
-    [scenario]  horizon, trials, noise_sd, planner, seed
-    [kernel]    signal_variance, lengthscale, jitter
-    [mean]      constant            (number or "auto")
-    [field]     kind = grid | analytic | gp-sample
-                grid:      grid_csv
-                analytic:  name (+ per-name parameters, e.g. a, b, c, d
-                           or bumps/offset for gauss-bumps)
-                gp-sample: no extra keys (one prior draw per trial)
-    [roi]       kind = rectangle | polygon | grid
-                rectangle: rect = xmin, ymin, xmax, ymax
-                polygon:   polygon = x1,y1; x2,y2; ...
-                grid:      no extra keys (implied for grid fields)
-    [placement] kind = sample | explicit
-                sample:   n_targets, n_candidates, n_shared
-                explicit: targets, candidates ("x,y; x,y; ...")
-
-A field or region takes only the keys of its kind; any other key is
-reported.  Coordinate pairs use ``x,y`` order (longitude, latitude for
-geodata).
+validation, so they pass the same checks (``seed`` must be >= 0) and any
+problem with one is reported, naming the file, together with the file's
+own problems.  Coordinate pairs use ``x,y`` order (longitude, latitude
+for geodata).
 """
 
 from __future__ import annotations
@@ -45,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .environment import ANALYTIC_CATALOG
+from .environment import ANALYTIC_CATALOG, analytic_defaults
 from .errors import ConfigError
 from .planner import PLANNER_KINDS
 
@@ -73,7 +58,7 @@ _KEYS = {
 
 #: The keys each kind of field, region and placement reads besides
 #: ``kind``, each with the ``RunConfig`` field it fills.  An analytic
-#: field also takes its function's parameters.
+#: field also takes its function's parameters (``analytic_defaults``).
 _KIND_KEYS = {
     "field": {"grid": {"grid_csv": "grid_csv"}, "analytic": {"name": "analytic_name"}, "gp-sample": {}},
     "roi": {"rectangle": {"rect": "roi_rect"}, "polygon": {"polygon": "roi_polygon"}, "grid": {}},
@@ -82,12 +67,15 @@ _KIND_KEYS = {
         "explicit": {"targets": "explicit_targets", "candidates": "explicit_candidates"},
     },
 }
+#: What the problems of each kind section call the thing it describes.
+_NOUNS = {"field": "fields", "roi": "regions", "placement": "placement"}
 
 #: Bounds on scalar values, written as the problem they raise states them.
 _BOUNDS = {
     "horizon": ">= 1",
     "trials": ">= 1",
     "noise_sd": ">= 0",
+    "seed": ">= 0",
     "signal_variance": "> 0",
     "lengthscale": "> 0",
     "jitter": ">= 0",
@@ -244,10 +232,8 @@ def parse_config_text(
         parser.read_dict({"scenario": {k: v for k, v in overrides.items() if v is not None}})
 
     issues = [f"unknown section [{name}]" for name in parser.sections() if name not in _KEYS]
-    body = {
-        sec: dict(keys, **(parser[sec] if parser.has_section(sec) else {}))
-        for sec, keys in _KEYS.items()
-    }
+    given = {sec: parser[sec] if parser.has_section(sec) else {} for sec in _KEYS}
+    body = {sec: dict(keys, **given[sec]) for sec, keys in _KEYS.items()}
 
     values = _scalars("scenario", body["scenario"], issues)
     _check_bounds("scenario", values, issues)
@@ -277,24 +263,21 @@ def parse_config_text(
             issues.append("field.grid_csv: required for grid fields")
     elif field_kind == "analytic":
         name = values["analytic_name"] = fld.get("name", "").strip()
-        if name not in ANALYTIC_CATALOG:
+        if name in ANALYTIC_CATALOG:
+            params = analytic_defaults(name)
+            # A parameter parses by its default's type: a tuple holds bump groups.
+            for key, raw in fld.items():
+                if isinstance(params.get(key), tuple):
+                    params[key] = _parse_bumps(raw, issues)
+                elif key in params and (value := _finite([raw], f"field.{key}", issues)):
+                    params[key] = value[0]
+            values["analytic_params"] = tuple(sorted(params.items()))
+        else:
             issues.append(f"field.name: {name!r} not in {sorted(ANALYTIC_CATALOG)}")
-        params = []
-        for key, raw in fld.items():
-            if key == "bumps":
-                params.append(("bumps", _parse_bumps(raw, issues)))
-            elif key not in ("kind", "name"):
-                value = _finite([raw], f"field.{key}", issues)
-                if value is not None:
-                    params.append((key, value[0]))
-        values["analytic_params"] = tuple(sorted(params))
     elif not field_kind:
-        issues.append("field.kind: required (grid | analytic | gp-sample)")
+        issues.append(f"field.kind: required ({' | '.join(_KIND_KEYS['field'])})")
     elif field_kind != "gp-sample":
-        issues.append(f"field.kind: {field_kind!r} not one of grid, analytic, gp-sample")
-    if field_kind in ("grid", "gp-sample"):
-        allowed = {"kind", *_KIND_KEYS["field"][field_kind]}
-        _unknown("field", sorted(fld), allowed, issues, f" for {field_kind} fields")
+        issues.append(f"field.kind: {field_kind!r} not one of {', '.join(_KIND_KEYS['field'])}")
 
     roi = body["roi"]
     roi_kind = roi["kind"].strip() or None
@@ -317,10 +300,9 @@ def parse_config_text(
     elif roi_kind is None and field_kind in ("analytic", "gp-sample"):
         issues.append("roi.kind: required for analytic and gp-sample fields")
     elif roi_kind is not None:
-        issues.append(f"roi.kind: {roi_kind!r} not one of rectangle, polygon, grid")
-    if field_kind == "grid" or roi_kind in ("rectangle", "polygon"):
-        allowed = {"kind", *_KIND_KEYS["roi"][roi_kind]}
-        _unknown("roi", sorted(roi), allowed, issues, f" for {roi_kind} regions")
+        choices = ", ".join(kind for kind in _KIND_KEYS["roi"] if kind != "grid")
+        issues.append(f"roi.kind: {roi_kind!r} not one of {choices}")
+        roi_kind = None  # a grid region comes only with a grid field
     values["roi_kind"] = roi_kind
 
     plc = body["placement"]
@@ -345,8 +327,19 @@ def parse_config_text(
             n_shared=len(set(targets) & set(candidates)),
         )
     else:
-        issues.append(f"placement.kind: {placement_kind!r} not one of sample, explicit")
-    _unknown("placement", plc, _KEYS["placement"], issues)
+        issues.append(f"placement.kind: {placement_kind!r} not one of {', '.join(_KIND_KEYS['placement'])}")
+
+    # Field, region and placement take only their kind's keys (an analytic
+    # field, its function's parameters too).  An unknown kind or name is
+    # reported above and leaves its section's keys unchecked.
+    for sec, kinds in _KIND_KEYS.items():
+        kind = values[f"{sec}_kind"]
+        allowed = kinds.get(kind)
+        if kind == "analytic":
+            kind = values["analytic_name"]
+            allowed = {**allowed, **analytic_defaults(kind)} if kind in ANALYTIC_CATALOG else None
+        if allowed is not None:
+            _unknown(sec, sorted(given[sec]), {"kind", *allowed}, issues, f" for {kind} {_NOUNS[sec]}")
 
     if issues:
         raise ConfigError(

@@ -20,6 +20,7 @@ is latitude, both in decimal degrees.
 from __future__ import annotations
 
 import csv
+import inspect
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
@@ -342,32 +343,35 @@ def save_grid_csv(grid: GridData, path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _eval_linear(params: Mapping[str, float], x: float, y: float) -> float:
-    return params.get("a", 0.0) * x + params.get("b", 0.0) * y + params.get("c", 0.0)
+def _eval_linear(x: float, y: float, *, a=0.0, b=0.0, c=0.0) -> float:
+    return a * x + b * y + c
 
 
-def _eval_sinusoid(params: Mapping[str, float], x: float, y: float) -> float:
-    a = params.get("a", 1.0)
-    b = params.get("b", 1.0)
-    c = params.get("c", 1.0)
-    d = params.get("d", 0.0)
+def _eval_sinusoid(x: float, y: float, *, a=1.0, b=1.0, c=1.0, d=0.0) -> float:
     return a * np.sin(b * x) * np.cos(c * y) + d
 
 
-def _eval_gauss_bumps(params: Mapping[str, object], x: float, y: float) -> float:
-    total = float(params.get("offset", 0.0))
-    for amp, cx, cy, width in params.get("bumps", ()):
+def _eval_gauss_bumps(x: float, y: float, *, offset=0.0, bumps=()) -> float:
+    total = float(offset)
+    for amp, cx, cy, width in bumps:
         r2 = (x - cx) ** 2 + (y - cy) ** 2
         total += amp * np.exp(-r2 / (2.0 * width**2))
     return total
 
 
-#: Named analytic test fields: smooth functions with known structure.
+#: Named analytic test fields: smooth functions with known structure.  Each
+#: takes its parameters as keyword arguments with defaults.
 ANALYTIC_CATALOG = {
     "linear": _eval_linear,
     "sinusoid": _eval_sinusoid,
     "gauss-bumps": _eval_gauss_bumps,
 }
+
+
+def analytic_defaults(name: str) -> dict:
+    """Each parameter of catalog field ``name`` with its default."""
+    params = inspect.signature(ANALYTIC_CATALOG[name]).parameters.values()
+    return {p.name: p.default for p in params if p.kind is p.KEYWORD_ONLY}
 
 
 class GroundTruthField:
@@ -395,7 +399,8 @@ class GridField(GroundTruthField):
 
 @dataclass(frozen=True, eq=False)
 class AnalyticField(GroundTruthField):
-    """Closed-form field from :data:`ANALYTIC_CATALOG`, limited to a mask."""
+    """Closed-form field from :data:`ANALYTIC_CATALOG`, limited to a mask;
+    ``params`` gets the function's defaults for the parameters it omits."""
 
     name: str
     params: Mapping[str, object]
@@ -407,13 +412,16 @@ class AnalyticField(GroundTruthField):
                 f"unknown analytic field {self.name!r}; "
                 f"choose from {sorted(ANALYTIC_CATALOG)}"
             )
-        object.__setattr__(self, "params", dict(self.params))
+        params = analytic_defaults(self.name)
+        if unknown := sorted(set(self.params) - set(params)):
+            raise InvalidInputError(f"{self.name} fields take {sorted(params)}, not {unknown}")
+        object.__setattr__(self, "params", {**params, **self.params})
 
     def value(self, point) -> float:
         pt = as_point(point)
         if not self.region.contains(pt):
             raise FieldDomainError(f"point {tuple(pt)} is outside the region of interest")
-        return float(ANALYTIC_CATALOG[self.name](self.params, pt[0], pt[1]))
+        return float(ANALYTIC_CATALOG[self.name](pt[0], pt[1], **self.params))
 
     def roi(self) -> RoIMask:
         return self.region

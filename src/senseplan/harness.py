@@ -204,10 +204,7 @@ def _field_provenance(cfg: RunConfig) -> dict:
             "missing_cells": int(np.sum(~np.isfinite(grid.values))),
         }
     if cfg.field_kind == "analytic":
-        params = {}
-        for key, value in cfg.analytic_params:
-            params[key] = [list(b) for b in value] if key == "bumps" else value
-        return {"kind": "analytic", "name": cfg.analytic_name, "params": params}
+        return {"kind": "analytic", "name": cfg.analytic_name, "params": dict(cfg.analytic_params)}
     return {
         "kind": "gp-sample",
         "note": "one prior draw per trial at the trial's scenario nodes",

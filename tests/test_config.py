@@ -1,13 +1,21 @@
 """Configuration parsing, defaults, override handling, and echo."""
 
+import math
+import typing
+
 import pytest
 
 from senseplan.config import (
+    _BOUNDS,
+    _KEYS,
+    _KIND_KEYS,
+    RunConfig,
     echo_config,
     load_config,
     parse_config_text,
     render_config_ini,
 )
+from senseplan.environment import ANALYTIC_CATALOG, analytic_defaults
 from senseplan.errors import ConfigError
 
 MINIMAL = """
@@ -49,6 +57,18 @@ polygon = 0,0; 10,0; 10,10; 0,10
 kind = explicit
 targets = 1,1; 2,2; 3,3
 candidates = 1,1; 5,5
+"""
+
+#: An analytic field that sets one of its three parameters.
+LINEAR_A = """
+[roi]
+kind = rectangle
+rect = 0, 0, 10, 10
+
+[field]
+kind = analytic
+name = linear
+a = 2.0
 """
 
 
@@ -121,8 +141,8 @@ constant = inf
 
 [field]
 kind = analytic
-name = linear
-a = nan
+name = gauss-bumps
+offset = nan
 bumps = 1,2,2,inf
 
 [roi]
@@ -140,7 +160,7 @@ candidates = 1,1; 2,-inf
         keys = {
             rectangle: (
                 "mean.constant",
-                "field.a",
+                "field.offset",
                 "field.bumps",
                 "roi.rect",
                 "placement.targets",
@@ -182,6 +202,34 @@ candidates = 1,1; 2,-inf
             with pytest.raises(ConfigError) as err:
                 parse_config_text(text)
             assert str(err.value) == f"<config>: 1 configuration problem(s):\n  - {problem}"
+
+    def test_kinds_reject_keys_they_do_not_take(self):
+        """Field, region and placement share one unknown-key check: an
+        analytic field takes only its function's parameters, a placement
+        only the keys of its kind, and a non-grid field no ``grid`` region."""
+        explicit = "[placement]\nkind = explicit\ntargets = 1,1\ncandidates = 1,1\n"
+        cases = {
+            LINEAR_A + "zz = 1\n": "field.zz: unknown key for linear fields",
+            LINEAR_A + "bumps = 1,2,2,1\n": "field.bumps: unknown key for linear fields",
+            MINIMAL + "[placement]\ntargets = 1,1\n": "placement.targets: unknown key for sample placement",
+            MINIMAL + explicit + "n_targets = 3\n": "placement.n_targets: unknown key for explicit placement",
+            LINEAR_A.replace("rectangle", "grid"): "roi.kind: 'grid' not one of rectangle, polygon",
+        }
+        for text, problem in cases.items():
+            with pytest.raises(ConfigError) as err:
+                parse_config_text(text)
+            assert str(err.value) == f"<config>: 1 configuration problem(s):\n  - {problem}"
+
+    def test_negative_seed_is_rejected(self):
+        """A negative seed, from the file or an override, is a configuration
+        problem and not a crash in the seed scheme."""
+        problem = "<config>: 1 configuration problem(s):\n  - scenario.seed: must be >= 0"
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(MINIMAL + "[scenario]\nseed = -1\n")
+        assert str(err.value) == problem
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(MINIMAL, overrides={"seed": -1})
+        assert str(err.value) == problem
 
     def test_missing_roi_for_synthetic_field(self):
         with pytest.raises(ConfigError, match="roi.kind"):
@@ -238,7 +286,7 @@ class TestEcho:
     def test_echo_round_trips_through_parser(self):
         """The echoed configuration is complete: feeding it back through
         the parser reproduces the same resolved settings."""
-        for text in (MINIMAL, FULL):
+        for text in (MINIMAL, FULL, LINEAR_A):
             cfg = parse_config_text(text)
             sections = echo_config(cfg, resolved_mean=cfg.mean_constant or 0.0)
             again = parse_config_text(render_config_ini(sections))
@@ -258,6 +306,28 @@ class TestEcho:
         assert sections["kernel"]["jitter"] == "0.0"
         assert sections["mean"]["constant"] == "0.0"
         assert sections["placement"]["n_shared"] == "5"
+        field = echo_config(parse_config_text(LINEAR_A), resolved_mean=0.0)["field"]
+        assert (field["a"], field["b"], field["c"]) == ("2.0", "0.0", "0.0")
+
+
+class TestTables:
+    """The key tables agree with ``RunConfig`` and the analytic catalog."""
+
+    def test_bounds_name_numeric_scalar_keys(self):
+        types = typing.get_type_hints(RunConfig)
+        scalars = {key for keys in _KEYS.values() for key in keys}
+        for key in _BOUNDS:
+            assert key in scalars and types[key] in (int, float), key
+
+    def test_kind_keys_fill_run_config_fields(self):
+        names = set(typing.get_type_hints(RunConfig))
+        for kinds in _KIND_KEYS.values():
+            for keys in kinds.values():
+                assert set(keys.values()) <= names, keys
+
+    def test_analytic_fields_are_finite_at_their_defaults(self):
+        for name, function in ANALYTIC_CATALOG.items():
+            assert math.isfinite(float(function(1.5, -2.5, **analytic_defaults(name)))), name
 
 
 def test_config_file_loading(tmp_path):

@@ -214,6 +214,14 @@ class TestAnalyticFields:
         with pytest.raises(InvalidInputError):
             AnalyticField("cubic", {}, PolygonMask.rectangle(0, 0, 1, 1))
 
+    def test_parameters_come_from_the_signature(self):
+        """A field holds every parameter of its function, defaults filled
+        in, and rejects one its function does not take."""
+        mask = PolygonMask.rectangle(0, 0, 1, 1)
+        assert AnalyticField("linear", {"a": 2.0}, mask).params == {"a": 2.0, "b": 0.0, "c": 0.0}
+        with pytest.raises(InvalidInputError, match="zz"):
+            AnalyticField("linear", {"zz": 1.0}, mask)
+
 
 class TestSampledField:
     def test_nodes_are_reproduced_exactly(self):

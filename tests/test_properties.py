@@ -1,0 +1,75 @@
+"""Property tests of the greedy scorer and of conditioning.
+
+Each draws kernels with lengthscales 0.05-50, noise 0 or 0.01-2,
+targets in a 10 x 10 box (some coincident), and candidates up to 20
+lengthscales from it.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import senseplan.planner as planner_mod
+from senseplan import KernelSpec, MeanSpec, MeasurementLog
+from senseplan.gp import predictive_moments
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=50)
+MEAN = MeanSpec(1.0)
+NOISE = st.one_of(st.just(0.0), st.floats(0.01, 2.0))
+POINT = st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 10.0))
+
+
+@st.composite
+def problems(draw, noise=NOISE, distinct_targets=False):
+    """``(kernel, log, candidates, targets)`` with 0-3 readings in the log."""
+    lengthscale = draw(st.floats(0.05, 50.0))
+    kernel = KernelSpec(draw(st.floats(0.1, 10.0)), lengthscale)
+    targets = draw(st.lists(POINT, min_size=1, max_size=5, unique=distinct_targets))
+    if not distinct_targets:
+        targets += draw(st.lists(st.sampled_from(targets), max_size=2))
+    candidates = []
+    for x, y in draw(st.lists(POINT, min_size=1, max_size=5)):
+        r = draw(st.floats(0.0, 20.0)) * lengthscale
+        angle = draw(st.floats(0.0, 2.0 * math.pi))
+        candidates.append((x + r * math.cos(angle), y + r * math.sin(angle)))
+    readings = draw(st.lists(POINT, max_size=3))
+    values = draw(st.lists(st.floats(-5.0, 5.0), min_size=len(readings), max_size=len(readings)))
+    log = MeasurementLog(np.array(readings).reshape(-1, 2), values, draw(noise))
+    return kernel, log, np.array(candidates), np.array(targets)
+
+
+@PROPERTY
+@given(problems())
+def test_gains_are_finite_and_nonnegative(problem):
+    kernel, log, candidates, targets = problem
+    _, gains = planner_mod._greedy_on_log(MEAN, kernel, log, candidates, targets)
+    assert np.all(np.isfinite(gains)) and np.all(gains >= 0.0)
+
+
+@PROPERTY
+@given(problems(noise=st.floats(0.01, 2.0), distinct_targets=True), st.randoms())
+def test_gains_follow_candidates_and_ignore_target_order(problem, random):
+    """With noise and distinct targets, permuting the candidates permutes
+    the gains and permuting the targets leaves them as they are."""
+    kernel, log, candidates, targets = problem
+    _, gains = planner_mod._greedy_on_log(MEAN, kernel, log, candidates, targets)
+    order = random.sample(range(len(candidates)), len(candidates))
+    _, permuted = planner_mod._greedy_on_log(MEAN, kernel, log, candidates[order], targets)
+    np.testing.assert_allclose(permuted, gains[order], rtol=1e-9, atol=1e-12)
+    shuffled = targets[random.sample(range(len(targets)), len(targets))]
+    _, same = planner_mod._greedy_on_log(MEAN, kernel, log, candidates, shuffled)
+    np.testing.assert_allclose(same, gains, rtol=1e-9, atol=1e-12)
+
+
+@PROPERTY
+@given(problems(), st.floats(-5.0, 5.0))
+def test_a_reading_never_raises_a_target_variance(problem, value):
+    """Appending a reading at any candidate leaves every target's posterior
+    variance where it was or lower, up to 1e-10 of the prior variance."""
+    kernel, log, candidates, targets = problem
+    _, before, _ = predictive_moments(MEAN, kernel, log, targets, 0)
+    for candidate in candidates:
+        _, after, _ = predictive_moments(MEAN, kernel, log.append(candidate, value), targets, 0)
+        assert np.all(after <= before + 1e-10 * kernel.signal_variance)
