@@ -1,20 +1,22 @@
 """Ground-truth fields, regions of interest, and scenario placement.
 
 A ground-truth field is the deterministic scalar function that the sensor
-observes through noise.  Three kinds are supported:
+observes through noise.  Fields and regions are queried with whole arrays
+of locations: a field's ``values(points)`` gives one value and a region's
+``contains(points)`` one flag per row.  Three kinds of field are supported:
 
 ``GridField``
     Values on a regular latitude/longitude lattice loaded from CSV, with
     missing cells defining the outside of the region of interest.  Queries
-    return the nearest non-missing cell center.
+    return the nearest non-missing cell's value.
 ``AnalyticField``
     A named closed-form function (catalog below) restricted to a mask.
 ``SampledField``
     One draw of the Gaussian-process prior at a fixed node set, queried by
     nearest node.  Used as the synthetic surrogate for gridded data.
 
-Locations are ``(x, y)`` pairs; for geodata ``x`` is longitude and ``y``
-is latitude, both in decimal degrees.
+Nearest-cell and nearest-node ties go to the lowest index.  Locations are
+``(x, y)`` pairs; for geodata ``x`` is longitude and ``y`` is latitude.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .errors import (
     InvalidInputError,
     PlacementError,
 )
-from .gp import KernelSpec, MeanSpec, as_point, as_points, sample_prior_field
+from .gp import KernelSpec, MeanSpec, as_points, sample_prior_field
 
 #: Queries farther than this many cell diagonals from every non-missing
 #: cell are treated as outside the data support.
@@ -42,12 +44,16 @@ SUPPORT_DIAGONALS = 2.0
 #: Total rejection-sampling attempts allowed when placing a scenario.
 MAX_PLACEMENT_ATTEMPTS = 1_000_000
 
+#: Rejection-sampling draws tested per region query.
+PLACEMENT_BATCH = 1024
 
-def _nearest(tree: cKDTree, pt: np.ndarray) -> tuple[int, float]:
-    """Index of the tree point nearest ``pt`` and its distance; ties go to
-    the lowest index."""
-    dist, _ = tree.query(pt)
-    return min(tree.query_ball_point(pt, dist * (1.0 + 1e-12))), dist
+
+def _nearest(tree: cKDTree, pts: np.ndarray) -> np.ndarray:
+    """Index of the tree point nearest each row of ``pts``; ties go to the
+    lowest index."""
+    dist, _ = tree.query(pts)
+    near = tree.query_ball_point(pts, r=dist * (1.0 + 1e-12))
+    return np.array([min(idx) for idx in near], dtype=np.intp)
 
 
 # ---------------------------------------------------------------------------
@@ -58,7 +64,8 @@ def _nearest(tree: cKDTree, pt: np.ndarray) -> tuple[int, float]:
 class RoIMask:
     """Deterministic membership test for the region of interest."""
 
-    def contains(self, point) -> bool:
+    def contains(self, points) -> np.ndarray:
+        """One flag per row of ``points``: is it inside the region?"""
         raise NotImplementedError
 
     def bounds(self) -> tuple[float, float, float, float]:
@@ -76,6 +83,8 @@ class PolygonMask(RoIMask):
         verts = as_points(self.vertices)
         if len(verts) < 3:
             raise InvalidInputError("polygon needs at least 3 vertices")
+        if np.linalg.matrix_rank(verts[1:] - verts[0]) < 2:
+            raise InvalidInputError("polygon vertices are collinear, so it contains no point")
         object.__setattr__(self, "vertices", verts)
 
     @classmethod
@@ -84,18 +93,16 @@ class PolygonMask(RoIMask):
             raise InvalidInputError("rectangle must have positive extent")
         return cls(np.array([[xmin, ymin], [xmax, ymin], [xmax, ymax], [xmin, ymax]]))
 
-    def contains(self, point) -> bool:
-        x, y = as_point(point)
-        v = self.vertices
-        inside = False
-        for k in range(len(v)):
-            x1, y1 = v[k]
-            x2, y2 = v[(k + 1) % len(v)]
-            if (y1 > y) != (y2 > y):
-                xcross = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
-                if x < xcross:
-                    inside = not inside
-        return inside
+    def contains(self, points) -> np.ndarray:
+        """Rows of ``points`` crossing an odd number of edges to their
+        right; horizontal edges are masked, never counted."""
+        x, y = as_points(points).T[:, :, None]
+        x1, y1 = self.vertices.T
+        x2, y2 = np.roll(self.vertices, -1, axis=0).T
+        spans = (y1 > y) != (y2 > y)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xcross = x1 + (y - y1) * (x2 - x1) / (y2 - y1)
+        return np.count_nonzero(spans & (x < xcross), axis=1) % 2 == 1
 
     def bounds(self):
         mins = self.vertices.min(axis=0)
@@ -113,7 +120,8 @@ class GridData(RoIMask):
     """Values on a regular lat/lon lattice; NaN cells are outside the RoI.
 
     As a region of interest it holds the points within the support radius
-    of a non-missing cell, the same points where :meth:`value_at` answers.
+    of a non-missing cell, the same points where a :class:`GridField`
+    answers with the nearest such cell's value.
 
     ``values[i, j]`` sits at latitude ``lat0 + i*dlat`` and longitude
     ``lon0 + j*dlon``.  ``lat_present``/``lon_present`` record which lattice
@@ -161,45 +169,22 @@ class GridData(RoIMask):
         object.__setattr__(self, "lon_coords", np.asarray(lon_c, dtype=float).copy())
         ii, jj = np.nonzero(np.isfinite(vals))
         centers = np.column_stack([self.lon_coords[jj], self.lat_coords[ii]])
-        object.__setattr__(self, "_cell_index", np.column_stack([ii, jj]))
+        # np.nonzero is row-major, so tree order is row-major cell order.
+        object.__setattr__(self, "_cell_values", vals[ii, jj])
         object.__setattr__(self, "_tree", cKDTree(centers))
 
     @property
     def cell_diagonal(self) -> float:
         return float(np.hypot(self.dlat, self.dlon))
 
-    def nearest_cell(self, point) -> tuple[int, int, float]:
-        """Nearest non-missing cell ``(i, j, distance)``; ties go to the
-        lowest row-major index, which is the lowest tree index because
-        ``np.nonzero`` lists the cells in row-major order."""
-        best, dist = _nearest(self._tree, as_point(point))
-        i, j = self._cell_index[best]
-        return int(i), int(j), float(dist)
-
-    def value_at(self, point) -> float:
-        i, j, dist = self.nearest_cell(point)
-        if dist > SUPPORT_DIAGONALS * self.cell_diagonal:
-            raise FieldDomainError(
-                f"point {tuple(np.asarray(point, float))} is {dist:g} from the nearest "
-                f"data cell, beyond the {SUPPORT_DIAGONALS:g}-diagonal support radius"
-            )
-        return float(self.values[i, j])
-
-    def contains(self, point) -> bool:
-        _, _, dist = self.nearest_cell(point)
+    def contains(self, points) -> np.ndarray:
+        dist, _ = self._tree.query(as_points(points))
         return dist <= SUPPORT_DIAGONALS * self.cell_diagonal
 
     def bounds(self):
-        finite = np.isfinite(self.values)
-        ii, jj = np.nonzero(finite)
-        lats = self.lat_coords[ii]
-        lons = self.lon_coords[jj]
-        return (
-            float(lons.min() - 0.5 * self.dlon),
-            float(lats.min() - 0.5 * self.dlat),
-            float(lons.max() + 0.5 * self.dlon),
-            float(lats.max() + 0.5 * self.dlat),
-        )
+        half = np.array([0.5 * self.dlon, 0.5 * self.dlat])
+        (xmin, ymin), (xmax, ymax) = self._tree.mins - half, self._tree.maxes + half
+        return float(xmin), float(ymin), float(xmax), float(ymax)
 
 
 def _infer_spacing(coords: np.ndarray, axis_name: str, path: str) -> float:
@@ -374,11 +359,26 @@ def analytic_defaults(name: str) -> dict:
     return {p.name: p.default for p in params if p.kind is p.KEYWORD_ONLY}
 
 
+def _points_inside(region: RoIMask, points) -> np.ndarray:
+    """``points`` as an ``(m, 2)`` array; raises FieldDomainError naming the
+    first row outside ``region``."""
+    pts = as_points(points)
+    if not (inside := region.contains(pts)).all():
+        raise FieldDomainError(f"point {tuple(pts[np.argmin(inside)].tolist())} is outside the region of interest")
+    return pts
+
+
 class GroundTruthField:
     """Deterministic scalar field over a region of interest."""
 
-    def value(self, point) -> float:
+    def values(self, points) -> np.ndarray:
+        """True value at each row of ``points``; raises FieldDomainError if
+        any row lies outside :meth:`roi`."""
         raise NotImplementedError
+
+    def value(self, point) -> float:
+        """:meth:`values` at one point; more than one raises ValueError."""
+        return self.values(point).item()
 
     def roi(self) -> RoIMask:
         raise NotImplementedError
@@ -386,12 +386,13 @@ class GroundTruthField:
 
 @dataclass(frozen=True, eq=False)
 class GridField(GroundTruthField):
-    """Field backed by gridded data; nearest non-missing cell lookup."""
+    """Field backed by gridded data; nearest non-missing cell lookup, ties
+    to the lowest row-major index."""
 
     grid: GridData
 
-    def value(self, point) -> float:
-        return self.grid.value_at(point)
+    def values(self, points) -> np.ndarray:
+        return self.grid._cell_values[_nearest(self.grid._tree, _points_inside(self.grid, points))]
 
     def roi(self) -> RoIMask:
         return self.grid
@@ -417,11 +418,9 @@ class AnalyticField(GroundTruthField):
             raise InvalidInputError(f"{self.name} fields take {sorted(params)}, not {unknown}")
         object.__setattr__(self, "params", {**params, **self.params})
 
-    def value(self, point) -> float:
-        pt = as_point(point)
-        if not self.region.contains(pt):
-            raise FieldDomainError(f"point {tuple(pt)} is outside the region of interest")
-        return float(ANALYTIC_CATALOG[self.name](pt[0], pt[1], **self.params))
+    def values(self, points) -> np.ndarray:
+        evaluate = ANALYTIC_CATALOG[self.name]
+        return np.array([evaluate(x, y, **self.params) for x, y in _points_inside(self.region, points)])
 
     def roi(self) -> RoIMask:
         return self.region
@@ -429,7 +428,8 @@ class AnalyticField(GroundTruthField):
 
 @dataclass(frozen=True, eq=False)
 class SampledField(GroundTruthField):
-    """Field fixed by values at a node set; nearest-node lookup."""
+    """Field fixed by values at a node set; nearest-node lookup, ties to the
+    lowest node index."""
 
     nodes: np.ndarray
     node_values: np.ndarray
@@ -448,11 +448,8 @@ class SampledField(GroundTruthField):
         object.__setattr__(self, "node_values", vals)
         object.__setattr__(self, "_tree", cKDTree(nodes))
 
-    def value(self, point) -> float:
-        pt = as_point(point)
-        if not self.region.contains(pt):
-            raise FieldDomainError(f"point {tuple(pt)} is outside the region of interest")
-        return float(self.node_values[_nearest(self._tree, pt)[0]])
+    def values(self, points) -> np.ndarray:
+        return self.node_values[_nearest(self._tree, _points_inside(self.region, points))]
 
     def roi(self) -> RoIMask:
         return self.region
@@ -474,14 +471,19 @@ def field_value(fld: GroundTruthField, x) -> float:
     return fld.value(x)
 
 
-def measure(fld: GroundTruthField, x, noise_sd: float, rng: np.random.Generator) -> float:
-    """Noisy reading ``field_value(x) + eps`` with ``eps ~ N(0, noise_sd^2)``."""
-    if not (np.isfinite(noise_sd) and noise_sd >= 0):
-        raise InvalidInputError("noise_sd must be finite and >= 0")
-    value = field_value(fld, x)
+def noisy_reading(value: float, noise_sd: float, rng: np.random.Generator) -> float:
+    """``value + eps`` with ``eps ~ N(0, noise_sd^2)`` drawn from ``rng``;
+    zero noise draws nothing."""
     if noise_sd == 0:
         return value
     return value + float(rng.normal(0.0, noise_sd))
+
+
+def measure(fld: GroundTruthField, x, noise_sd: float, rng: np.random.Generator) -> float:
+    """:func:`noisy_reading` of ``field_value(fld, x)``."""
+    if not (np.isfinite(noise_sd) and noise_sd >= 0):
+        raise InvalidInputError("noise_sd must be finite and >= 0")
+    return noisy_reading(field_value(fld, x), noise_sd, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -509,25 +511,17 @@ def place_scenario(
     xmin, ymin, xmax, ymax = mask.bounds()
     rng = np.random.default_rng(seed)
     need = n_targets + n_candidates - n_shared
-    points: list[np.ndarray] = []
-    seen: set[tuple[float, float]] = set()
-    attempts = 0
-    while len(points) < need:
-        attempts += 1
-        if attempts > MAX_PLACEMENT_ATTEMPTS:
-            raise PlacementError(
-                f"placed only {len(points)} of {need} points after "
-                f"{MAX_PLACEMENT_ATTEMPTS} attempts; is the mask mostly empty?"
-            )
-        pt = rng.uniform((xmin, ymin), (xmax, ymax))
-        key = (float(pt[0]), float(pt[1]))
-        if key in seen or not mask.contains(pt):
-            continue
-        seen.add(key)
-        points.append(pt)
-    shared = points[:n_shared]
-    target_only = points[n_shared : n_targets]
-    candidate_only = points[n_targets:]
-    targets = as_points(np.array(shared + target_only))
-    candidates = as_points(np.array(shared + candidate_only))
-    return targets, candidates
+    found: dict[tuple[float, float], None] = {}
+    for attempts in range(0, MAX_PLACEMENT_ATTEMPTS, PLACEMENT_BATCH):
+        # Each row is the pair one unbatched ``uniform`` call would draw, so
+        # the accepted points do not depend on the batch size.
+        size = (min(PLACEMENT_BATCH, MAX_PLACEMENT_ATTEMPTS - attempts), 2)
+        draws = rng.uniform((xmin, ymin), (xmax, ymax), size=size)
+        found.update(dict.fromkeys(map(tuple, draws[mask.contains(draws)].tolist())))
+        if len(found) >= need:
+            pts = as_points(list(found)[:need])
+            return pts[:n_targets], as_points(np.vstack([pts[:n_shared], pts[n_targets:]]))
+    raise PlacementError(
+        f"placed only {len(found)} of {need} points after "
+        f"{MAX_PLACEMENT_ATTEMPTS} attempts; is the mask mostly empty?"
+    )

@@ -225,7 +225,8 @@ def execute_run(cfg: RunConfig, workers: int = 1) -> dict:
     if workers == 1 or cfg.trials == 1:
         results = [run_trial(cfg, t) for t in trials]
     else:
-        with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
+        # The pool starts every worker at once, so start no more than trials.
+        with ProcessPoolExecutor(max_workers=min(workers, cfg.trials), initializer=_one_blas_thread) as pool:
             results = list(pool.map(functools.partial(run_trial, cfg), trials))
     results.sort(key=lambda r: r["trial"])
 
@@ -361,9 +362,12 @@ def write_outputs(record: dict, out_dir) -> tuple[str, str]:
 def load_log_csv(path, noise_sd: float) -> MeasurementLog:
     """Read prior measurements from an ``x,y,value`` CSV.
 
-    A file with only the header row yields an empty log.
+    A file with only the header row yields an empty log.  Without noise,
+    two different readings at one location contradict each other and are
+    rejected; equal repeats are kept.
     """
     rows = []
+    first_at = {}
     for lineno, row in _csv_rows(path, ("x", "y", "value"), "measurement log"):
         try:
             rows.append([float(p) for p in row])
@@ -371,6 +375,10 @@ def load_log_csv(path, noise_sd: float) -> MeasurementLog:
             raise DataError(f"{path}:{lineno}: non-numeric field ({exc})") from exc
         if not np.all(np.isfinite(rows[-1])):
             raise DataError(f"{path}:{lineno}: non-finite field")
+        x, y, value = rows[-1]
+        line, seen = first_at.setdefault((x, y), (lineno, value))
+        if noise_sd == 0 and seen != value:
+            raise DataError(f"{path}:{lineno}: noise-free reading {value!r} contradicts line {line}'s {seen!r}")
     table = np.array(rows).reshape(-1, 3)
     return MeasurementLog(table[:, :2], table[:, 2], noise_sd)
 
@@ -383,11 +391,9 @@ def score_table(cfg: RunConfig, log: MeasurementLog) -> dict:
     """
     mask = build_mask(cfg)
     targets, candidates = trial_placement(cfg, mask, 0)
-    for i, pt in enumerate(log.locations):
-        if not mask.contains(pt):
-            raise DataError(
-                f"measurement log row {i + 1} at {tuple(pt)} lies outside the region of interest"
-            )
+    if not (inside := mask.contains(log.locations)).all():
+        i = int(np.argmin(inside))
+        raise DataError(f"measurement log row {i + 1} at {tuple(log.locations[i])} lies outside the region of interest")
     mean, kernel = _specs(cfg)
     columns = {
         "edg_exact": lambda c: edg_exact(mean, kernel, log, c, targets).value,
@@ -453,11 +459,8 @@ def validate_run_config(cfg: RunConfig) -> tuple[list[str], list[str]]:
 
     if cfg.placement_kind == "explicit":
         for name, pts in (("target", cfg.explicit_targets), ("candidate", cfg.explicit_candidates)):
-            for i, pt in enumerate(pts):
-                if not mask.contains(pt):
-                    config_issues.append(
-                        f"{name} {i} at {pt} lies outside the region of interest"
-                    )
+            for i in np.flatnonzero(~mask.contains(pts)):
+                config_issues.append(f"{name} {i} at {pts[i]} lies outside the region of interest")
         if config_issues:
             return config_issues, data_issues
 

@@ -32,7 +32,7 @@ from .gp import (
     _symmetrize,
     predictive_moments,
 )
-from .environment import GroundTruthField, field_value, measure
+from .environment import GroundTruthField, noisy_reading
 from .infogain import _explained_share
 from .metrics import (
     estimating_error,
@@ -176,8 +176,10 @@ def random_select(candidates, rng: np.random.Generator) -> np.ndarray:
 def run_episode(config: ScenarioConfig, fld: GroundTruthField) -> EpisodeTrace:
     """Play one full episode of ``config.horizon`` measurements.
 
-    Numerical or planning failures abort the episode; the raised error
-    carries the completed steps as ``exc.partial_trace``.
+    The truth over targets and candidates is read once, up front, so a
+    point outside the field's region raises FieldDomainError before the
+    first step.  Numerical or planning failures later abort the episode;
+    the raised error carries the completed steps as ``exc.partial_trace``.
     """
     planner_idx = PLANNER_KINDS.index(config.planner_kind)
     noise_rng = substream(config.seed, STREAM_NOISE, config.trial_index, planner_idx)
@@ -186,8 +188,9 @@ def run_episode(config: ScenarioConfig, fld: GroundTruthField) -> EpisodeTrace:
     greedy = config.planner_kind == "greedy-edg"
     targets = config.targets
     n = len(targets)
-    points = np.vstack([targets, config.candidates]) if greedy else targets
-    truth = np.array([field_value(fld, pt) for pt in targets])
+    both = np.vstack([targets, config.candidates])
+    points = both if greedy else targets
+    truth_t, truth_c = np.split(fld.values(both), [n])
     try:
         shared_t, _ = intersection_indices(targets, config.candidates)
     except InvalidInputError:
@@ -205,13 +208,13 @@ def run_episode(config: ScenarioConfig, fld: GroundTruthField) -> EpisodeTrace:
                 idx = int(planner_rng.integers(len(config.candidates)))
                 score = math.nan
             location = config.candidates[idx]
-            reading = measure(fld, location, config.noise_sd, noise_rng)
+            reading = noisy_reading(truth_c[idx], config.noise_sd, noise_rng)
             log = log.append(location, reading)
             mu, var, cross = predictive_moments(config.mean, config.kernel, log, points, n)
 
             mu_t, var_t = mu[:n], cross[:, :n].diagonal()
             if shared_t is not None:
-                err_i = estimating_error(mu_t[shared_t], truth[shared_t])
+                err_i = estimating_error(mu_t[shared_t], truth_t[shared_t])
                 var_i = estimating_variance(var_t[shared_t])
             else:
                 err_i = math.nan
@@ -223,11 +226,11 @@ def run_episode(config: ScenarioConfig, fld: GroundTruthField) -> EpisodeTrace:
                     chosen=(float(location[0]), float(location[1])),
                     score=float(score),
                     measurement=float(reading),
-                    error=estimating_error(mu_t, truth),
+                    error=estimating_error(mu_t, truth_t),
                     variance=estimating_variance(var_t),
                     error_shared=err_i,
                     variance_shared=var_i,
-                    rmse=rmse(mu_t, truth),
+                    rmse=rmse(mu_t, truth_t),
                 )
             )
     except SensorPlanError as exc:

@@ -52,7 +52,7 @@ class TestGridCSV:
     def test_single_cell_grid(self, tmp_path):
         grid = load_grid_csv(write(tmp_path, "one.csv", "lat,lon,value\n10.0,20.0,31.5\n"))
         assert grid.values.shape == (1, 1)
-        assert grid.value_at((20.0, 10.0)) == 31.5
+        assert GridField(grid).value((20.0, 10.0)) == 31.5
 
     def test_absent_cells_are_missing(self, tmp_path):
         text = "lat,lon,value\n0.0,0.0,1.0\n0.0,1.0,2.0\n1.0,0.0,3.0\n1.0,2.0,4.0\n"
@@ -111,6 +111,14 @@ class TestGridCSV:
             load_grid_csv(tmp_path / "nope.csv")
 
 
+#: Queries on the unit lattice over 0..5 x 0..5, numbered row-major with x
+#: fastest, mixing tied rows (first four, last) with untied ones, and the
+#: number of the nearest point, lowest among ties.  For each tied row a
+#: KD-tree query over the lattice alone returns a higher number.
+LATTICE_QUERIES = [(0.0, 1.5), (0.5, 3.5), (1.5, 0.0), (0.5, 4.5), (2.2, 3.9), (4.9, 0.1), (0.5, 3.0)]
+LATTICE_NEAREST = [6.0, 18.0, 1.0, 24.0, 26.0, 5.0, 18.0]
+
+
 class TestGridLookup:
     def grid(self):
         values = np.array([[1.0, 2.0, np.nan], [4.0, 5.0, 6.0]])
@@ -118,31 +126,38 @@ class TestGridLookup:
 
     def test_exact_center_hit(self):
         g = self.grid()
-        assert g.value_at((1.0, 1.0)) == 5.0
+        assert GridField(g).value((1.0, 1.0)) == 5.0
 
     def test_nearest_skips_missing(self):
         """A query at a missing cell's center resolves to the nearest
         non-missing neighbor (here the cell one row up)."""
         g = self.grid()
-        assert g.value_at((2.0, 0.9)) == 6.0
+        assert GridField(g).value((2.0, 0.9)) == 6.0
 
     def test_query_at_missing_center_ties_to_lower_index(self):
         """At the missing cell's center two neighbors are equidistant;
         the lower row-major index wins."""
         g = self.grid()
-        assert g.value_at((2.0, 0.0)) == 2.0
+        assert GridField(g).value((2.0, 0.0)) == 2.0
 
     def test_tie_breaks_to_lower_row_major_index(self):
         g = self.grid()
         # (0.5, 0.5) is equidistant from four cells; row 0, col 0 wins.
-        assert g.value_at((0.5, 0.5)) == 1.0
+        assert GridField(g).value((0.5, 0.5)) == 1.0
 
     def test_support_radius_two_diagonals(self):
         g = self.grid()
         diag = np.hypot(1.0, 1.0)
-        assert g.value_at((0.0, -2 * diag + 1e-9)) == 1.0
+        assert GridField(g).value((0.0, -2 * diag + 1e-9)) == 1.0
         with pytest.raises(FieldDomainError):
-            g.value_at((0.0, -2 * diag - 1e-6))
+            GridField(g).value((0.0, -2 * diag - 1e-6))
+
+    def test_batch_ties_go_to_lowest_index(self):
+        """Tied and untied rows in one query each get the nearest cell,
+        the lowest row-major index among ties.  On a 6 x 6 lattice the
+        KD-tree's own nearest is a higher index for the tied rows."""
+        g = GridData(lat0=0.0, lon0=0.0, dlat=1.0, dlon=1.0, values=np.arange(36.0).reshape(6, 6))
+        np.testing.assert_array_equal(GridField(g).values(LATTICE_QUERIES), LATTICE_NEAREST)
 
     def test_mask_agrees_with_field_support(self):
         g = self.grid()
@@ -175,6 +190,37 @@ class TestPolygonMask:
     def test_too_few_vertices(self):
         with pytest.raises(InvalidInputError):
             PolygonMask(np.array([[0.0, 0.0], [1.0, 1.0]]))
+
+    def test_collinear_vertices_rejected(self):
+        """A polygon with no area contains no point, so placement in it
+        could only exhaust its attempts."""
+        with pytest.raises(InvalidInputError, match="collinear"):
+            PolygonMask(np.array([[0.0, 0.0], [5.0, 5.0], [10.0, 10.0]]))
+        with pytest.raises(InvalidInputError, match="collinear"):
+            PolygonMask(np.array([[1.0, 2.0]] * 4))
+
+    def test_batch_matches_per_point_even_odd(self):
+        """One batch query agrees with the even-odd rule applied a point at
+        a time, on a concave polygon's vertices, on points lying on its
+        horizontal edges, and on random points around it."""
+
+        def even_odd(v, x, y):
+            inside = False
+            for k in range(len(v)):
+                x1, y1 = v[k]
+                x2, y2 = v[(k + 1) % len(v)]
+                if (y1 > y) != (y2 > y) and x < x1 + (y - y1) * (x2 - x1) / (y2 - y1):
+                    inside = not inside
+            return inside
+
+        verts = np.array([(0, 0), (4, 0), (4, 3), (3, 3), (3, 1), (1, 1), (1, 3), (0, 3)], float)
+        m = PolygonMask(verts)
+        on_edges = [(2.0, 0.0), (0.5, 0.0), (3.5, 3.0), (2.0, 1.0), (1.5, 1.0), (0.5, 3.0)]
+        random = np.random.default_rng(11).uniform(-1.0, 5.0, (1000, 2))
+        pts = np.vstack([verts, on_edges, random])
+        expected = [even_odd(verts, x, y) for x, y in pts]
+        np.testing.assert_array_equal(m.contains(pts), expected)
+        assert 0 < sum(expected) < len(pts)
 
 
 class TestAnalyticFields:
@@ -241,6 +287,13 @@ class TestSampledField:
         assert fld.value((2.0, 2.0)) == 5.0
         assert fld.value((8.0, 8.0)) == -5.0
 
+    def test_batch_ties_go_to_lowest_index(self):
+        """Tied and untied rows in one query each get the nearest node, the
+        lowest index among ties."""
+        nodes = np.array([(x, y) for y in range(6) for x in range(6)], dtype=float)
+        fld = SampledField(nodes, np.arange(36.0), PolygonMask.rectangle(0, 0, 5, 5))
+        np.testing.assert_array_equal(fld.values(LATTICE_QUERIES), LATTICE_NEAREST)
+
     def test_outside_region_raises(self):
         mask = PolygonMask.rectangle(0, 0, 10, 10)
         fld = SampledField(np.array([[1.0, 1.0]]), np.array([5.0]), mask)
@@ -289,6 +342,21 @@ class TestPlacement:
         np.testing.assert_array_equal(a[1], b[1])
         c = place_scenario(mask, 8, 7, 2, seed=43)
         assert not np.array_equal(a[0], c[0])
+
+    def test_batches_accept_the_per_point_draws(self):
+        """Placement accepts the same points as drawing and testing one pair
+        at a time from the same seed, here on a mask that rejects some."""
+        verts = [(0, 0), (4, 0), (4, 3), (3, 3), (3, 1), (1, 1), (1, 3), (0, 3)]
+        mask = PolygonMask(np.array(verts, dtype=float))
+        rng = np.random.default_rng(42)
+        accepted = []
+        while len(accepted) < 13:
+            pt = rng.uniform((0.0, 0.0), (4.0, 3.0))
+            if mask.contains(pt)[0]:
+                accepted.append(pt)
+        targets, candidates = place_scenario(mask, 8, 7, 2, seed=42)
+        np.testing.assert_array_equal(targets, accepted[:8])
+        np.testing.assert_array_equal(candidates, accepted[:2] + accepted[8:])
 
     def test_no_shared_points_allowed(self):
         mask = PolygonMask.rectangle(0, 0, 10, 10)

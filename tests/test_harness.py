@@ -8,6 +8,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
+import senseplan.harness as harness_mod
 from senseplan.cli import main
 from senseplan.config import parse_config_text, render_config_ini
 from senseplan.gp import MeasurementLog
@@ -123,6 +124,30 @@ class TestExecuteRun:
         serial = render_series_csv(execute_run(cfg, workers=1))
         parallel = render_series_csv(execute_run(cfg, workers=2))
         assert serial == parallel
+
+    def test_pool_starts_no_more_workers_than_trials(self, monkeypatch):
+        """The pool starts all its workers at once, so asking for more
+        workers than trials must not start the extra ones."""
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers, initializer=None):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(harness_mod, "ProcessPoolExecutor", SerialPool)
+        cfg = parse_config_text(MINI)
+        record = execute_run(cfg, workers=64)
+        assert sizes == [cfg.trials] == [2]
+        assert render_series_csv(record) == render_series_csv(execute_run(cfg))
 
     def test_aggregates_match_series(self):
         """The aggregate mean equals the hand-computed mean of the
@@ -267,6 +292,20 @@ class TestLogCSV:
         p.write_text("x,y,value\n")
         assert len(load_log_csv(p, noise_sd=0.5)) == 0
 
+    def test_noise_free_repeats_must_agree(self, tmp_path):
+        """Without noise, equal repeats are kept and different readings at
+        one location are rejected naming both lines; with noise both are
+        kept."""
+        from senseplan.errors import DataError
+
+        p = tmp_path / "log.csv"
+        p.write_text("x,y,value\n1,1,0.5\n2,2,0.1\n1,1,0.5\n")
+        assert len(load_log_csv(p, noise_sd=0.0)) == 3
+        p.write_text("x,y,value\n1,1,0.5\n2,2,0.1\n1,1,-0.7\n")
+        assert len(load_log_csv(p, noise_sd=0.5)) == 3
+        with pytest.raises(DataError, match=r":4: .*-0\.7.* line 2"):
+            load_log_csv(p, noise_sd=0.0)
+
     def test_bad_rows_name_the_line(self, tmp_path):
         from senseplan.errors import DataError
 
@@ -350,6 +389,21 @@ class TestCLI:
         code = main(["score", "--config", cfg_path, "--log", str(log_path)])
         assert code == 0
         assert "argmax" in capsys.readouterr().out
+
+    def test_score_rejects_contradictory_noise_free_log(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, MINI.replace("noise_sd = 0.5", "noise_sd = 0"))
+        log_path = tmp_path / "log.csv"
+        log_path.write_text("x,y,value\n1,1,0.5\n1,1,-0.7\n")
+        assert main(["score", "--config", cfg_path, "--log", str(log_path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{log_path}:3:" in captured.err and "line 2" in captured.err
+
+    def test_validate_rejects_collinear_polygon(self, tmp_path, capsys):
+        text = MINI.replace("kind = rectangle\nrect = 0, 0, 10, 10", "kind = polygon\npolygon = 0,0; 5,5; 10,10")
+        cfg_path = write_config(tmp_path, text)
+        assert main(["validate", "--config", cfg_path]) == 2
+        assert "collinear" in capsys.readouterr().out
 
     def test_unparseable_config_exits_2(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, "[scenario]\nhorizon = many\n[field]\nkind = gp-sample\n")

@@ -9,6 +9,7 @@ import senseplan.infogain as infogain_mod
 import senseplan.planner as planner_mod
 from senseplan import (
     AnalyticField,
+    FieldDomainError,
     InvalidInputError,
     KernelSpec,
     MeanSpec,
@@ -291,6 +292,39 @@ class TestRunEpisode:
             cfg = make_config(planner_kind=kind, horizon=5)
             run_episode(cfg, linear_field())
             assert len(calls) == cfg.horizon + 1
+
+    def test_one_truth_query_per_episode(self):
+        """An episode reads the field once, at the targets and candidates
+        stacked, whichever planner runs it."""
+
+        class CountingField(AnalyticField):
+            def __post_init__(self):
+                super().__post_init__()
+                object.__setattr__(self, "queries", [])
+
+            def values(self, points):
+                self.queries.append(np.array(points))
+                return super().values(points)
+
+        for kind in ("greedy-edg", "random"):
+            fld = CountingField("linear", {"a": 1.0, "b": 1.0}, MASK)
+            cfg = make_config(planner_kind=kind, horizon=5)
+            run_episode(cfg, fld)
+            assert len(fld.queries) == 1
+            np.testing.assert_array_equal(fld.queries[0], np.vstack([cfg.targets, cfg.candidates]))
+
+    def test_candidate_outside_region_fails_before_step_one(self):
+        """A candidate the field cannot answer at fails up front, even one
+        the planner would never choose."""
+        for kind in ("greedy-edg", "random"):
+            cfg = make_config(
+                targets=np.array([[1.0, 1.0], [4.0, 4.0]]),
+                candidates=np.array([[1.0, 1.0], [30.0, 30.0]]),
+                planner_kind=kind,
+            )
+            with pytest.raises(FieldDomainError, match="30.0, 30.0") as err:
+                run_episode(cfg, linear_field())
+            assert not hasattr(err.value, "partial_trace")
 
     def test_step_metrics_match_fresh_posterior(self):
         """Every step's metrics equal those of a fresh posterior on that

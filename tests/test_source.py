@@ -105,16 +105,15 @@ def test_private_helpers_are_used():
 
 
 #: The functions that coerce locations with ``as_points`` or ``as_point``:
-#: the public entry points, the field and mask queries, and the placement
-#: that builds the point sets.  Code below them takes the checked arrays
-#: as they are.
+#: the public entry points, the batch mask queries, the one check every
+#: field query starts with, and the placement that builds the point sets.
+#: Code below them takes the checked arrays as they are.
 COERCING_FUNCTIONS = {
-    "environment.AnalyticField.value",
-    "environment.GridData.nearest_cell",
+    "environment.GridData.contains",
     "environment.PolygonMask.__post_init__",
     "environment.PolygonMask.contains",
     "environment.SampledField.__post_init__",
-    "environment.SampledField.value",
+    "environment._points_inside",
     "environment.place_scenario",
     "gp.GaussianBelief.__post_init__",
     "gp.MeanSpec.at",
