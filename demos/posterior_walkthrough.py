@@ -15,7 +15,7 @@ from senseplan import (
     MeanSpec,
     MeasurementLog,
     PolygonMask,
-    measure,
+    field_value,
     posterior,
 )
 
@@ -45,12 +45,12 @@ def main():
 
     row("none")
     for k, point in enumerate(visits, start=1):
-        z = measure(field, point, noise_sd, rng)
+        z = field_value(field, point) + rng.normal(0.0, noise_sd)
         log = log.append(point, z)
         row(f"{k} @ ({point[0]:.1f},{point[1]:.1f})")
 
     print()
-    truth = np.array([field.value(p) for p in monitors])
+    truth = field.values(monitors)
     print("truth at monitors:", np.round(truth, 2))
     belief = posterior(mean, kernel, log, monitors)
     print("final mean:       ", np.round(belief.mean, 2))

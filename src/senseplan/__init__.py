@@ -24,7 +24,6 @@ from .gp import (
     jittered_cholesky,
     kernel_matrix,
     posterior,
-    predictive_measurement,
     sample_prior_field,
 )
 from .infogain import (
@@ -47,7 +46,6 @@ from .environment import (
     SampledField,
     field_value,
     load_grid_csv,
-    measure,
     place_scenario,
     sample_field,
     save_grid_csv,
@@ -67,7 +65,6 @@ from .planner import (
     EpisodeTrace,
     ScenarioConfig,
     greedy_select,
-    random_select,
     run_episode,
 )
 
@@ -116,11 +113,8 @@ __all__ = [
     "kernel_matrix",
     "kl_gaussian",
     "load_grid_csv",
-    "measure",
     "place_scenario",
     "posterior",
-    "predictive_measurement",
-    "random_select",
     "rmse",
     "run_episode",
     "sample_field",

@@ -7,6 +7,7 @@ error, 4 numerical degeneracy or planning abort.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import __version__
@@ -89,6 +90,11 @@ def cmd_run(args) -> int:
         for line in config_issues + data_issues:
             print(f"invalid: {line}", file=sys.stderr)
         return EXIT_DATA if (data_issues and not config_issues) else EXIT_CONFIG
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot write outputs to {args.out}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     record = execute_run(cfg, workers=args.workers)
     run_path, series_path = write_outputs(record, args.out)
     n_rows = sum(len(t["steps"]) for t in record["traces"]) * len(METRIC_NAMES)

@@ -3,7 +3,8 @@
 A ground-truth field is the deterministic scalar function that the sensor
 observes through noise.  Fields and regions are queried with whole arrays
 of locations: a field's ``values(points)`` gives one value and a region's
-``contains(points)`` one flag per row.  Three kinds of field are supported:
+``contains(points)`` one flag per row; :func:`field_value` is the one-point
+form.  Three kinds of field are supported:
 
 ``GridField``
     Values on a regular latitude/longitude lattice loaded from CSV, with
@@ -35,7 +36,7 @@ from .errors import (
     InvalidInputError,
     PlacementError,
 )
-from .gp import KernelSpec, MeanSpec, as_points, sample_prior_field
+from .gp import KernelSpec, MeanSpec, as_point, as_points, sample_prior_field
 
 #: Queries farther than this many cell diagonals from every non-missing
 #: cell are treated as outside the data support.
@@ -376,10 +377,6 @@ class GroundTruthField:
         any row lies outside :meth:`roi`."""
         raise NotImplementedError
 
-    def value(self, point) -> float:
-        """:meth:`values` at one point; more than one raises ValueError."""
-        return self.values(point).item()
-
     def roi(self) -> RoIMask:
         raise NotImplementedError
 
@@ -467,8 +464,9 @@ def sample_field(
 
 
 def field_value(fld: GroundTruthField, x) -> float:
-    """True field value at ``x``; raises FieldDomainError outside the RoI."""
-    return fld.value(x)
+    """:meth:`~GroundTruthField.values` at the one location ``x``; raises
+    FieldDomainError outside the RoI."""
+    return float(fld.values(as_point(x)[None])[0])
 
 
 def noisy_reading(value: float, noise_sd: float, rng: np.random.Generator) -> float:
@@ -477,13 +475,6 @@ def noisy_reading(value: float, noise_sd: float, rng: np.random.Generator) -> fl
     if noise_sd == 0:
         return value
     return value + float(rng.normal(0.0, noise_sd))
-
-
-def measure(fld: GroundTruthField, x, noise_sd: float, rng: np.random.Generator) -> float:
-    """:func:`noisy_reading` of ``field_value(fld, x)``."""
-    if not (np.isfinite(noise_sd) and noise_sd >= 0):
-        raise InvalidInputError("noise_sd must be finite and >= 0")
-    return noisy_reading(field_value(fld, x), noise_sd, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,8 @@ one log ask :func:`predictive_moments` for all of them at once.  Its query
 set is a prefix of its points, so one triangular solve serves both.
 
 Location arrays are checked once, where they enter a public entry point
-(:func:`posterior`, :func:`predictive_moments`,
-:func:`predictive_measurement`, :func:`sample_prior_field` and the
-constructors of :class:`MeasurementLog` and :class:`GaussianBelief`).
+(:func:`posterior`, :func:`predictive_moments`, :func:`sample_prior_field`
+and the constructors of :class:`MeasurementLog` and :class:`GaussianBelief`).
 Code below that point, :func:`kernel_matrix` included, takes those
 arrays as they are.
 """
@@ -317,22 +316,6 @@ def predictive_moments(mean: MeanSpec, kernel: KernelSpec, log: MeasurementLog, 
         cross -= W[:, :n_query].T @ W
     var = np.where(var < -1e-10 * kernel.signal_variance, np.nan, np.maximum(var, 0.0))
     return mu, var, cross
-
-
-def predictive_measurement(
-    mean: MeanSpec, kernel: KernelSpec, log: MeasurementLog, candidate, include_noise: bool
-) -> tuple[float, float]:
-    """Predictive mean and variance of the next reading at ``candidate``.
-
-    The variance is the posterior variance of the field value there;
-    ``include_noise=True`` adds the noise variance, the spread of the reading
-    itself.  This is the one-point case of :func:`predictive_moments`, but a
-    degenerate variance raises :class:`~senseplan.errors.NumericalDegeneracyError`.
-    """
-    mu, var, _ = predictive_moments(mean, kernel, log, as_point(candidate)[None], 0)
-    if np.isnan(var[0]):
-        raise NumericalDegeneracyError("predictive variance is negative beyond round-off")
-    return float(mu[0]), float(var[0]) + (log.noise_sd**2 if include_noise else 0.0)
 
 
 def sample_prior_field(mean: MeanSpec, kernel: KernelSpec, grid, seed: int) -> np.ndarray:

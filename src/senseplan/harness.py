@@ -36,7 +36,7 @@ from .environment import (
 )
 from .errors import ConfigError, DataError, NumericalDegeneracyError, SensorPlanError
 from .gp import KernelSpec, MeanSpec, MeasurementLog, as_points, jittered_cholesky, kernel_matrix
-from .infogain import edg_exact, edg_quadrature, edg_unnormalized_form
+from .infogain import edg_quadrature, edg_unnormalized_form
 from .metrics import METRIC_NAMES, aggregate_series
 from .planner import EpisodeTrace, ScenarioConfig, _greedy_on_log, run_episode
 from .seeding import (
@@ -387,7 +387,8 @@ def score_table(cfg: RunConfig, log: MeasurementLog) -> dict:
     """Expected-gain table over all candidates for a fixed log.
 
     Uses the trial-0 scenario placement.  Returns row dicts plus the
-    argmax row index as chosen by the greedy rule.
+    argmax row index as chosen by the greedy rule; the ``edg_exact``
+    column is the greedy rule's own gain vector, NaN where degenerate.
     """
     mask = build_mask(cfg)
     targets, candidates = trial_placement(cfg, mask, 0)
@@ -395,21 +396,21 @@ def score_table(cfg: RunConfig, log: MeasurementLog) -> dict:
         i = int(np.argmin(inside))
         raise DataError(f"measurement log row {i + 1} at {tuple(log.locations[i])} lies outside the region of interest")
     mean, kernel = _specs(cfg)
+    argmax, gains = _greedy_on_log(mean, kernel, log, candidates, targets)
+    exact = np.where(gains == -np.inf, np.nan, gains)
     columns = {
-        "edg_exact": lambda c: edg_exact(mean, kernel, log, c, targets).value,
         "edg_quadrature": lambda c: edg_quadrature(mean, kernel, log, c, targets),
         "edg_unnormalized": lambda c: edg_unnormalized_form(mean, kernel, log, c, targets).value,
     }
     rows = []
     for idx, cand in enumerate(candidates):
-        row = {"index": idx, "x": float(cand[0]), "y": float(cand[1])}
+        row = {"index": idx, "x": float(cand[0]), "y": float(cand[1]), "edg_exact": float(exact[idx])}
         for name, evaluate in columns.items():
             try:
                 row[name] = evaluate(cand)
             except NumericalDegeneracyError:
                 row[name] = float("nan")
         rows.append(row)
-    argmax, gains = _greedy_on_log(mean, kernel, log, candidates, targets)
     return {"rows": rows, "argmax": argmax, "argmax_score": float(gains[argmax])}
 
 

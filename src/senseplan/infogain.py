@@ -42,12 +42,12 @@ from .gp import (
     MeanSpec,
     MeasurementLog,
     _noisy_gram_factor,
+    _symmetrize,
     as_point,
     as_points,
     jittered_cholesky,
     kernel_matrix,
     posterior,
-    predictive_measurement,
     predictive_moments,
 )
 
@@ -160,6 +160,28 @@ def _explained_share(kernel: KernelSpec, noise_sd: float, var, cross) -> np.ndar
     return explained / v
 
 
+def _conditioned(mean: MeanSpec, kernel: KernelSpec, log: MeasurementLog, candidate, targets):
+    """What one conditioning of ``log`` over ``[targets; candidate]`` gives
+    the EDG routes: the current target belief, the predictive mean and
+    noise-free variance of the reading at ``candidate``, and its closed-form
+    :class:`EDGResult`.
+
+    Raises InvalidInputError on empty targets and NumericalDegeneracyError
+    on a degenerate candidate.
+    """
+    pts = as_points(targets)
+    if len(pts) == 0:
+        raise InvalidInputError("targets must contain at least one location")
+    n = len(pts)
+    mu, var, cross = predictive_moments(mean, kernel, log, np.vstack([pts, as_point(candidate)]), n)
+    share = float(_explained_share(kernel, log.noise_sd, var, cross)[0])
+    if math.isnan(share):
+        raise NumericalDegeneracyError("predictive variance is negative beyond round-off")
+    value = float(-0.5 * np.log1p(-share))
+    prev = GaussianBelief(pts, mu[:n], _symmetrize(cross[:, :n]))
+    return prev, float(mu[n]), float(var[n]), EDGResult(value, value - 0.5 * share, 0.5 * share)
+
+
 def edg_exact(
     mean: MeanSpec,
     kernel: KernelSpec,
@@ -173,15 +195,7 @@ def edg_exact(
     over targets and candidate.  Raises InvalidInputError on empty targets
     and NumericalDegeneracyError on a degenerate candidate.
     """
-    pts = as_points(targets)
-    if len(pts) == 0:
-        raise InvalidInputError("targets must contain at least one location")
-    _, var, cross = predictive_moments(mean, kernel, log, np.vstack([pts, as_point(candidate)]), len(pts))
-    share = float(_explained_share(kernel, log.noise_sd, var, cross)[0])
-    if math.isnan(share):
-        raise NumericalDegeneracyError("predictive variance is negative beyond round-off")
-    value = float(-0.5 * np.log1p(-share))
-    return EDGResult(value, value - 0.5 * share, 0.5 * share)
+    return _conditioned(mean, kernel, log, candidate, targets)[-1]
 
 
 def edg_quadrature(
@@ -196,18 +210,17 @@ def edg_quadrature(
 
     Integrates ``KL(post-belief(z) || pre-belief)`` against the predictive
     density of the reading using the change of variables
-    ``z = mu_z + sqrt(2 var_z) t``.  Deterministic; serves as the
-    independent oracle for :func:`edg_exact`.
+    ``z = mu_z + sqrt(2 var_z) t``.  The current belief and the reading's
+    moments come from one conditioning; each node conditions afresh.
+    Deterministic; serves as the independent oracle for :func:`edg_exact`.
     """
-    prev = posterior(mean, kernel, log, targets)
-    pts = prev.query
-    mu_z, var_z = predictive_measurement(mean, kernel, log, candidate, include_noise=True)
+    prev, mu_z, var_z, _ = _conditioned(mean, kernel, log, candidate, targets)
     t, w = quad.nodes()
-    scale = math.sqrt(2.0 * var_z)
+    scale = math.sqrt(2.0 * (var_z + log.noise_sd**2))
     total = 0.0
     for ti, wi in zip(t, w):
         z = mu_z + scale * ti
-        post = posterior(mean, kernel, log.append(candidate, z), pts)
+        post = posterior(mean, kernel, log.append(candidate, z), prev.query)
         total += wi * kl_gaussian(post, prev)
     return total / math.sqrt(math.pi)
 
@@ -233,13 +246,11 @@ def edg_unnormalized_form(
     the score command.  With an empty log the variant's matrices are empty,
     so the exact value is returned with ``fallback=True``.
     """
+    prev, mu_z, spread, exact = _conditioned(mean, kernel, log, candidate, targets)
     if len(log) == 0:
-        exact = edg_exact(mean, kernel, log, candidate, targets)
         return UnnormalizedFormResult(exact.value, None, fallback=True)
 
-    prev = posterior(mean, kernel, log, targets)
-    pts, cov_prev = prev.query, prev.cov
-    mu_z, spread = predictive_measurement(mean, kernel, log, candidate, include_noise=False)
+    pts = prev.query
     next_log = log.append(candidate, mu_z)
     weights = lambda lg: cho_solve(  # noqa: E731
         (_noisy_gram_factor(kernel, lg), True), kernel_matrix(kernel, pts, lg.locations).T
@@ -249,8 +260,7 @@ def edg_unnormalized_form(
     v1 = log.values - mean.constant
     v2 = np.append(v1, mu_z - mean.constant)
 
-    structural_sum = edg_exact(mean, kernel, log, candidate, pts).structural_term
-    Lp, _ = jittered_cholesky(cov_prev)
+    Lp, _ = jittered_cholesky(prev.cov)
 
     solve_prev = lambda b: cho_solve((Lp, True), b)  # noqa: E731
     m2t_sinv_m2 = m2.T @ solve_prev(m2)
@@ -258,7 +268,7 @@ def edg_unnormalized_form(
     quad1 = float(v1 @ (m1.T @ solve_prev(m1 @ v1 - 2.0 * (m2 @ v2))))
     quad2 = float(v2 @ (m2t_sinv_m2 @ v2))
 
-    bracket = 2.0 * structural_sum + quad1 + quad2
+    bracket = 2.0 * exact.structural_term + quad1 + quad2
     value = 0.25 * d * spread**3 * math.sqrt(math.pi) + 0.5 * spread * math.sqrt(math.pi) * bracket
     terms = UnnormalizedFormTerms(m1=m1, m2=m2, v1=v1, v2=v2, d=d)
     return UnnormalizedFormResult(value, terms, fallback=False)

@@ -165,14 +165,6 @@ def greedy_select(
     return cands[idx], float(gains[idx])
 
 
-def random_select(candidates, rng: np.random.Generator) -> np.ndarray:
-    """Uniformly drawn candidate location."""
-    cands = as_points(candidates)
-    if len(cands) == 0:
-        raise InvalidInputError("candidate set must be nonempty")
-    return cands[int(rng.integers(len(cands)))]
-
-
 def run_episode(config: ScenarioConfig, fld: GroundTruthField) -> EpisodeTrace:
     """Play one full episode of ``config.horizon`` measurements.
 

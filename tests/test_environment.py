@@ -18,7 +18,6 @@ from senseplan import (
     SampledField,
     field_value,
     load_grid_csv,
-    measure,
     place_scenario,
     sample_field,
     save_grid_csv,
@@ -52,7 +51,7 @@ class TestGridCSV:
     def test_single_cell_grid(self, tmp_path):
         grid = load_grid_csv(write(tmp_path, "one.csv", "lat,lon,value\n10.0,20.0,31.5\n"))
         assert grid.values.shape == (1, 1)
-        assert GridField(grid).value((20.0, 10.0)) == 31.5
+        assert field_value(GridField(grid), (20.0, 10.0)) == 31.5
 
     def test_absent_cells_are_missing(self, tmp_path):
         text = "lat,lon,value\n0.0,0.0,1.0\n0.0,1.0,2.0\n1.0,0.0,3.0\n1.0,2.0,4.0\n"
@@ -126,31 +125,31 @@ class TestGridLookup:
 
     def test_exact_center_hit(self):
         g = self.grid()
-        assert GridField(g).value((1.0, 1.0)) == 5.0
+        assert field_value(GridField(g), (1.0, 1.0)) == 5.0
 
     def test_nearest_skips_missing(self):
         """A query at a missing cell's center resolves to the nearest
         non-missing neighbor (here the cell one row up)."""
         g = self.grid()
-        assert GridField(g).value((2.0, 0.9)) == 6.0
+        assert field_value(GridField(g), (2.0, 0.9)) == 6.0
 
     def test_query_at_missing_center_ties_to_lower_index(self):
         """At the missing cell's center two neighbors are equidistant;
         the lower row-major index wins."""
         g = self.grid()
-        assert GridField(g).value((2.0, 0.0)) == 2.0
+        assert field_value(GridField(g), (2.0, 0.0)) == 2.0
 
     def test_tie_breaks_to_lower_row_major_index(self):
         g = self.grid()
         # (0.5, 0.5) is equidistant from four cells; row 0, col 0 wins.
-        assert GridField(g).value((0.5, 0.5)) == 1.0
+        assert field_value(GridField(g), (0.5, 0.5)) == 1.0
 
     def test_support_radius_two_diagonals(self):
         g = self.grid()
         diag = np.hypot(1.0, 1.0)
-        assert GridField(g).value((0.0, -2 * diag + 1e-9)) == 1.0
+        assert field_value(GridField(g), (0.0, -2 * diag + 1e-9)) == 1.0
         with pytest.raises(FieldDomainError):
-            GridField(g).value((0.0, -2 * diag - 1e-6))
+            field_value(GridField(g), (0.0, -2 * diag - 1e-6))
 
     def test_batch_ties_go_to_lowest_index(self):
         """Tied and untied rows in one query each get the nearest cell,
@@ -166,7 +165,7 @@ class TestGridLookup:
         for pt in [(0.0, 0.0), (2.5, 1.2), (-2.0, -2.0), (9.0, 9.0)]:
             inside = mask.contains(pt)
             try:
-                fld.value(pt)
+                field_value(fld, pt)
                 assert inside
             except FieldDomainError:
                 assert not inside
@@ -235,7 +234,7 @@ class TestAnalyticFields:
         mask = PolygonMask.rectangle(-10, -10, 10, 10)
         fld = AnalyticField("sinusoid", {"a": 2.0, "b": 1.0, "c": 1.0, "d": 7.0}, mask)
         np.testing.assert_allclose(
-            fld.value((np.pi / 2, 0.0)), 2.0 * 1.0 * 1.0 + 7.0
+            field_value(fld, (np.pi / 2, 0.0)), 2.0 * 1.0 * 1.0 + 7.0
         )
 
     def test_gauss_bumps(self):
@@ -245,16 +244,16 @@ class TestAnalyticFields:
             {"offset": 1.0, "bumps": ((3.0, 2.0, 2.0, 1.0), (-1.0, 8.0, 8.0, 2.0))},
             mask,
         )
-        np.testing.assert_allclose(fld.value((2.0, 2.0)), 1.0 + 3.0 - 1.0 * np.exp(-72 / 8))
+        np.testing.assert_allclose(field_value(fld, (2.0, 2.0)), 1.0 + 3.0 - 1.0 * np.exp(-72 / 8))
         np.testing.assert_allclose(
-            fld.value((8.0, 8.0)), 1.0 - 1.0 + 3.0 * np.exp(-72 / 2), atol=1e-15
+            field_value(fld, (8.0, 8.0)), 1.0 - 1.0 + 3.0 * np.exp(-72 / 2), atol=1e-15
         )
 
     def test_outside_mask_raises(self):
         mask = PolygonMask.rectangle(0, 0, 1, 1)
         fld = AnalyticField("linear", {"a": 1.0}, mask)
         with pytest.raises(FieldDomainError):
-            fld.value((5.0, 5.0))
+            field_value(fld, (5.0, 5.0))
 
     def test_unknown_name_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -277,15 +276,15 @@ class TestSampledField:
         fld = sample_field(MeanSpec(0.0), KernelSpec(2.0, 1.0), nodes, seed=5, region=mask)
         again = sample_field(MeanSpec(0.0), KernelSpec(2.0, 1.0), nodes, seed=5, region=mask)
         for i, node in enumerate(nodes):
-            assert fld.value(node) == fld.node_values[i]
-            assert fld.value(node) == again.value(node)
+            assert field_value(fld, node) == fld.node_values[i]
+            assert field_value(fld, node) == field_value(again, node)
 
     def test_lookup_is_nearest_node(self):
         mask = PolygonMask.rectangle(0, 0, 10, 10)
         nodes = np.array([[1.0, 1.0], [9.0, 9.0]])
         fld = SampledField(nodes, np.array([5.0, -5.0]), mask)
-        assert fld.value((2.0, 2.0)) == 5.0
-        assert fld.value((8.0, 8.0)) == -5.0
+        assert field_value(fld, (2.0, 2.0)) == 5.0
+        assert field_value(fld, (8.0, 8.0)) == -5.0
 
     def test_batch_ties_go_to_lowest_index(self):
         """Tied and untied rows in one query each get the nearest node, the
@@ -298,27 +297,24 @@ class TestSampledField:
         mask = PolygonMask.rectangle(0, 0, 10, 10)
         fld = SampledField(np.array([[1.0, 1.0]]), np.array([5.0]), mask)
         with pytest.raises(FieldDomainError):
-            fld.value((11.0, 5.0))
+            field_value(fld, (11.0, 5.0))
 
 
 class TestMeasure:
-    def field(self):
-        mask = PolygonMask.rectangle(0, 0, 10, 10)
-        return AnalyticField("linear", {"a": 1.0, "b": 1.0}, mask)
+    """A reading is the true value plus one noise draw."""
 
     def test_zero_noise_is_exact(self):
+        """Without noise the reading is the value and no draw is made."""
         rng = np.random.default_rng(0)
-        assert measure(self.field(), (2.0, 3.0), 0.0, rng) == 5.0
+        state = rng.bit_generator.state
+        assert env.noisy_reading(5.0, 0.0, rng) == 5.0
+        assert rng.bit_generator.state == state
 
     def test_noise_moments(self):
         rng = np.random.default_rng(1)
-        draws = np.array([measure(self.field(), (2.0, 3.0), 0.7, rng) for _ in range(20000)])
+        draws = np.array([env.noisy_reading(5.0, 0.7, rng) for _ in range(20000)])
         np.testing.assert_allclose(draws.mean(), 5.0, atol=0.02)
         np.testing.assert_allclose(draws.std(), 0.7, atol=0.02)
-
-    def test_negative_noise_rejected(self):
-        with pytest.raises(InvalidInputError):
-            measure(self.field(), (1.0, 1.0), -0.5, np.random.default_rng(0))
 
 
 class TestPlacement:

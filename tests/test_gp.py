@@ -12,6 +12,7 @@ import pytest
 
 import senseplan.gp as gp_mod
 from senseplan import (
+    AnalyticField,
     GaussianBelief,
     InvalidInputError,
     KernelSpec,
@@ -23,12 +24,11 @@ from senseplan import (
     edg_exact,
     edg_quadrature,
     edg_unnormalized_form,
+    field_value,
     greedy_select,
     jittered_cholesky,
     kernel_matrix,
     posterior,
-    predictive_measurement,
-    random_select,
     sample_field,
     sample_prior_field,
 )
@@ -101,12 +101,14 @@ class TestPointCoercion:
         """Each public entry point that takes locations checks them: a
         non-finite coordinate or a three-column array raises
         InvalidInputError, and the EDG routes and ``greedy_select`` reject
-        empty targets."""
+        empty targets.  ``field_value`` takes exactly one point, so it
+        also rejects none and two."""
         kernel = KernelSpec(signal_variance=2.0, lengthscale=1.0)
         mean = MeanSpec(constant=0.5)
         log = MeasurementLog([[1.0, 1.0]], [0.3], noise_sd=0.4)
         good = np.array([[0.0, 0.0], [2.0, 1.0]])
         region = PolygonMask.rectangle(-1.0, -1.0, 5.0, 5.0)
+        fld = AnalyticField("linear", {"a": 1.0}, region)
 
         def scenario(targets, candidates):
             return ScenarioConfig(targets, candidates, 0.4, 2, kernel, mean, "random", seed=1)
@@ -114,9 +116,7 @@ class TestPointCoercion:
         takes_points = {
             "posterior": lambda p: posterior(mean, kernel, log, p),
             "predictive_moments": lambda p: predictive_moments(mean, kernel, log, p, 1),
-            "predictive_measurement": lambda p: predictive_measurement(mean, kernel, log, p[-1:], False),
             "greedy_select candidates": lambda p: greedy_select(mean, kernel, log, p, good),
-            "random_select": lambda p: random_select(p, np.random.default_rng(0)),
             "ScenarioConfig targets": lambda p: scenario(p, good),
             "ScenarioConfig candidates": lambda p: scenario(good, p),
             "MeasurementLog": lambda p: MeasurementLog(p, np.zeros(len(p)), noise_sd=0.4),
@@ -130,18 +130,21 @@ class TestPointCoercion:
             "edg_quadrature": lambda p: edg_quadrature(mean, kernel, log, (1.5, 0.5), p),
             "edg_unnormalized_form": lambda p: edg_unnormalized_form(mean, kernel, log, (1.5, 0.5), p),
         }
+        takes_one_point = {"field_value": lambda p: field_value(fld, p)}
         malformed = {
             "non-finite": np.array([[0.0, 0.0], [np.nan, 1.0]]),
             "three columns": np.ones((2, 3)),
         }
-        cases = [(name, call, malformed) for name, call in takes_points.items()]
+        empty = np.empty((0, 2))
+        cases = [(name, call, good, malformed) for name, call in takes_points.items()]
+        cases += [(name, call, good, {**malformed, "empty": empty}) for name, call in takes_targets.items()]
         cases += [
-            (name, call, {**malformed, "empty": np.empty((0, 2))})
-            for name, call in takes_targets.items()
+            (name, call, good[:1], {**malformed, "empty": empty, "two rows": good})
+            for name, call in takes_one_point.items()
         ]
         accepted = []
-        for name, call, inputs in cases:
-            call(good)
+        for name, call, valid, inputs in cases:
+            call(valid)
             for kind, points in inputs.items():
                 try:
                     call(points)
@@ -349,30 +352,24 @@ class TestGaussianBelief:
 
 
 class TestPredictiveMeasurement:
+    """The next reading's prediction at one point is the one-point case of
+    ``predictive_moments``."""
+
     def test_prior_prediction(self):
         kernel = KernelSpec(signal_variance=3.0, lengthscale=1.0)
-        mu, var = predictive_measurement(
-            MeanSpec(1.5), kernel, MeasurementLog.empty(0.5), (0.0, 0.0), include_noise=True
-        )
-        assert mu == 1.5
-        np.testing.assert_allclose(var, 3.0 + 0.25)
-
-    def test_noise_flag_adds_exactly_sigma_squared(self):
-        rng = np.random.default_rng(3)
-        mean, kernel, log, _ = random_instance(rng)
-        cand = rng.uniform(0, 8, 2)
-        _, v_with = predictive_measurement(mean, kernel, log, cand, include_noise=True)
-        _, v_without = predictive_measurement(mean, kernel, log, cand, include_noise=False)
-        np.testing.assert_allclose(v_with - v_without, log.noise_sd**2, rtol=1e-12)
+        mu, var, cross = predictive_moments(MeanSpec(1.5), kernel, MeasurementLog.empty(0.5), (0.0, 0.0), 0)
+        np.testing.assert_array_equal(mu, [1.5])
+        np.testing.assert_allclose(var, [3.0])
+        assert cross.shape == (0, 1)
 
     def test_matches_posterior_marginal(self):
         rng = np.random.default_rng(11)
         mean, kernel, log, _ = random_instance(rng)
         cand = rng.uniform(0, 8, 2)
-        mu, var = predictive_measurement(mean, kernel, log, cand, include_noise=False)
+        mu, var, _ = predictive_moments(mean, kernel, log, cand, 0)
         belief = posterior(mean, kernel, log, cand[np.newaxis, :])
-        np.testing.assert_allclose(mu, belief.mean[0], rtol=1e-12)
-        np.testing.assert_allclose(var, belief.cov[0, 0], atol=1e-12)
+        np.testing.assert_allclose(mu[0], belief.mean[0], rtol=1e-12)
+        np.testing.assert_allclose(var[0], belief.cov[0, 0], atol=1e-12)
 
 
 class TestPriorSampling:

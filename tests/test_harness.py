@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 import senseplan.harness as harness_mod
+import senseplan.infogain as infogain_mod
+from senseplan import edg_exact
 from senseplan.cli import main
 from senseplan.config import parse_config_text, render_config_ini
 from senseplan.gp import MeasurementLog
@@ -269,6 +271,23 @@ class TestScore:
         best = max(table["rows"], key=lambda r: r["edg_exact"])
         assert table["argmax"] == best["index"]
 
+    def test_exact_column_is_the_planner_gain(self, monkeypatch):
+        """The ``edg_exact`` column is read from the greedy rule's gain
+        vector, with no ``edg_exact`` call, and agrees with ``edg_exact``
+        on each candidate."""
+        cfg = parse_config_text(MINI)
+        log = MeasurementLog(np.array([[2.0, 2.0], [7.0, 5.0]]), np.array([9.5, 11.0]), cfg.noise_sd)
+        targets, candidates = harness_mod.trial_placement(cfg, harness_mod.build_mask(cfg), 0)
+        mean, kernel = harness_mod._specs(cfg)
+        expected = [edg_exact(mean, kernel, log, c, targets).value for c in candidates]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("score_table called edg_exact")
+
+        monkeypatch.setattr(infogain_mod, "edg_exact", forbidden)
+        table = score_table(cfg, log)
+        np.testing.assert_allclose([row["edg_exact"] for row in table["rows"]], expected, rtol=1e-12)
+
     def test_out_of_roi_log_rejected(self):
         cfg = parse_config_text(MINI)
         log = MeasurementLog(np.array([[50.0, 50.0]]), np.array([1.0]), cfg.noise_sd)
@@ -326,6 +345,21 @@ class TestCLI:
         assert (out / "series.csv").exists()
         text = (out / "series.csv").read_text()
         assert len(text.strip().split("\n")) == 81
+
+    def test_run_out_on_a_regular_file_fails_before_the_trials(self, tmp_path, capsys, monkeypatch):
+        """An ``--out`` that cannot be a directory is a configuration error,
+        reported before any trial runs."""
+        cfg_path = write_config(tmp_path)
+        out = tmp_path / "taken"
+        out.write_text("not a directory\n")
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("trials ran before the output directory was checked")
+
+        monkeypatch.setattr("senseplan.cli.execute_run", forbidden)
+        assert main(["run", "--config", cfg_path, "--out", str(out)]) == 2
+        assert f"error: cannot write outputs to {out}: " in capsys.readouterr().err
+        assert out.read_text() == "not a directory\n"
 
     def test_run_determinism_across_workers(self, tmp_path):
         cfg_path = write_config(tmp_path)

@@ -60,6 +60,21 @@ def random_scenario(rng, n_obs=None, n_targets=None):
     return mean, kernel, log, candidate, targets
 
 
+def count_calls(monkeypatch, *names):
+    """Wrap each named function of ``senseplan.infogain`` so that its calls
+    are recorded; returns the argument tuples of each, by name."""
+    calls = {name: [] for name in names}
+    for name in names:
+        original = getattr(infogain_mod, name)
+
+        def recorded(*args, _calls=calls[name], _original=original, **kwargs):
+            _calls.append(args)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(infogain_mod, name, recorded)
+    return calls
+
+
 class TestKLGaussian:
     def test_identical_beliefs_give_zero(self):
         rng = np.random.default_rng(1)
@@ -186,24 +201,11 @@ class TestEDGExact:
 
     def test_one_conditioning_per_call(self, monkeypatch):
         """One ``edg_exact`` call conditions on the log once: one
-        ``predictive_moments`` call, and no ``posterior`` or
-        ``predictive_measurement`` call."""
-        calls = []
-        conditioning = infogain_mod.predictive_moments
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return conditioning(*args, **kwargs)
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("edg_exact conditioned on the log a second time")
-
-        monkeypatch.setattr(infogain_mod, "predictive_moments", counted)
-        monkeypatch.setattr(infogain_mod, "posterior", forbidden)
-        monkeypatch.setattr(infogain_mod, "predictive_measurement", forbidden)
+        ``predictive_moments`` call, and no ``posterior`` call."""
+        calls = count_calls(monkeypatch, "predictive_moments", "posterior")
         mean, kernel, log, cand, targets = random_scenario(np.random.default_rng(17), n_obs=3)
         edg_exact(mean, kernel, log, cand, targets)
-        assert len(calls) == 1
+        assert {name: len(c) for name, c in calls.items()} == {"predictive_moments": 1, "posterior": 0}
 
     def test_diminishing_returns_on_repeat(self):
         """Measuring the same spot again is worth strictly less, sigma > 0."""
@@ -231,12 +233,35 @@ class TestEDGQuadrature:
         large = edg_quadrature(mean, kernel, log, cand, targets, QuadratureSpec(64))
         np.testing.assert_allclose(small, large, rtol=1e-10)
 
+    def test_one_conditioning_then_one_per_node(self, monkeypatch):
+        """The current belief and the reading's moments come from one
+        ``predictive_moments`` call on the log; each node then conditions
+        the log extended by its reading once."""
+        calls = count_calls(monkeypatch, "predictive_moments", "posterior")
+        mean, kernel, log, cand, targets = random_scenario(np.random.default_rng(17), n_obs=3)
+        edg_quadrature(mean, kernel, log, cand, targets, QuadratureSpec(node_count=9))
+        assert [args[2] for args in calls["predictive_moments"]] == [log]
+        assert [len(args[2]) for args in calls["posterior"]] == [len(log) + 1] * 9
+
     def test_node_count_validated(self):
         with pytest.raises(InvalidInputError):
             QuadratureSpec(0)
 
 
 class TestUnnormalizedForm:
+    @pytest.mark.parametrize("n_obs", [0, 3])
+    def test_one_conditioning_per_call(self, monkeypatch, n_obs):
+        """The variant, its empty-log fallback included, conditions on the
+        log once and takes its structural term from that conditioning."""
+        calls = count_calls(monkeypatch, "predictive_moments", "posterior", "edg_exact")
+        mean, kernel, log, cand, targets = random_scenario(np.random.default_rng(17), n_obs=n_obs)
+        edg_unnormalized_form(mean, kernel, log, cand, targets)
+        assert {name: len(c) for name, c in calls.items()} == {
+            "predictive_moments": 1,
+            "posterior": 0,
+            "edg_exact": 0,
+        }
+
     def test_empty_log_falls_back_to_exact(self):
         rng = np.random.default_rng(14)
         mean, kernel, log, cand, targets = random_scenario(rng, n_obs=0)

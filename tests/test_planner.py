@@ -8,6 +8,7 @@ import pytest
 import senseplan.infogain as infogain_mod
 import senseplan.planner as planner_mod
 from senseplan import (
+    PLANNER_KINDS,
     AnalyticField,
     FieldDomainError,
     InvalidInputError,
@@ -22,16 +23,17 @@ from senseplan import (
     edg_quadrature,
     estimating_error,
     estimating_variance,
+    field_value,
     greedy_select,
     intersection_indices,
     kernel_matrix,
     place_scenario,
     posterior,
-    random_select,
     rmse,
     run_episode,
     sample_field,
 )
+from senseplan.seeding import STREAM_PLANNER, substream
 
 MASK = PolygonMask.rectangle(0.0, 0.0, 10.0, 10.0)
 KERNEL = KernelSpec(signal_variance=4.0, lengthscale=2.0)
@@ -230,27 +232,22 @@ class TestZeroNoiseScores:
 
 
 class TestRandomSelect:
-    def test_singleton(self):
-        loc = random_select(np.array([[2.0, 3.0]]), np.random.default_rng(0))
-        np.testing.assert_array_equal(loc, [2.0, 3.0])
+    """The random planner draws each step's candidate from its own substream."""
 
-    def test_uniform_frequencies(self):
-        """10^5 draws over 4 candidates: each frequency within 1% of 1/4."""
-        cands = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        rng = np.random.default_rng(123)
-        counts = np.zeros(4)
-        for _ in range(100_000):
-            loc = random_select(cands, rng)
-            counts[int(loc[0]) + 2 * int(loc[1])] += 1
-        np.testing.assert_allclose(counts / 100_000, 0.25, atol=0.01)
+    def test_singleton(self):
+        """With one candidate, every step measures it."""
+        cfg = make_config(planner_kind="random", n_candidates=1, n_shared=0, horizon=3)
+        assert [s.chosen_index for s in run_episode(cfg, linear_field()).steps] == [0, 0, 0]
 
     def test_reproducible_sequence(self):
-        cands = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        rng1 = np.random.default_rng(5)
-        rng2 = np.random.default_rng(5)
-        s1 = [tuple(random_select(cands, rng1)) for _ in range(20)]
-        s2 = [tuple(random_select(cands, rng2)) for _ in range(20)]
-        assert s1 == s2
+        """The chosen indices are the planner substream's uniform draws over
+        the candidate count, one per step."""
+        cfg = make_config(planner_kind="random", n_candidates=7, horizon=12, trial_index=3)
+        trace = run_episode(cfg, linear_field())
+        rng = substream(cfg.seed, STREAM_PLANNER, cfg.trial_index, PLANNER_KINDS.index("random"))
+        expected = [int(rng.integers(len(cfg.candidates))) for _ in range(cfg.horizon)]
+        assert [s.chosen_index for s in trace.steps] == expected
+        assert [s.chosen for s in trace.steps] == [tuple(cfg.candidates[i]) for i in expected]
 
 
 class TestRunEpisode:
@@ -333,7 +330,7 @@ class TestRunEpisode:
             cfg = make_config(planner_kind=kind, horizon=6)
             fld = linear_field()
             trace = run_episode(cfg, fld)
-            truth = np.array([fld.value(pt) for pt in cfg.targets])
+            truth = np.array([field_value(fld, pt) for pt in cfg.targets])
             shared, _ = intersection_indices(cfg.targets, cfg.candidates)
             log = MeasurementLog.empty(cfg.noise_sd)
             for step in trace.steps:

@@ -106,7 +106,8 @@ def test_private_helpers_are_used():
 
 #: The functions that coerce locations with ``as_points`` or ``as_point``:
 #: the public entry points, the batch mask queries, the one check every
-#: field query starts with, and the placement that builds the point sets.
+#: field query starts with, the one conditioning the EDG routes share, and
+#: the placement that builds the point sets.
 #: Code below them takes the checked arrays as they are.
 COERCING_FUNCTIONS = {
     "environment.GridData.contains",
@@ -114,21 +115,20 @@ COERCING_FUNCTIONS = {
     "environment.PolygonMask.contains",
     "environment.SampledField.__post_init__",
     "environment._points_inside",
+    "environment.field_value",
     "environment.place_scenario",
     "gp.GaussianBelief.__post_init__",
     "gp.MeanSpec.at",
     "gp.MeasurementLog.__post_init__",
     "gp.MeasurementLog.append",
     "gp.posterior",
-    "gp.predictive_measurement",
     "gp.predictive_moments",
     "gp.sample_prior_field",
     "harness.trial_placement",
-    "infogain.edg_exact",
+    "infogain._conditioned",
     "metrics.intersection_indices",
     "planner.ScenarioConfig.__post_init__",
     "planner.greedy_select",
-    "planner.random_select",
 }
 
 
@@ -156,9 +156,17 @@ def coercing_functions(tree: ast.Module, module: str) -> set:
 
 def test_points_are_coerced_only_at_the_boundary():
     """Location arrays are checked where they enter the package, so no
-    inner routine (``kernel_matrix``, the EDG routes below their first
-    ``posterior``) coerces them again."""
+    inner routine (``kernel_matrix``, the EDG routes below their one
+    conditioning) coerces them again."""
     found = set()
     for path in sorted(PACKAGE_DIR.glob("*.py")):
         found |= coercing_functions(ast.parse(path.read_text()), path.stem)
     assert found == COERCING_FUNCTIONS
+
+
+def test_all_names_every_reexport():
+    """``senseplan.__all__`` lists exactly the names ``__init__`` imports,
+    plus ``__version__``."""
+    tree = ast.parse((PACKAGE_DIR / "__init__.py").read_text())
+    imported = [alias.name for node in tree.body if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert sorted(senseplan.__all__) == sorted([*imported, "__version__"])
