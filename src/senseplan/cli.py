@@ -44,6 +44,13 @@ def _exit_code_for(exc: SensorPlanError) -> int:
     return EXIT_CONFIG
 
 
+def positive_int(text: str) -> int:
+    count = int(text)
+    if count < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {count}")
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="senseplan",
@@ -65,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", default="senseplan-run", metavar="DIR", help="output directory"
     )
     p_run.add_argument(
-        "--workers", type=int, default=1, metavar="N", help="parallel trial workers"
+        "--workers", type=positive_int, default=1, metavar="N", help="parallel trial workers"
     )
 
     p_score = sub.add_parser("score", help="tabulate candidate gains for a fixed log")

@@ -264,13 +264,6 @@ def kernel_matrix(spec: KernelSpec, X, Y) -> np.ndarray:
     return spec.signal_variance * np.exp(-d2 / (2.0 * spec.lengthscale**2))
 
 
-def _noisy_gram_factor(kernel: KernelSpec, log: MeasurementLog) -> np.ndarray:
-    """Cholesky factor of ``K(Y, Y) + noise_sd^2 I`` under the jitter policy."""
-    G = kernel_matrix(kernel, log.locations, log.locations) + log.noise_sd**2 * np.eye(len(log))
-    L, _ = jittered_cholesky(G, base_jitter=kernel.jitter)
-    return L
-
-
 def posterior(mean: MeanSpec, kernel: KernelSpec, log: MeasurementLog, query) -> GaussianBelief:
     """Gaussian belief over ``query`` after conditioning on the log.
 
@@ -309,7 +302,8 @@ def predictive_moments(mean: MeanSpec, kernel: KernelSpec, log: MeasurementLog, 
     var = np.full(len(P), kernel.signal_variance)
     cross = kernel_matrix(kernel, P[:n_query], P)
     if len(log):
-        L = _noisy_gram_factor(kernel, log)
+        G = kernel_matrix(kernel, log.locations, log.locations) + log.noise_sd**2 * np.eye(len(log))
+        L, _ = jittered_cholesky(G, base_jitter=kernel.jitter)
         W = solve_triangular(L, kernel_matrix(kernel, log.locations, P), lower=True)
         mu += solve_triangular(L, log.values - mean.constant, lower=True) @ W
         var -= np.einsum("ij,ij->j", W, W)

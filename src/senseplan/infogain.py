@@ -20,19 +20,19 @@ both evaluate it.  The routes, cross-checked in the tests:
 ``edg_unnormalized_form``
     A closed-form variant that weights the integrand by an unnormalized
     Gaussian (extra sqrt(pi) and spread-cubed factors) and omits the
-    measurement-noise term from the predictive spread.  It does not agree
-    with the exact expectation; it is retained so score tables can report
-    the discrepancy and rank disagreements explicitly.
+    measurement-noise term from the predictive spread.  Its quadratic terms
+    cancel and its gain term is ``rho / (s + noise_sd^2)``, so it is
+    ``sqrt(pi) * s * (structural + 0.25 * s^2 * rho / (s + noise_sd^2))``,
+    ``s`` the noise-free variance at the candidate; not the exact expectation.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import solve_triangular
 
 from .errors import InvalidInputError, NumericalDegeneracyError
 from .gp import (
@@ -41,12 +41,10 @@ from .gp import (
     KernelSpec,
     MeanSpec,
     MeasurementLog,
-    _noisy_gram_factor,
     _symmetrize,
     as_point,
     as_points,
     jittered_cholesky,
-    kernel_matrix,
     posterior,
     predictive_moments,
 )
@@ -83,34 +81,17 @@ class QuadratureSpec:
         return np.polynomial.hermite.hermgauss(self.node_count)
 
 
-@dataclass(frozen=True, eq=False)
-class UnnormalizedFormTerms:
-    """Intermediate matrices of the unnormalized closed-form variant.
-
-    ``m1``/``m2`` are the target-to-log gain matrices built from the first
-    k-1 and all k sensing locations, ``v1``/``v2`` the corresponding
-    centered reading vectors (the unseen reading enters through its
-    predictive mean), and ``d`` is the last diagonal component of
-    ``m2.T @ inv(cov_prev) @ m2``.
-    """
-
-    m1: np.ndarray
-    m2: np.ndarray
-    v1: np.ndarray
-    v2: np.ndarray
-    d: float
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class UnnormalizedFormResult:
-    """Value of the unnormalized closed-form variant, with its terms.
+    """Value of the unnormalized closed-form variant,
+    ``sqrt(pi) * s * (structural_term + 0.25 * s^2 * rho / (s + noise_sd^2))``
+    in :func:`edg_exact`'s terms (see :func:`edg_unnormalized_form`).
 
     ``fallback`` is set when the log was empty, in which case the variant
-    is undefined and the exact value is returned instead (terms = None).
+    is undefined and the exact value is returned instead.
     """
 
     value: float
-    terms: Optional[UnnormalizedFormTerms]
     fallback: bool
 
 
@@ -234,41 +215,24 @@ def edg_unnormalized_form(
 ) -> UnnormalizedFormResult:
     """Closed-form EDG variant with an unnormalized Gaussian reading weight.
 
-    Evaluates, literally,
-
-        0.25 * d * s^3 * sqrt(pi)
-        + 0.5 * s * sqrt(pi) * (trace and log-det terms + quadratic terms)
-
-    where ``s`` is the noise-free predictive variance of the field value at
-    the candidate.  The sqrt(pi) and cubed-spread prefactors mean this is
-    *not* an expectation under the normalized predictive density, and its
-    value differs from :func:`edg_exact`; both are reported side by side by
-    the score command.  With an empty log the variant's matrices are empty,
-    so the exact value is returned with ``fallback=True``.
+    Literally ``sqrt(pi) * (0.25 * d * s^3 + 0.5 * s * (2 * structural +
+    quad1 + quad2))``, ``s`` the noise-free predictive variance at the
+    candidate.  The unseen reading enters at its predictive mean, which
+    leaves the target mean shift ``dm`` in place, so ``quad1 = -dm' P^-1 dm``
+    and ``quad2 = +dm' P^-1 dm`` cancel (``P`` the target covariance); and
+    ``d = g' P^-1 g / (s + noise_sd^2)^2 = rho / (s + noise_sd^2)``, ``g``
+    the reading's covariance with the targets and ``rho`` the explained
+    share.  So the value is ``sqrt(pi) * s * (structural_term + 0.25 * s^2
+    * rho / (s + noise_sd^2))`` from :func:`edg_exact`'s one conditioning,
+    the reading variance floored as in the share.  It is *not* an
+    expectation under the normalized predictive density; the score command
+    reports it beside :func:`edg_exact`.  With an empty log the variant is
+    undefined, and the exact value is returned with ``fallback=True``.
     """
-    prev, mu_z, spread, exact = _conditioned(mean, kernel, log, candidate, targets)
+    _, _, s, exact = _conditioned(mean, kernel, log, candidate, targets)
     if len(log) == 0:
-        return UnnormalizedFormResult(exact.value, None, fallback=True)
-
-    pts = prev.query
-    next_log = log.append(candidate, mu_z)
-    weights = lambda lg: cho_solve(  # noqa: E731
-        (_noisy_gram_factor(kernel, lg), True), kernel_matrix(kernel, pts, lg.locations).T
-    ).T
-    m1, m2 = weights(log), weights(next_log)
-
-    v1 = log.values - mean.constant
-    v2 = np.append(v1, mu_z - mean.constant)
-
-    Lp, _ = jittered_cholesky(prev.cov)
-
-    solve_prev = lambda b: cho_solve((Lp, True), b)  # noqa: E731
-    m2t_sinv_m2 = m2.T @ solve_prev(m2)
-    d = float(m2t_sinv_m2[-1, -1])
-    quad1 = float(v1 @ (m1.T @ solve_prev(m1 @ v1 - 2.0 * (m2 @ v2))))
-    quad2 = float(v2 @ (m2t_sinv_m2 @ v2))
-
-    bracket = 2.0 * exact.structural_term + quad1 + quad2
-    value = 0.25 * d * spread**3 * math.sqrt(math.pi) + 0.5 * spread * math.sqrt(math.pi) * bracket
-    terms = UnnormalizedFormTerms(m1=m1, m2=m2, v1=v1, v2=v2, d=d)
-    return UnnormalizedFormResult(value, terms, fallback=False)
+        return UnnormalizedFormResult(exact.value, fallback=True)
+    rho = 2.0 * exact.mean_shift_term
+    v = max(s + log.noise_sd**2, JITTER_LADDER[0] * kernel.signal_variance)
+    value = math.sqrt(math.pi) * s * (exact.structural_term + 0.25 * s**2 * rho / v)
+    return UnnormalizedFormResult(value, fallback=False)

@@ -42,7 +42,7 @@ from senseplan.cli import main
 from senseplan.config import parse_config_text
 from senseplan.harness import execute_run
 
-from reference import edg_reference
+from reference import edg_reference, unnormalized_reference
 
 
 def report(tag: str, ok: bool, detail: str) -> None:
@@ -419,3 +419,15 @@ def test_a7_unnormalized_form_characterization():
         f"well-formed on {n_instances}/100 instances with k>=2; "
         f"argmax agreement fraction {fraction:.2f}",
     )
+
+
+def test_a7_instances_match_the_literal_variant():
+    """On A7's instances the short form of the variant equals its literal,
+    term-by-term evaluation."""
+    rng = np.random.default_rng(202607)
+    for _ in range(100):
+        mean, kernel, log, _, targets = random_edg_instance(rng, k_min=2, k_max=8)
+        for cand in rng.uniform(0, 7, (6, 2)):
+            value = edg_unnormalized_form(mean, kernel, log, cand, targets).value
+            expected = unnormalized_reference(mean, kernel, log, cand, targets)
+            np.testing.assert_allclose(value, expected, rtol=1e-9, atol=1e-11)

@@ -361,6 +361,23 @@ class TestCLI:
         assert f"error: cannot write outputs to {out}: " in capsys.readouterr().err
         assert out.read_text() == "not a directory\n"
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_run_rejects_worker_count_before_creating_out(self, tmp_path, capsys, monkeypatch, workers):
+        """A worker count below 1 is an argument error: nothing runs and
+        ``--out`` is not created."""
+        cfg_path = write_config(tmp_path)
+        out = tmp_path / "never"
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("trials ran with an invalid worker count")
+
+        monkeypatch.setattr("senseplan.cli.execute_run", forbidden)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--config", cfg_path, "--out", str(out), "--workers", workers])
+        assert exit_info.value.code == 2
+        assert f"argument --workers: must be >= 1, got {workers}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_run_determinism_across_workers(self, tmp_path):
         cfg_path = write_config(tmp_path)
         main(["run", "--config", cfg_path, "--out", str(tmp_path / "a")])

@@ -252,14 +252,16 @@ class TestUnnormalizedForm:
     @pytest.mark.parametrize("n_obs", [0, 3])
     def test_one_conditioning_per_call(self, monkeypatch, n_obs):
         """The variant, its empty-log fallback included, conditions on the
-        log once and takes its structural term from that conditioning."""
-        calls = count_calls(monkeypatch, "predictive_moments", "posterior", "edg_exact")
+        log once, takes its structural term from that conditioning and makes
+        one factorization, the explained share's."""
+        calls = count_calls(monkeypatch, "predictive_moments", "posterior", "edg_exact", "jittered_cholesky")
         mean, kernel, log, cand, targets = random_scenario(np.random.default_rng(17), n_obs=n_obs)
         edg_unnormalized_form(mean, kernel, log, cand, targets)
         assert {name: len(c) for name, c in calls.items()} == {
             "predictive_moments": 1,
             "posterior": 0,
             "edg_exact": 0,
+            "jittered_cholesky": 1,
         }
 
     def test_empty_log_falls_back_to_exact(self):
@@ -280,11 +282,12 @@ class TestUnnormalizedForm:
             assert np.isfinite(a.value)
             assert a.value == b.value
 
-    def test_terms_exposed_for_inspection(self):
-        rng = np.random.default_rng(16)
-        mean, kernel, log, cand, targets = random_scenario(rng, n_obs=4, n_targets=3)
-        u = edg_unnormalized_form(mean, kernel, log, cand, targets)
-        assert u.terms is not None
-        assert u.terms.m1.shape == (3, 4)
-        assert u.terms.m2.shape == (3, 5)
-        assert u.terms.v2.shape == (5,)
+    @pytest.mark.parametrize("values", [(1.0, -0.5, 2.0), (0.3, -1.2, 0.8)])
+    def test_zero_noise_known_targets_read_zero(self, values):
+        """Noise-free readings at both targets leave nothing to learn, so
+        the variant reads 0, whatever the readings were."""
+        kernel = KernelSpec(signal_variance=2.9314442739284154, lengthscale=2.576874920536818)
+        log = MeasurementLog([(3.0, 0.0), (0.0, 4.0), (1.0, 0.0)], values, 0.0)
+        u = edg_unnormalized_form(MeanSpec(), kernel, log, (3.0, 2.0), [(1.0, 0.0), (3.0, 0.0)])
+        assert not u.fallback
+        assert abs(u.value) <= 1e-12
