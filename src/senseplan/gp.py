@@ -7,12 +7,17 @@ factorizations with an escalating relative diagonal jitter, never through
 explicit inverses; a factorization that fails at the top of the jitter
 ladder raises :class:`~senseplan.errors.NumericalDegeneracyError`.
 
-Everything here is a pure function of its inputs and every container is
-immutable after construction, so values can be shared freely across
-threads.  Nothing is cached between calls: each conditioning builds and
-factors its own Gram matrix, so callers that need several quantities from
-one log ask :func:`predictive_moments` for all of them at once.  Its query
-set is a prefix of its points, so one triangular solve serves both.
+The public functions are pure functions of their inputs and every
+public container is immutable after construction, so values can be
+shared freely across threads.  Nothing is cached between their calls:
+each conditioning builds and factors its own Gram matrix, so callers that
+need several quantities from one log ask :func:`predictive_moments` for
+all of them at once.  Its query set is a prefix of its points, so one
+triangular solve serves both.  A log that grows one reading at a time,
+as in a planning episode, is instead carried by the private
+``_CarriedConditioning``, which appends one row to the Gram factor per
+reading and falls back on the same from-scratch conditioning,
+``_condition``, that :func:`predictive_moments` runs.
 
 Location arrays are checked once, where they enter a public entry point
 (:func:`posterior`, :func:`predictive_moments`, :func:`sample_prior_field`
@@ -23,6 +28,7 @@ arrays as they are.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -298,18 +304,99 @@ def predictive_moments(mean: MeanSpec, kernel: KernelSpec, log: MeasurementLog, 
     P = as_points(points)
     if not 0 <= n_query <= len(P):
         raise InvalidInputError(f"n_query must be in [0, {len(P)}], got {n_query}")
+    _, _, mu, var, cross, _ = _condition(mean, kernel, log.locations, log.values, log.noise_sd, P, n_query)
+    return mu, _clamped(kernel, var), cross
+
+
+def _clamped(kernel: KernelSpec, var: np.ndarray) -> np.ndarray:
+    """``var`` with round-off negatives set to 0 and larger ones to NaN."""
+    return np.where(var < -1e-10 * kernel.signal_variance, np.nan, np.maximum(var, 0.0))
+
+
+def _condition(mean: MeanSpec, kernel: KernelSpec, Y, y, noise_sd: float, P, n_query: int):
+    """Condition the field at ``P`` on readings ``y`` at ``Y``, from scratch.
+
+    Returns ``(W, alpha, mu, var, cross, rung)``: the rows ``W = L^-1 K(Y, P)``
+    and ``alpha = L^-1 (y - m)`` of the Gram factor ``L``, the raw (unclamped)
+    means and variances at ``P``, the cross-covariance of its first
+    ``n_query`` rows with all of it, and the relative jitter ``L`` was
+    factored with.
+    """
     mu = np.full(len(P), float(mean.constant))
     var = np.full(len(P), kernel.signal_variance)
     cross = kernel_matrix(kernel, P[:n_query], P)
-    if len(log):
-        G = kernel_matrix(kernel, log.locations, log.locations) + log.noise_sd**2 * np.eye(len(log))
-        L, _ = jittered_cholesky(G, base_jitter=kernel.jitter)
-        W = solve_triangular(L, kernel_matrix(kernel, log.locations, P), lower=True)
-        mu += solve_triangular(L, log.values - mean.constant, lower=True) @ W
-        var -= np.einsum("ij,ij->j", W, W)
-        cross -= W[:, :n_query].T @ W
-    var = np.where(var < -1e-10 * kernel.signal_variance, np.nan, np.maximum(var, 0.0))
-    return mu, var, cross
+    if not len(y):
+        return np.zeros((0, len(P))), np.zeros(0), mu, var, cross, float(kernel.jitter)
+    G = kernel_matrix(kernel, Y, Y) + noise_sd**2 * np.eye(len(y))
+    L, rung = jittered_cholesky(G, base_jitter=kernel.jitter)
+    W = solve_triangular(L, kernel_matrix(kernel, Y, P), lower=True)
+    alpha = solve_triangular(L, y - mean.constant, lower=True)
+    mu += alpha @ W
+    var -= np.einsum("ij,ij->j", W, W)
+    cross -= W[:, :n_query].T @ W
+    return W, alpha, mu, var, cross, rung
+
+
+class _CarriedConditioning:
+    """The conditioning of the field at ``P`` on a growing log of readings
+    taken at points of ``P``, updated one reading at a time.
+
+    It holds the rows of ``W = L^-1 K(Y, P)`` and ``alpha = L^-1 (y - m)``
+    for the log's Gram factor ``L``, the raw means ``mu`` and variances
+    ``var`` at ``P``, and ``cross``, the covariance of ``P``'s first
+    ``n_query`` rows with all of it.  A reading appends one row to ``L``
+    (GPML Alg. 2.1 done a row at a time): ``O(k |P|)`` for the ``k``-th
+    reading instead of a fresh ``O(k^3 + k^2 |P|)`` conditioning.  Where the
+    new pivot falls to ``JITTER_LADDER[0]`` of the prior variance or below
+    (a noise-free repeat, a near-duplicate), the state is rebuilt from
+    scratch by :func:`_condition` under the jitter ladder.
+
+    ``P`` and ``n_query`` are taken as checked; ``capacity`` bounds the
+    number of readings.
+    """
+
+    def __init__(self, mean: MeanSpec, kernel: KernelSpec, noise_sd: float, P, n_query: int, capacity: int):
+        self.mean, self.kernel, self.noise_sd = mean, kernel, noise_sd
+        self.P, self.n_query = P, n_query
+        self.locations = np.empty((capacity, 2))
+        self.values = np.empty(capacity)
+        self.W = np.empty((capacity, len(P)))
+        self.alpha = np.empty(capacity)
+        self.k = 0
+        _, _, self.mu, self.var, self.cross, self.rung = _condition(
+            mean, kernel, self.locations[:0], self.values[:0], noise_sd, P, n_query
+        )
+
+    def add(self, i: int, z: float) -> None:
+        """Fold in reading ``z`` taken at ``P[i]``.
+
+        A failed rebuild raises NumericalDegeneracyError and leaves the
+        state at the log before this reading.
+        """
+        k, kernel = self.k, self.kernel
+        self.locations[k] = self.P[i]
+        self.values[k] = z
+        gram = kernel.signal_variance + self.noise_sd**2
+        l = self.W[:k, i]
+        d2 = gram + self.rung * gram - l @ l
+        if d2 <= JITTER_LADDER[0] * kernel.signal_variance:
+            W, alpha, self.mu, self.var, self.cross, self.rung = _condition(
+                self.mean, kernel, self.locations[: k + 1], self.values[: k + 1],
+                self.noise_sd, self.P, self.n_query,
+            )
+            self.W[: k + 1], self.alpha[: k + 1] = W, alpha
+        else:
+            d = math.sqrt(d2)
+            # Scale w by 1/d but divide alpha by d, as _condition's matrix and
+            # vector triangular solves do, so that the first reading gives
+            # the bits of a fresh conditioning.
+            w = (kernel_matrix(kernel, self.P[i : i + 1], self.P)[0] - l @ self.W[:k]) * (1.0 / d)
+            a = (z - self.mean.constant - l @ self.alpha[:k]) / d
+            self.W[k], self.alpha[k] = w, a
+            self.mu += a * w
+            self.var -= w * w
+            self.cross -= np.outer(w[: self.n_query], w)
+        self.k = k + 1
 
 
 def sample_prior_field(mean: MeanSpec, kernel: KernelSpec, grid, seed: int) -> np.ndarray:

@@ -3,10 +3,12 @@
 Each episode starts from the prior, then repeats for a fixed horizon:
 pick a candidate location (greedily by expected information gain, or
 uniformly at random), take one noisy reading there, fold it into the
-measurement log, and score the posterior over the target set, whose one
-conditioning per step also scores the next greedy decision.  Episodes are
-deterministic given the scenario seed; noise and planner randomness come
-from separate substreams so paired comparisons stay paired.
+conditioning the episode carries over targets and candidates, and score
+the posterior over the target set.  The same carried state scores the
+next greedy decision; no step conditions on the whole log afresh.
+Episodes are deterministic given the scenario seed; noise and planner
+randomness come from separate substreams so paired comparisons stay
+paired.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ from .gp import (
     MeanSpec,
     MeasurementLog,
     as_points,
+    _CarriedConditioning,
+    _clamped,
     _symmetrize,
     predictive_moments,
 )
@@ -180,31 +184,30 @@ def run_episode(config: ScenarioConfig, fld: GroundTruthField) -> EpisodeTrace:
     greedy = config.planner_kind == "greedy-edg"
     targets = config.targets
     n = len(targets)
-    both = np.vstack([targets, config.candidates])
-    points = both if greedy else targets
-    truth_t, truth_c = np.split(fld.values(both), [n])
+    points = np.vstack([targets, config.candidates])
+    truth_t, truth_c = np.split(fld.values(points), [n])
     try:
         shared_t, _ = intersection_indices(targets, config.candidates)
     except InvalidInputError:
         shared_t = None
 
-    log = MeasurementLog.empty(config.noise_sd)
+    state = _CarriedConditioning(config.mean, config.kernel, config.noise_sd, points, n, config.horizon)
     steps: list[EpisodeStep] = []
-    mu, var, cross = predictive_moments(config.mean, config.kernel, log, points, n)
     try:
         for k in range(1, config.horizon + 1):
             if greedy:
-                idx, gains = _greedy_choice(config.kernel, config.noise_sd, var, cross)
+                idx, gains = _greedy_choice(
+                    config.kernel, config.noise_sd, _clamped(config.kernel, state.var), state.cross
+                )
                 score = gains[idx]
             else:
                 idx = int(planner_rng.integers(len(config.candidates)))
                 score = math.nan
             location = config.candidates[idx]
             reading = noisy_reading(truth_c[idx], config.noise_sd, noise_rng)
-            log = log.append(location, reading)
-            mu, var, cross = predictive_moments(config.mean, config.kernel, log, points, n)
+            state.add(n + idx, reading)
 
-            mu_t, var_t = mu[:n], cross[:, :n].diagonal()
+            mu_t, var_t = state.mu[:n], state.cross[:, :n].diagonal()
             if shared_t is not None:
                 err_i = estimating_error(mu_t[shared_t], truth_t[shared_t])
                 var_i = estimating_variance(var_t[shared_t])
@@ -226,9 +229,9 @@ def run_episode(config: ScenarioConfig, fld: GroundTruthField) -> EpisodeTrace:
                 )
             )
     except SensorPlanError as exc:
-        exc.partial_trace = _trace(config, steps, mu, cross)
+        exc.partial_trace = _trace(config, steps, state.mu, state.cross)
         raise
-    return _trace(config, steps, mu, cross)
+    return _trace(config, steps, state.mu, state.cross)
 
 
 def _trace(config: ScenarioConfig, steps: list, mu: np.ndarray, cross: np.ndarray) -> EpisodeTrace:

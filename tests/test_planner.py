@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import senseplan.gp as gp_mod
 import senseplan.infogain as infogain_mod
 import senseplan.planner as planner_mod
 from senseplan import (
@@ -62,6 +63,26 @@ def make_config(**kw):
     )
     defaults.update(kw)
     return ScenarioConfig(**defaults)
+
+
+def step_metrics(step):
+    return (step.error, step.variance, step.error_shared, step.variance_shared, step.rmse)
+
+
+def fresh_metrics(cfg, fld, steps):
+    """A step's five metrics from a fresh posterior on the readings of
+    ``steps``."""
+    truth = fld.values(cfg.targets)
+    shared, _ = intersection_indices(cfg.targets, cfg.candidates)
+    log = MeasurementLog([s.chosen for s in steps], [s.measurement for s in steps], cfg.noise_sd)
+    belief = posterior(cfg.mean, cfg.kernel, log, cfg.targets)
+    return (
+        estimating_error(belief.mean, truth),
+        estimating_variance(belief.cov),
+        estimating_error(belief.mean[shared], truth[shared]),
+        estimating_variance(belief.cov[np.ix_(shared, shared)]),
+        rmse(belief.mean, truth),
+    )
 
 
 class TestGreedySelect:
@@ -268,27 +289,34 @@ class TestRunEpisode:
         np.testing.assert_array_equal(trace.final_belief.mean, belief.mean)
         np.testing.assert_array_equal(trace.final_belief.cov, belief.cov)
 
-    def test_one_conditioning_per_step(self, monkeypatch):
-        """An episode conditions once before the first step and once after
-        each reading, whichever planner runs it, and never calls
-        ``posterior``."""
-        calls = []
-        conditioning = planner_mod.predictive_moments
+    def test_no_fresh_conditioning_per_step(self, monkeypatch):
+        """With noise, an episode carries one conditioning across its steps,
+        whichever planner runs it and however long it is: it makes no
+        ``predictive_moments`` or ``posterior`` call, and conditions from
+        scratch only once, on the empty log.  A noise-free repeat reading
+        rebuilds the conditioning from scratch."""
+        rebuilt = []
+        condition = gp_mod._condition
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return conditioning(*args, **kwargs)
+        def counted(mean, kernel, Y, y, *args):
+            rebuilt.append(len(y))
+            return condition(mean, kernel, Y, y, *args)
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("run_episode called posterior")
+            raise AssertionError("run_episode conditioned on the whole log")
 
-        monkeypatch.setattr(planner_mod, "predictive_moments", counted)
+        monkeypatch.setattr(gp_mod, "_condition", counted)
+        monkeypatch.setattr(planner_mod, "predictive_moments", forbidden)
         monkeypatch.setattr(planner_mod, "posterior", forbidden, raising=False)
-        for kind in ("greedy-edg", "random"):
-            calls.clear()
-            cfg = make_config(planner_kind=kind, horizon=5)
-            run_episode(cfg, linear_field())
-            assert len(calls) == cfg.horizon + 1
+        for kind in PLANNER_KINDS:
+            for horizon in (5, 50):
+                rebuilt.clear()
+                run_episode(make_config(planner_kind=kind, horizon=horizon), linear_field())
+                assert rebuilt == [0]
+        rebuilt.clear()
+        cfg = make_config(planner_kind="random", n_candidates=1, n_shared=0, horizon=3, noise_sd=0.0)
+        run_episode(cfg, linear_field())
+        assert rebuilt[:2] == [0, 2]
 
     def test_one_truth_query_per_episode(self):
         """An episode reads the field once, at the targets and candidates
@@ -346,6 +374,30 @@ class TestRunEpisode:
                 got = (step.error, step.variance, step.error_shared, step.variance_shared, step.rmse)
                 np.testing.assert_allclose(got, expected, rtol=1e-12)
 
+    def test_carried_conditioning_does_not_drift(self):
+        """Over a 300-step random episode, every 50th step's metrics equal
+        those of a fresh posterior on that step's log prefix."""
+        cfg = make_config(planner_kind="random", horizon=300)
+        fld = linear_field()
+        trace = run_episode(cfg, fld)
+        for step in trace.steps[49::50]:
+            np.testing.assert_allclose(
+                step_metrics(step), fresh_metrics(cfg, fld, trace.steps[: step.index]), rtol=1e-12
+            )
+
+    def test_baseline_jitter_matches_fresh_posterior(self):
+        """Under a baseline jitter, every step's metrics equal those of a
+        fresh posterior, whose Gram matrix carries the same jitter."""
+        kernel = KernelSpec(signal_variance=4.0, lengthscale=2.0, jitter=1e-6)
+        for kind in PLANNER_KINDS:
+            cfg = make_config(planner_kind=kind, horizon=8, kernel=kernel)
+            fld = linear_field()
+            trace = run_episode(cfg, fld)
+            for step in trace.steps:
+                np.testing.assert_allclose(
+                    step_metrics(step), fresh_metrics(cfg, fld, trace.steps[: step.index]), rtol=1e-12
+                )
+
     def test_choices_stay_in_candidate_set(self):
         for kind in ("greedy-edg", "random"):
             cfg = make_config(planner_kind=kind, horizon=6)
@@ -362,7 +414,7 @@ class TestRunEpisode:
         for step in trace.steps:
             loc, score = greedy_select(MEAN, KERNEL, log, cfg.candidates, cfg.targets)
             assert tuple(loc) == step.chosen
-            assert score == step.score
+            np.testing.assert_allclose(score, step.score, rtol=1e-12)
             log = log.append(step.chosen, step.measurement)
 
     def test_deterministic_bit_for_bit(self):
