@@ -17,7 +17,9 @@ triangular solve serves both.  A log that grows one reading at a time,
 as in a planning episode, is instead carried by the private
 ``_CarriedConditioning``, which appends one row to the Gram factor per
 reading and falls back on the same from-scratch conditioning,
-``_condition``, that :func:`predictive_moments` runs.
+``_condition``, that :func:`predictive_moments` runs.  The variances
+given the targets' values as well, which the greedy score needs, are
+carried by ``_GivenTargets`` with the same row-append code.
 
 Location arrays are checked once, where they enter a public entry point
 (:func:`posterior`, :func:`predictive_moments`, :func:`sample_prior_field`
@@ -337,35 +339,67 @@ def _condition(mean: MeanSpec, kernel: KernelSpec, Y, y, noise_sd: float, P, n_q
     return W, alpha, mu, var, cross, rung
 
 
-class _CarriedConditioning:
+class _CarriedRows:
+    """Rows ``W = L^-1 K(Y, P)`` of the Gram factor of a growing log of
+    readings at points of ``P``, and the variances ``var`` they leave at
+    ``P``.  A reading appends one row (GPML Alg. 2.1 a row at a time):
+    ``O(k |P|)`` for the ``k``-th reading, not ``O(k^3 + k^2 |P|)``.
+    """
+
+    def __init__(self, kernel: KernelSpec, P, var: np.ndarray, capacity: int):
+        self.kernel, self.P, self.var = kernel, P, var
+        self.W = np.empty((capacity, len(P)))
+        self.k = 0
+
+    def _push(self, i: int, s2: float, rung: float):
+        """Append the row of a reading at ``P[i]`` under jitter ``rung``:
+        ``l = W[:k, i]``, ``d^2 = k(P[i], P[i]) + s2 + rung (sf^2 + s2) - l'l``
+        and ``w = (k(P[i], P) - l'W[:k]) / d``, then ``var -= w^2``; return
+        ``(l, d, w)``.  Where ``d^2`` falls to ``JITTER_LADDER[0]`` of the
+        prior variance or below, append nothing and return None."""
+        k, sf2 = self.k, self.kernel.signal_variance
+        row = kernel_matrix(self.kernel, self.P[i : i + 1], self.P)[0]
+        l = self.W[:k, i]
+        d2 = row[i] + s2 + rung * (sf2 + s2) - l @ l
+        if d2 <= JITTER_LADDER[0] * sf2:
+            return None
+        d = math.sqrt(d2)
+        # Scale w by 1/d (callers divide by d), as _condition's matrix and
+        # vector triangular solves round, so that the first reading gives the
+        # bits of a fresh conditioning.
+        w = (row - l @ self.W[:k]) * (1.0 / d)
+        self.W[k] = w
+        self.var -= w * w
+        self.k = k + 1
+        return l, d, w
+
+
+def _sorted_first(targets, points) -> np.ndarray:
+    """``[targets; points]``, the targets sorted by their coordinates so that
+    their rows, appended in turn, do not depend on the order they come in."""
+    return np.vstack([targets[np.lexsort(targets.T[::-1])], points])
+
+
+class _CarriedConditioning(_CarriedRows):
     """The conditioning of the field at ``P`` on a growing log of readings
-    taken at points of ``P``, updated one reading at a time.
-
-    It holds the rows of ``W = L^-1 K(Y, P)`` and ``alpha = L^-1 (y - m)``
-    for the log's Gram factor ``L``, the raw means ``mu`` and variances
-    ``var`` at ``P``, and ``cross``, the covariance of ``P``'s first
-    ``n_query`` rows with all of it.  A reading appends one row to ``L``
-    (GPML Alg. 2.1 done a row at a time): ``O(k |P|)`` for the ``k``-th
-    reading instead of a fresh ``O(k^3 + k^2 |P|)`` conditioning.  Where the
-    new pivot falls to ``JITTER_LADDER[0]`` of the prior variance or below
-    (a noise-free repeat, a near-duplicate), the state is rebuilt from
-    scratch by :func:`_condition` under the jitter ladder.
-
-    ``P`` and ``n_query`` are taken as checked; ``capacity`` bounds the
-    number of readings.
+    at points of ``P``: the rows and raw variances of :class:`_CarriedRows`,
+    ``alpha = L^-1 (y - m)``, the raw means ``mu`` and ``cross``, the
+    covariance of ``P``'s first ``n_query`` points.  A degenerate pivot (a
+    noise-free repeat, a near-duplicate) rebuilds the state by
+    :func:`_condition` under the jitter ladder.  ``P`` and ``n_query`` are
+    taken as checked; ``capacity`` bounds the number of readings.
     """
 
     def __init__(self, mean: MeanSpec, kernel: KernelSpec, noise_sd: float, P, n_query: int, capacity: int):
-        self.mean, self.kernel, self.noise_sd = mean, kernel, noise_sd
-        self.P, self.n_query = P, n_query
+        self.mean, self.noise_sd, self.n_query = mean, noise_sd, n_query
         self.locations = np.empty((capacity, 2))
         self.values = np.empty(capacity)
-        self.W = np.empty((capacity, len(P)))
         self.alpha = np.empty(capacity)
-        self.k = 0
-        _, _, self.mu, self.var, self.cross, self.rung = _condition(
+        _, _, self.mu, var, cross, self.rung = _condition(
             mean, kernel, self.locations[:0], self.values[:0], noise_sd, P, n_query
         )
+        super().__init__(kernel, P, var, capacity)
+        self.cross = cross[:, :n_query].copy()
 
     def add(self, i: int, z: float) -> None:
         """Fold in reading ``z`` taken at ``P[i]``.
@@ -373,30 +407,67 @@ class _CarriedConditioning:
         A failed rebuild raises NumericalDegeneracyError and leaves the
         state at the log before this reading.
         """
-        k, kernel = self.k, self.kernel
+        k = self.k
         self.locations[k] = self.P[i]
         self.values[k] = z
-        gram = kernel.signal_variance + self.noise_sd**2
-        l = self.W[:k, i]
-        d2 = gram + self.rung * gram - l @ l
-        if d2 <= JITTER_LADDER[0] * kernel.signal_variance:
-            W, alpha, self.mu, self.var, self.cross, self.rung = _condition(
-                self.mean, kernel, self.locations[: k + 1], self.values[: k + 1],
+        pushed = self._push(i, self.noise_sd**2, self.rung)
+        if pushed is None:
+            W, alpha, self.mu, self.var, cross, self.rung = _condition(
+                self.mean, self.kernel, self.locations[: k + 1], self.values[: k + 1],
                 self.noise_sd, self.P, self.n_query,
             )
             self.W[: k + 1], self.alpha[: k + 1] = W, alpha
-        else:
-            d = math.sqrt(d2)
-            # Scale w by 1/d but divide alpha by d, as _condition's matrix and
-            # vector triangular solves do, so that the first reading gives
-            # the bits of a fresh conditioning.
-            w = (kernel_matrix(kernel, self.P[i : i + 1], self.P)[0] - l @ self.W[:k]) * (1.0 / d)
-            a = (z - self.mean.constant - l @ self.alpha[:k]) / d
-            self.W[k], self.alpha[k] = w, a
-            self.mu += a * w
-            self.var -= w * w
-            self.cross -= np.outer(w[: self.n_query], w)
-        self.k = k + 1
+            self.cross = cross[:, : self.n_query].copy()
+            self.k = k + 1
+            return
+        l, d, w = pushed
+        a = (z - self.mean.constant - l @ self.alpha[:k]) / d
+        self.alpha[k] = a
+        self.mu += a * w
+        self.cross -= np.outer(w[: self.n_query], w[: self.n_query])
+
+
+class _GivenTargets(_CarriedRows):
+    """Noise-free variances ``var`` at ``P = [targets; C]`` given the
+    targets' values and a growing log of readings at the candidates ``C``.
+
+    The targets enter first, sorted, as noise-free readings.  A target or
+    reading whose pivot is degenerate adds nothing given the rows before it
+    (a duplicate target; noise-free, a reading at a target or a repeat), so
+    its row is skipped, not rebuilt.  ``capacity`` bounds the readings.
+    """
+
+    def __init__(self, kernel: KernelSpec, noise_sd: float, targets, C, capacity: int):
+        self.n, self.noise_sd = len(targets), noise_sd
+        P = _sorted_first(targets, C)
+        super().__init__(kernel, P, np.full(len(P), kernel.signal_variance), self.n + capacity)
+        for i in range(self.n):
+            self._push(i, 0.0, 0.0)
+
+    def add(self, j: int, rung: float) -> None:
+        """Fold in a reading at ``C[j]`` taken under jitter ``rung``."""
+        self._push(self.n + j, self.noise_sd**2, rung)
+
+
+def _variance_pair(kernel: KernelSpec, log: MeasurementLog, targets, points):
+    """Noise-free variances at ``points`` given the log, clamped as in
+    :func:`predictive_moments`, and the part of each that knowing the
+    targets' values as well would remove.
+
+    The log is conditioned on once, from scratch; each target then appends
+    a noise-free row, as in :class:`_GivenTargets`.  The removed part sums
+    the targets' rows rather than differencing two variances of the prior's
+    size, so it stays accurate where it is tiny.  Arrays are taken as checked.
+    """
+    k, n = len(log), len(targets)
+    P = _sorted_first(targets, points)
+    W, _, _, var, _, _ = _condition(MeanSpec(), kernel, log.locations, log.values, log.noise_sd, P, 0)
+    rows = _CarriedRows(kernel, P, var.copy(), k + n)
+    rows.W[:k], rows.k = W, k
+    for i in range(n):
+        rows._push(i, 0.0, 0.0)
+    removed = rows.W[k : rows.k, n:]
+    return _clamped(kernel, var[n:]), np.einsum("ij,ij->j", removed, removed)
 
 
 def sample_prior_field(mean: MeanSpec, kernel: KernelSpec, grid, seed: int) -> np.ndarray:

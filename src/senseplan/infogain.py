@@ -5,10 +5,13 @@ gain (EDG): the expectation, over the predictive distribution of the
 unseen reading, of the Kullback-Leibler divergence from the
 post-measurement belief over the targets to the current belief.  For a
 Gaussian belief it is the reading's mutual information with the targets
-(Lindley 1956), ``-0.5 * log1p(-rho)`` with ``rho = g' S^-1 g / v`` the
-share of the reading variance ``v`` that the targets explain.  This
-module owns that one closed form; the planner and :func:`edg_exact`
-both evaluate it.  The routes, cross-checked in the tests:
+(Lindley 1956), ``-0.5 * log1p(-rho)`` with ``rho = (v - u) / (v +
+noise_sd^2)`` the share of the reading variance that the targets
+explain: ``v`` is the noise-free variance at the candidate given the log,
+and ``u`` the variance there once the targets' values are known as well
+(the conditional-variance form of Krause, Singh & Guestrin 2008).  This
+module owns that one closed form; the planner and :func:`edg_exact` both
+evaluate it.  The routes, cross-checked in the tests:
 
 ``edg_exact``
     The closed form for one candidate, split into the mean-shift term
@@ -42,6 +45,7 @@ from .gp import (
     MeanSpec,
     MeasurementLog,
     _symmetrize,
+    _variance_pair,
     as_point,
     as_points,
     jittered_cholesky,
@@ -122,45 +126,41 @@ def kl_gaussian(post: GaussianBelief, pre: GaussianBelief) -> float:
         return 0.5 * (float(np.sum(lam - np.log1p(lam))) + float(w @ w))
 
 
-def _explained_share(kernel: KernelSpec, noise_sd: float, var, cross) -> np.ndarray:
-    """Share ``g' S^-1 g / v`` of each reading's variance explained by the targets.
+def _explained_share(kernel: KernelSpec, noise_sd: float, var, explained) -> np.ndarray:
+    """Share ``rho = (v - u) / (v + noise_sd^2)`` of each reading's variance
+    that the targets explain.
 
-    ``var`` and ``cross`` are the predictive moments of the targets and then
-    the candidates, queried against the targets: ``S`` is the target block
-    of ``cross``, ``g`` a candidate's column and ``v`` its reading variance.
-    ``v`` and ``v - g' S^-1 g`` are floored at ``JITTER_LADDER[0]`` of the
-    prior variance, so noise-free readings score finite.  NaN marks a
-    degenerate candidate; an ``S`` that cannot be factorized raises
-    :class:`~senseplan.errors.NumericalDegeneracyError`.
+    ``var`` holds the noise-free variances ``v`` at the candidates given the
+    log, NaN where degenerate, and ``explained`` the part ``v - u`` that
+    knowing the targets' values as well would remove, ``u`` the variance
+    given both.  ``v + noise_sd^2`` is floored at ``JITTER_LADDER[0]`` of the
+    prior variance and ``v - u`` clipped to ``[0, v + noise_sd^2 - floor]``,
+    so noise-free readings score finite.  NaN marks a degenerate candidate.
     """
-    n = len(cross)
-    L, _ = jittered_cholesky(cross[:, :n])
     floor = JITTER_LADDER[0] * kernel.signal_variance
-    v = np.maximum(var[n:] + noise_sd**2, floor)
-    explained = np.minimum(np.sum(solve_triangular(L, cross[:, n:], lower=True) ** 2, axis=0), v - floor)
-    return explained / v
+    v = np.maximum(var + noise_sd**2, floor)
+    return np.minimum(np.maximum(explained, 0.0), v - floor) / v
 
 
-def _conditioned(mean: MeanSpec, kernel: KernelSpec, log: MeasurementLog, candidate, targets):
-    """What one conditioning of ``log`` over ``[targets; candidate]`` gives
-    the EDG routes: the current target belief, the predictive mean and
-    noise-free variance of the reading at ``candidate``, and its closed-form
-    :class:`EDGResult`.
-
-    Raises InvalidInputError on empty targets and NumericalDegeneracyError
-    on a degenerate candidate.
-    """
+def _checked(candidate, targets):
+    """``candidate`` and ``targets`` as checked arrays; the targets must be
+    nonempty."""
     pts = as_points(targets)
     if len(pts) == 0:
         raise InvalidInputError("targets must contain at least one location")
-    n = len(pts)
-    mu, var, cross = predictive_moments(mean, kernel, log, np.vstack([pts, as_point(candidate)]), n)
-    share = float(_explained_share(kernel, log.noise_sd, var, cross)[0])
+    return as_point(candidate), pts
+
+
+def _exact(kernel: KernelSpec, log: MeasurementLog, candidate, targets) -> tuple[float, EDGResult]:
+    """The noise-free variance of the reading at ``candidate`` and its
+    :class:`EDGResult` (see :func:`edg_exact`)."""
+    cand, pts = _checked(candidate, targets)
+    var, explained = _variance_pair(kernel, log, pts, cand[None, :])
+    share = float(_explained_share(kernel, log.noise_sd, var, explained)[0])
     if math.isnan(share):
         raise NumericalDegeneracyError("predictive variance is negative beyond round-off")
     value = float(-0.5 * np.log1p(-share))
-    prev = GaussianBelief(pts, mu[:n], _symmetrize(cross[:, :n]))
-    return prev, float(mu[n]), float(var[n]), EDGResult(value, value - 0.5 * share, 0.5 * share)
+    return float(var[0]), EDGResult(value, value - 0.5 * share, 0.5 * share)
 
 
 def edg_exact(
@@ -173,10 +173,11 @@ def edg_exact(
     """Expected discrimination gain of measuring at ``candidate``, closed form.
 
     The one-candidate case of the planner's scorer, from one conditioning
-    over targets and candidate.  Raises InvalidInputError on empty targets
-    and NumericalDegeneracyError on a degenerate candidate.
+    on the log and the targets.  The mean does not enter.  Raises
+    InvalidInputError on empty targets and NumericalDegeneracyError on a
+    degenerate candidate.
     """
-    return _conditioned(mean, kernel, log, candidate, targets)[-1]
+    return _exact(kernel, log, candidate, targets)[1]
 
 
 def edg_quadrature(
@@ -194,14 +195,21 @@ def edg_quadrature(
     ``z = mu_z + sqrt(2 var_z) t``.  The current belief and the reading's
     moments come from one conditioning; each node conditions afresh.
     Deterministic; serves as the independent oracle for :func:`edg_exact`.
+    Raises InvalidInputError on empty targets and NumericalDegeneracyError
+    on a degenerate candidate.
     """
-    prev, mu_z, var_z, _ = _conditioned(mean, kernel, log, candidate, targets)
+    cand, pts = _checked(candidate, targets)
+    n = len(pts)
+    mu, var, cross = predictive_moments(mean, kernel, log, np.vstack([pts, cand]), n)
+    if math.isnan(var[n]):
+        raise NumericalDegeneracyError("predictive variance is negative beyond round-off")
+    prev = GaussianBelief(pts, mu[:n], _symmetrize(cross[:, :n]))
     t, w = quad.nodes()
-    scale = math.sqrt(2.0 * (var_z + log.noise_sd**2))
+    scale = math.sqrt(2.0 * (var[n] + log.noise_sd**2))
     total = 0.0
     for ti, wi in zip(t, w):
-        z = mu_z + scale * ti
-        post = posterior(mean, kernel, log.append(candidate, z), prev.query)
+        z = mu[n] + scale * ti
+        post = posterior(mean, kernel, log.append(cand, z), pts)
         total += wi * kl_gaussian(post, prev)
     return total / math.sqrt(math.pi)
 
@@ -229,7 +237,7 @@ def edg_unnormalized_form(
     reports it beside :func:`edg_exact`.  With an empty log the variant is
     undefined, and the exact value is returned with ``fallback=True``.
     """
-    _, _, s, exact = _conditioned(mean, kernel, log, candidate, targets)
+    s, exact = _exact(kernel, log, candidate, targets)
     if len(log) == 0:
         return UnnormalizedFormResult(exact.value, fallback=True)
     rho = 2.0 * exact.mean_shift_term

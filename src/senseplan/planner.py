@@ -4,8 +4,10 @@ Each episode starts from the prior, then repeats for a fixed horizon:
 pick a candidate location (greedily by expected information gain, or
 uniformly at random), take one noisy reading there, fold it into the
 conditioning the episode carries over targets and candidates, and score
-the posterior over the target set.  The same carried state scores the
-next greedy decision; no step conditions on the whole log afresh.
+the posterior over the target set.  A greedy episode also carries the
+candidates' variances given the targets' values; the next decision
+scores each candidate from its two variances.  No step conditions on
+the whole log afresh.
 Episodes are deterministic given the scenario seed; noise and planner
 randomness come from separate substreams so paired comparisons stay
 paired.
@@ -32,9 +34,10 @@ from .gp import (
     MeasurementLog,
     as_points,
     _CarriedConditioning,
+    _GivenTargets,
     _clamped,
     _symmetrize,
-    predictive_moments,
+    _variance_pair,
 )
 from .environment import GroundTruthField, noisy_reading
 from .infogain import _explained_share
@@ -125,19 +128,18 @@ def _no_usable_gain(count: int) -> PlanningError:
     return PlanningError(message, failed_candidates=list(range(count)))
 
 
-def _greedy_choice(kernel: KernelSpec, noise_sd: float, var, cross) -> tuple[int, np.ndarray]:
+def _greedy_choice(kernel: KernelSpec, noise_sd: float, var, explained) -> tuple[int, np.ndarray]:
     """Index of the highest-gain candidate, and every candidate's gain.
 
     The gain is the reading's mutual information with the targets,
     ``-0.5 * log1p(-rho)``, with ``rho`` from
-    :func:`~senseplan.infogain._explained_share` on the moments ``var`` and
-    ``cross``.  Degenerate candidates gain ``-inf``; scores within
+    :func:`~senseplan.infogain._explained_share` on the candidates'
+    noise-free variances ``var`` given the log and the parts ``explained``
+    of them that the targets' values would remove.  ``O(C)`` for ``C``
+    candidates.  Degenerate candidates gain ``-inf``; scores within
     ``TIE_RTOL`` of the best tie, lowest index first.
     """
-    try:
-        share = _explained_share(kernel, noise_sd, var, cross)
-    except NumericalDegeneracyError:
-        raise _no_usable_gain(len(var) - len(cross)) from None
+    share = _explained_share(kernel, noise_sd, var, explained)
     if np.all(np.isnan(share)):
         raise _no_usable_gain(len(share))
     gains = np.where(np.isnan(share), -math.inf, -0.5 * np.log1p(-share))
@@ -145,13 +147,13 @@ def _greedy_choice(kernel: KernelSpec, noise_sd: float, var, cross) -> tuple[int
 
 
 def _greedy_on_log(mean: MeanSpec, kernel: KernelSpec, log: MeasurementLog, candidates, targets):
-    """:func:`_greedy_choice` on one conditioning of ``log``; a Gram matrix
-    that cannot be factorized fails every candidate."""
+    """:func:`_greedy_choice` on one conditioning of ``log`` and the targets;
+    a Gram matrix that cannot be factorized fails every candidate."""
     try:
-        _, var, cross = predictive_moments(mean, kernel, log, np.vstack([targets, candidates]), len(targets))
+        var, explained = _variance_pair(kernel, log, targets, candidates)
     except NumericalDegeneracyError:
         raise _no_usable_gain(len(candidates)) from None
-    return _greedy_choice(kernel, log.noise_sd, var, cross)
+    return _greedy_choice(kernel, log.noise_sd, var, explained)
 
 
 def greedy_select(
@@ -194,11 +196,12 @@ def run_episode(config: ScenarioConfig, fld: GroundTruthField) -> EpisodeTrace:
     state = _CarriedConditioning(config.mean, config.kernel, config.noise_sd, points, n, config.horizon)
     steps: list[EpisodeStep] = []
     try:
+        if greedy:
+            known = _GivenTargets(config.kernel, config.noise_sd, targets, config.candidates, config.horizon)
         for k in range(1, config.horizon + 1):
             if greedy:
-                idx, gains = _greedy_choice(
-                    config.kernel, config.noise_sd, _clamped(config.kernel, state.var), state.cross
-                )
+                v = _clamped(config.kernel, state.var[n:])
+                idx, gains = _greedy_choice(config.kernel, config.noise_sd, v, v - known.var[n:])
                 score = gains[idx]
             else:
                 idx = int(planner_rng.integers(len(config.candidates)))
@@ -206,8 +209,10 @@ def run_episode(config: ScenarioConfig, fld: GroundTruthField) -> EpisodeTrace:
             location = config.candidates[idx]
             reading = noisy_reading(truth_c[idx], config.noise_sd, noise_rng)
             state.add(n + idx, reading)
+            if greedy:
+                known.add(idx, state.rung)
 
-            mu_t, var_t = state.mu[:n], state.cross[:, :n].diagonal()
+            mu_t, var_t = state.mu[:n], state.cross.diagonal()
             if shared_t is not None:
                 err_i = estimating_error(mu_t[shared_t], truth_t[shared_t])
                 var_i = estimating_variance(var_t[shared_t])
@@ -237,5 +242,5 @@ def run_episode(config: ScenarioConfig, fld: GroundTruthField) -> EpisodeTrace:
 def _trace(config: ScenarioConfig, steps: list, mu: np.ndarray, cross: np.ndarray) -> EpisodeTrace:
     """Trace whose final belief is the target block of the last moments."""
     n = len(config.targets)
-    belief = GaussianBelief(config.targets, mu[:n], _symmetrize(cross[:, :n])) if steps else None
+    belief = GaussianBelief(config.targets, mu[:n], _symmetrize(cross)) if steps else None
     return EpisodeTrace(config=config, steps=tuple(steps), final_belief=belief)

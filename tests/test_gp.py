@@ -333,6 +333,57 @@ class TestPredictiveMoments:
             predictive_moments(mean, kernel, log, points, len(points) + 1)
 
 
+def dense_given_targets(kernel, log, targets, points):
+    """Oracle: noise-free variances at ``points`` given the log and the
+    targets' values, via an explicit inverse of the stacked Gram matrix."""
+    Z = np.vstack([log.locations, targets])
+    G = kernel_matrix(kernel, Z, Z)
+    G[: len(log), : len(log)] += log.noise_sd**2 * np.eye(len(log))
+    K = kernel_matrix(kernel, Z, points)
+    return kernel.signal_variance - np.einsum("ij,ij->j", K, np.linalg.inv(G) @ K)
+
+
+class TestVariancesGivenTargets:
+    """The variances the greedy score rests on: given the log, and given
+    the log and the targets' values."""
+
+    def test_variance_pair_matches_dense_conditioning(self):
+        rng = np.random.default_rng(43)
+        for _ in range(20):
+            mean, kernel, log, targets = random_instance(rng)
+            points = rng.uniform(0, 8, (5, 2))
+            var, removed = gp_mod._variance_pair(kernel, log, targets, points)
+            _, dense_cov = dense_posterior(mean, kernel, log, points)
+            atol = 1e-10 * kernel.signal_variance
+            np.testing.assert_allclose(var, np.diagonal(dense_cov), rtol=1e-10, atol=atol)
+            np.testing.assert_allclose(var - removed, dense_given_targets(kernel, log, targets, points), atol=atol)
+
+    def test_carried_state_matches_variance_pair(self):
+        """Readings folded into ``_GivenTargets`` one at a time leave the
+        variances the one-shot pair gives for the same log."""
+        rng = np.random.default_rng(44)
+        for _ in range(20):
+            _, kernel, log, targets = random_instance(rng)
+            cands = np.vstack([log.locations, rng.uniform(0, 8, (4, 2))])
+            known = gp_mod._GivenTargets(kernel, log.noise_sd, targets, cands, len(log))
+            for i in range(len(log)):
+                known.add(i, kernel.jitter)
+            var, removed = gp_mod._variance_pair(kernel, log, targets, cands)
+            np.testing.assert_allclose(known.var[len(targets) :], var - removed, atol=1e-10 * kernel.signal_variance)
+
+    def test_degenerate_rows_are_skipped(self):
+        """A repeated target, and a noise-free reading at a target, add no
+        row and leave the variances as they were."""
+        kernel = KernelSpec(signal_variance=2.0, lengthscale=1.0)
+        targets = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 0.0]])
+        known = gp_mod._GivenTargets(kernel, 0.0, targets, np.array([[0.0, 0.0], [1.0, 1.0]]), 1)
+        assert known.k == 2
+        before = known.var.copy()
+        known.add(0, 0.0)
+        assert known.k == 2
+        np.testing.assert_array_equal(known.var, before)
+
+
 class TestGaussianBelief:
     def test_rejects_asymmetric_covariance(self):
         with pytest.raises(InvalidInputError):

@@ -201,11 +201,16 @@ class TestEDGExact:
 
     def test_one_conditioning_per_call(self, monkeypatch):
         """One ``edg_exact`` call conditions on the log once: one
-        ``predictive_moments`` call, and no ``posterior`` call."""
-        calls = count_calls(monkeypatch, "predictive_moments", "posterior")
+        ``_variance_pair`` call, and no ``predictive_moments`` or
+        ``posterior`` call."""
+        calls = count_calls(monkeypatch, "_variance_pair", "predictive_moments", "posterior")
         mean, kernel, log, cand, targets = random_scenario(np.random.default_rng(17), n_obs=3)
         edg_exact(mean, kernel, log, cand, targets)
-        assert {name: len(c) for name, c in calls.items()} == {"predictive_moments": 1, "posterior": 0}
+        assert {name: len(c) for name, c in calls.items()} == {
+            "_variance_pair": 1,
+            "predictive_moments": 0,
+            "posterior": 0,
+        }
 
     def test_diminishing_returns_on_repeat(self):
         """Measuring the same spot again is worth strictly less, sigma > 0."""
@@ -253,15 +258,18 @@ class TestUnnormalizedForm:
     def test_one_conditioning_per_call(self, monkeypatch, n_obs):
         """The variant, its empty-log fallback included, conditions on the
         log once, takes its structural term from that conditioning and makes
-        one factorization, the explained share's."""
-        calls = count_calls(monkeypatch, "predictive_moments", "posterior", "edg_exact", "jittered_cholesky")
+        no factorization of its own."""
+        calls = count_calls(
+            monkeypatch, "_variance_pair", "predictive_moments", "posterior", "edg_exact", "jittered_cholesky"
+        )
         mean, kernel, log, cand, targets = random_scenario(np.random.default_rng(17), n_obs=n_obs)
         edg_unnormalized_form(mean, kernel, log, cand, targets)
         assert {name: len(c) for name, c in calls.items()} == {
-            "predictive_moments": 1,
+            "_variance_pair": 1,
+            "predictive_moments": 0,
             "posterior": 0,
             "edg_exact": 0,
-            "jittered_cholesky": 1,
+            "jittered_cholesky": 0,
         }
 
     def test_empty_log_falls_back_to_exact(self):

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import senseplan.gp as gp_mod
-import senseplan.infogain as infogain_mod
 import senseplan.planner as planner_mod
 from senseplan import (
     PLANNER_KINDS,
@@ -160,10 +159,10 @@ class TestGreedySelect:
             np.testing.assert_allclose(gains, ref, rtol=1e-8, atol=1e-12)
 
     def test_one_conditioning_per_decision(self, monkeypatch):
-        """A greedy decision conditions on the log once: one
-        ``predictive_moments`` call and no ``posterior`` call."""
+        """A greedy decision conditions on the log once: one from-scratch
+        ``gp._condition`` and no ``posterior`` call."""
         calls = []
-        conditioning = planner_mod.predictive_moments
+        conditioning = gp_mod._condition
 
         def counted(*args, **kwargs):
             calls.append(args)
@@ -172,7 +171,7 @@ class TestGreedySelect:
         def forbidden(*args, **kwargs):
             raise AssertionError("greedy scoring called posterior")
 
-        monkeypatch.setattr(planner_mod, "predictive_moments", counted)
+        monkeypatch.setattr(gp_mod, "_condition", counted)
         monkeypatch.setattr(planner_mod, "posterior", forbidden, raising=False)
         rng = np.random.default_rng(4)
         log = MeasurementLog(rng.uniform(0, 10, (3, 2)), rng.normal(0, 1, 3), 0.5)
@@ -183,7 +182,7 @@ class TestGreedySelect:
         def always_degenerate(*args, **kwargs):
             raise NumericalDegeneracyError("forced")
 
-        monkeypatch.setattr(planner_mod, "predictive_moments", always_degenerate)
+        monkeypatch.setattr(planner_mod, "_variance_pair", always_degenerate)
         targets = np.array([[0.0, 0.0]])
         cands = np.array([[1.0, 1.0], [2.0, 2.0]])
         with pytest.raises(PlanningError) as err:
@@ -197,8 +196,8 @@ class TestGreedySelect:
 
 class TestZeroNoiseScores:
     """Noise-free readings, one of them at a target: its posterior
-    variance is zero, so the target covariance is singular and every route
-    must factor it under jitter."""
+    variance is zero, so the target covariance given the log is singular,
+    and every route must still score finite."""
 
     KERNEL = KernelSpec(signal_variance=4.0, lengthscale=1.0)
     TARGETS = np.array([[1.0, 1.0], [8.0, 1.0], [4.5, 4.5]])
@@ -240,6 +239,18 @@ class TestZeroNoiseScores:
             MEAN, self.KERNEL, self.LOG, np.array([[2.0, 2.0]]), self.TARGETS
         )
         np.testing.assert_allclose(gains[0], expected, rtol=1e-6)
+
+    def test_all_targets_measured_scores_finite(self):
+        """Once every target has a noise-free reading the targets are known,
+        so a candidate gains 0: finite and not negative.  The target
+        covariance given the log is pure round-off there (eigenvalues of
+        -2.2e-16 to 4.4e-16), which no jitter relative to its own diagonal
+        could make factorizable."""
+        kernel = KernelSpec(signal_variance=2.0, lengthscale=8.0)
+        targets = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
+        log = MeasurementLog(targets, [0.1, 0.2, 0.3], 0.0)
+        _, gain = greedy_select(MEAN, kernel, log, [[5.0, 5.0]], targets)
+        assert math.isfinite(gain) and gain >= 0.0
 
     def test_edg_routes_match_direct_conditioning(self):
         """``edg_exact`` and the quadrature oracle give the gain at (2, 2)
@@ -292,7 +303,8 @@ class TestRunEpisode:
     def test_no_fresh_conditioning_per_step(self, monkeypatch):
         """With noise, an episode carries one conditioning across its steps,
         whichever planner runs it and however long it is: it makes no
-        ``predictive_moments`` or ``posterior`` call, and conditions from
+        ``predictive_moments`` or ``posterior`` call, factors no matrix (the
+        greedy planner's targets enter as rows too), and conditions from
         scratch only once, on the empty log.  A noise-free repeat reading
         rebuilds the conditioning from scratch."""
         rebuilt = []
@@ -306,13 +318,16 @@ class TestRunEpisode:
             raise AssertionError("run_episode conditioned on the whole log")
 
         monkeypatch.setattr(gp_mod, "_condition", counted)
-        monkeypatch.setattr(planner_mod, "predictive_moments", forbidden)
+        monkeypatch.setattr(gp_mod, "jittered_cholesky", forbidden)
+        monkeypatch.setattr(planner_mod, "predictive_moments", forbidden, raising=False)
         monkeypatch.setattr(planner_mod, "posterior", forbidden, raising=False)
         for kind in PLANNER_KINDS:
             for horizon in (5, 50):
                 rebuilt.clear()
                 run_episode(make_config(planner_kind=kind, horizon=horizon), linear_field())
                 assert rebuilt == [0]
+        monkeypatch.undo()
+        monkeypatch.setattr(gp_mod, "_condition", counted)
         rebuilt.clear()
         cfg = make_config(planner_kind="random", n_candidates=1, n_shared=0, horizon=3, noise_sd=0.0)
         run_episode(cfg, linear_field())
@@ -492,15 +507,14 @@ class TestRunEpisode:
         """If scoring degenerates at step 3, the raised error carries the
         two completed steps."""
         calls = {"n": 0}
-        real = infogain_mod.jittered_cholesky
+        real = planner_mod._explained_share
 
         def flaky(*args, **kwargs):
-            if calls["n"] >= 2:  # one target-covariance factor per decision
-                raise NumericalDegeneracyError("forced")
+            share = real(*args, **kwargs)
             calls["n"] += 1
-            return real(*args, **kwargs)
+            return share if calls["n"] <= 2 else np.full_like(share, np.nan)  # one share per decision
 
-        monkeypatch.setattr(infogain_mod, "jittered_cholesky", flaky)
+        monkeypatch.setattr(planner_mod, "_explained_share", flaky)
         cfg = make_config(n_candidates=3, n_shared=1, horizon=5)
         with pytest.raises(PlanningError) as err:
             run_episode(cfg, linear_field())

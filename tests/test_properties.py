@@ -5,6 +5,7 @@ targets in a 10 x 10 box (some coincident), and candidates up to 20
 lengthscales from it.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -14,6 +15,9 @@ from hypothesis import strategies as st
 import senseplan.planner as planner_mod
 from senseplan import KernelSpec, MeanSpec, MeasurementLog
 from senseplan.gp import predictive_moments
+from senseplan.planner import TIE_RTOL
+
+from reference import edg_reference
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=50)
 MEAN = MeanSpec(1.0)
@@ -61,6 +65,23 @@ def test_gains_follow_candidates_and_ignore_target_order(problem, random):
     shuffled = targets[random.sample(range(len(targets)), len(targets))]
     _, same = planner_mod._greedy_on_log(MEAN, kernel, log, candidates, shuffled)
     np.testing.assert_allclose(same, gains, rtol=1e-9, atol=1e-12)
+
+
+def test_nearly_coincident_targets_in_any_order():
+    """Targets ``(0, 0)`` and ``(0, 1e-6)`` coincide to round-off at
+    lengthscale 44.125.  Every order of the five targets gives the same
+    gains within ``TIE_RTOL``, so no tie-break can follow the target order,
+    and they agree with the 40-digit reference to 1e-10."""
+    kernel = KernelSpec(4.0, 44.125)
+    log = MeasurementLog([(1.5, 3.5)], [0.0], 1.948)
+    targets = np.array([(0.0, 0.5), (0.0, 1.0), (0.0, 1e-6), (1.0, 0.0), (0.0, 0.0)])
+    candidates = np.array([(0.0, 0.0), (44.125, 0.0)])
+    ref = np.array([float(edg_reference(kernel, log, c, targets)) for c in candidates])
+    _, gains = planner_mod._greedy_on_log(MEAN, kernel, log, candidates, targets)
+    np.testing.assert_allclose(gains, ref, rtol=1e-10)
+    for order in itertools.permutations(range(len(targets))):
+        _, permuted = planner_mod._greedy_on_log(MEAN, kernel, log, candidates, targets[list(order)])
+        np.testing.assert_allclose(permuted, gains, rtol=TIE_RTOL, atol=0)
 
 
 @PROPERTY

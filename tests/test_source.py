@@ -125,7 +125,7 @@ COERCING_FUNCTIONS = {
     "gp.predictive_moments",
     "gp.sample_prior_field",
     "harness.trial_placement",
-    "infogain._conditioned",
+    "infogain._checked",
     "metrics.intersection_indices",
     "planner.ScenarioConfig.__post_init__",
     "planner.greedy_select",
