@@ -15,11 +15,11 @@ need several quantities from one log ask :func:`predictive_moments` for
 all of them at once.  Its query set is a prefix of its points, so one
 triangular solve serves both.  A log that grows one reading at a time,
 as in a planning episode, is instead carried by the private
-``_CarriedConditioning``, which appends one row to the Gram factor per
-reading and falls back on the same from-scratch conditioning,
-``_condition``, that :func:`predictive_moments` runs.  The variances
-given the targets' values as well, which the greedy score needs, are
-carried by ``_GivenTargets`` with the same row-append code.
+``_CarriedConditioning``: one kernel row and one Gram-factor row per
+reading update its means and variances (it holds no covariance), and a
+degenerate pivot falls back on ``_condition``, the from-scratch path of
+:func:`predictive_moments`.  ``_GivenTargets`` carries the variances given
+the targets' values too, with the same row-append code and kernel row.
 
 Location arrays are checked once, where they enter a public entry point
 (:func:`posterior`, :func:`predictive_moments`, :func:`sample_prior_field`
@@ -306,8 +306,8 @@ def predictive_moments(mean: MeanSpec, kernel: KernelSpec, log: MeasurementLog, 
     P = as_points(points)
     if not 0 <= n_query <= len(P):
         raise InvalidInputError(f"n_query must be in [0, {len(P)}], got {n_query}")
-    _, _, mu, var, cross, _ = _condition(mean, kernel, log.locations, log.values, log.noise_sd, P, n_query)
-    return mu, _clamped(kernel, var), cross
+    W, _, mu, var, _ = _condition(mean, kernel, log.locations, log.values, log.noise_sd, P)
+    return mu, _clamped(kernel, var), kernel_matrix(kernel, P[:n_query], P) - W[:, :n_query].T @ W
 
 
 def _clamped(kernel: KernelSpec, var: np.ndarray) -> np.ndarray:
@@ -315,28 +315,25 @@ def _clamped(kernel: KernelSpec, var: np.ndarray) -> np.ndarray:
     return np.where(var < -1e-10 * kernel.signal_variance, np.nan, np.maximum(var, 0.0))
 
 
-def _condition(mean: MeanSpec, kernel: KernelSpec, Y, y, noise_sd: float, P, n_query: int):
+def _condition(mean: MeanSpec, kernel: KernelSpec, Y, y, noise_sd: float, P):
     """Condition the field at ``P`` on readings ``y`` at ``Y``, from scratch.
 
-    Returns ``(W, alpha, mu, var, cross, rung)``: the rows ``W = L^-1 K(Y, P)``
+    Returns ``(W, alpha, mu, var, rung)``: the rows ``W = L^-1 K(Y, P)``
     and ``alpha = L^-1 (y - m)`` of the Gram factor ``L``, the raw (unclamped)
-    means and variances at ``P``, the cross-covariance of its first
-    ``n_query`` rows with all of it, and the relative jitter ``L`` was
+    means and variances at ``P``, and the relative jitter ``L`` was
     factored with.
     """
     mu = np.full(len(P), float(mean.constant))
     var = np.full(len(P), kernel.signal_variance)
-    cross = kernel_matrix(kernel, P[:n_query], P)
     if not len(y):
-        return np.zeros((0, len(P))), np.zeros(0), mu, var, cross, float(kernel.jitter)
+        return np.zeros((0, len(P))), np.zeros(0), mu, var, float(kernel.jitter)
     G = kernel_matrix(kernel, Y, Y) + noise_sd**2 * np.eye(len(y))
     L, rung = jittered_cholesky(G, base_jitter=kernel.jitter)
     W = solve_triangular(L, kernel_matrix(kernel, Y, P), lower=True)
     alpha = solve_triangular(L, y - mean.constant, lower=True)
     mu += alpha @ W
     var -= np.einsum("ij,ij->j", W, W)
-    cross -= W[:, :n_query].T @ W
-    return W, alpha, mu, var, cross, rung
+    return W, alpha, mu, var, rung
 
 
 class _CarriedRows:
@@ -351,14 +348,18 @@ class _CarriedRows:
         self.W = np.empty((capacity, len(P)))
         self.k = 0
 
-    def _push(self, i: int, s2: float, rung: float):
-        """Append the row of a reading at ``P[i]`` under jitter ``rung``:
-        ``l = W[:k, i]``, ``d^2 = k(P[i], P[i]) + s2 + rung (sf^2 + s2) - l'l``
-        and ``w = (k(P[i], P) - l'W[:k]) / d``, then ``var -= w^2``; return
+    def _row(self, i: int) -> np.ndarray:
+        """The kernel row ``k(P[i], P)``."""
+        return kernel_matrix(self.kernel, self.P[i : i + 1], self.P)[0]
+
+    def _push(self, i: int, row: np.ndarray, s2: float, rung: float):
+        """Append the row of a reading at ``P[i]``, whose kernel row is
+        ``row``, under jitter ``rung``: with ``l = W[:k, i]``,
+        ``d^2 = row[i] + s2 + rung (sf^2 + s2) - l'l`` and
+        ``w = (row - l'W[:k]) / d``, then ``var -= w^2``; return
         ``(l, d, w)``.  Where ``d^2`` falls to ``JITTER_LADDER[0]`` of the
         prior variance or below, append nothing and return None."""
         k, sf2 = self.k, self.kernel.signal_variance
-        row = kernel_matrix(self.kernel, self.P[i : i + 1], self.P)[0]
         l = self.W[:k, i]
         d2 = row[i] + s2 + rung * (sf2 + s2) - l @ l
         if d2 <= JITTER_LADDER[0] * sf2:
@@ -374,35 +375,35 @@ class _CarriedRows:
         return l, d, w
 
 
-def _sorted_first(targets, points) -> np.ndarray:
-    """``[targets; points]``, the targets sorted by their coordinates so that
-    their rows, appended in turn, do not depend on the order they come in."""
-    return np.vstack([targets[np.lexsort(targets.T[::-1])], points])
+def _sorted_first(targets, points) -> tuple[np.ndarray, np.ndarray]:
+    """The order sorting ``targets`` by their coordinates, and ``[targets;
+    points]`` in that order, so that the targets' rows, appended in turn,
+    do not depend on the order they come in."""
+    order = np.lexsort(targets.T[::-1])
+    return order, np.vstack([targets[order], points])
 
 
 class _CarriedConditioning(_CarriedRows):
     """The conditioning of the field at ``P`` on a growing log of readings
     at points of ``P``: the rows and raw variances of :class:`_CarriedRows`,
-    ``alpha = L^-1 (y - m)``, the raw means ``mu`` and ``cross``, the
-    covariance of ``P``'s first ``n_query`` points.  A degenerate pivot (a
-    noise-free repeat, a near-duplicate) rebuilds the state by
-    :func:`_condition` under the jitter ladder.  ``P`` and ``n_query`` are
-    taken as checked; ``capacity`` bounds the number of readings.
+    ``alpha = L^-1 (y - m)`` and the raw means ``mu``; no covariance (that
+    of points ``B`` is ``K(B, B) - W[:k, B]' W[:k, B]``).  A degenerate pivot
+    (a noise-free repeat, a near-duplicate) rebuilds the state by
+    :func:`_condition` under the jitter ladder.  ``P`` is taken as checked;
+    ``capacity`` bounds the number of readings.
     """
 
-    def __init__(self, mean: MeanSpec, kernel: KernelSpec, noise_sd: float, P, n_query: int, capacity: int):
-        self.mean, self.noise_sd, self.n_query = mean, noise_sd, n_query
+    def __init__(self, mean: MeanSpec, kernel: KernelSpec, noise_sd: float, P, capacity: int):
+        self.mean, self.noise_sd = mean, noise_sd
         self.locations = np.empty((capacity, 2))
         self.values = np.empty(capacity)
         self.alpha = np.empty(capacity)
-        _, _, self.mu, var, cross, self.rung = _condition(
-            mean, kernel, self.locations[:0], self.values[:0], noise_sd, P, n_query
-        )
+        _, _, self.mu, var, self.rung = _condition(mean, kernel, self.locations[:0], self.values[:0], noise_sd, P)
         super().__init__(kernel, P, var, capacity)
-        self.cross = cross[:, :n_query].copy()
 
-    def add(self, i: int, z: float) -> None:
-        """Fold in reading ``z`` taken at ``P[i]``.
+    def add(self, i: int, z: float) -> np.ndarray:
+        """Fold in reading ``z`` taken at ``P[i]``; return the kernel row
+        ``k(P[i], P)`` computed for it.
 
         A failed rebuild raises NumericalDegeneracyError and leaves the
         state at the log before this reading.
@@ -410,21 +411,20 @@ class _CarriedConditioning(_CarriedRows):
         k = self.k
         self.locations[k] = self.P[i]
         self.values[k] = z
-        pushed = self._push(i, self.noise_sd**2, self.rung)
+        row = self._row(i)
+        pushed = self._push(i, row, self.noise_sd**2, self.rung)
         if pushed is None:
-            W, alpha, self.mu, self.var, cross, self.rung = _condition(
-                self.mean, self.kernel, self.locations[: k + 1], self.values[: k + 1],
-                self.noise_sd, self.P, self.n_query,
+            W, alpha, self.mu, self.var, self.rung = _condition(
+                self.mean, self.kernel, self.locations[: k + 1], self.values[: k + 1], self.noise_sd, self.P
             )
             self.W[: k + 1], self.alpha[: k + 1] = W, alpha
-            self.cross = cross[:, : self.n_query].copy()
             self.k = k + 1
-            return
+            return row
         l, d, w = pushed
         a = (z - self.mean.constant - l @ self.alpha[:k]) / d
         self.alpha[k] = a
         self.mu += a * w
-        self.cross -= np.outer(w[: self.n_query], w[: self.n_query])
+        return row
 
 
 class _GivenTargets(_CarriedRows):
@@ -439,14 +439,15 @@ class _GivenTargets(_CarriedRows):
 
     def __init__(self, kernel: KernelSpec, noise_sd: float, targets, C, capacity: int):
         self.n, self.noise_sd = len(targets), noise_sd
-        P = _sorted_first(targets, C)
+        self.order, P = _sorted_first(targets, C)
         super().__init__(kernel, P, np.full(len(P), kernel.signal_variance), self.n + capacity)
         for i in range(self.n):
-            self._push(i, 0.0, 0.0)
+            self._push(i, self._row(i), 0.0, 0.0)
 
-    def add(self, j: int, rung: float) -> None:
-        """Fold in a reading at ``C[j]`` taken under jitter ``rung``."""
-        self._push(self.n + j, self.noise_sd**2, rung)
+    def add(self, j: int, rung: float, row: np.ndarray) -> None:
+        """Fold in a reading at ``C[j]`` taken under jitter ``rung``, given its
+        kernel row ``k(C[j], [targets; C])``, targets in their given order."""
+        self._push(self.n + j, np.concatenate((row[self.order], row[self.n :])), self.noise_sd**2, rung)
 
 
 def _variance_pair(kernel: KernelSpec, log: MeasurementLog, targets, points):
@@ -460,12 +461,12 @@ def _variance_pair(kernel: KernelSpec, log: MeasurementLog, targets, points):
     size, so it stays accurate where it is tiny.  Arrays are taken as checked.
     """
     k, n = len(log), len(targets)
-    P = _sorted_first(targets, points)
-    W, _, _, var, _, _ = _condition(MeanSpec(), kernel, log.locations, log.values, log.noise_sd, P, 0)
+    _, P = _sorted_first(targets, points)
+    W, _, _, var, _ = _condition(MeanSpec(), kernel, log.locations, log.values, log.noise_sd, P)
     rows = _CarriedRows(kernel, P, var.copy(), k + n)
     rows.W[:k], rows.k = W, k
     for i in range(n):
-        rows._push(i, 0.0, 0.0)
+        rows._push(i, rows._row(i), 0.0, 0.0)
     removed = rows.W[k : rows.k, n:]
     return _clamped(kernel, var[n:]), np.einsum("ij,ij->j", removed, removed)
 

@@ -15,6 +15,7 @@ import functools
 import hashlib
 import io
 import json
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -109,16 +110,23 @@ def trial_field(
     targets: np.ndarray,
     candidates: np.ndarray,
 ) -> GroundTruthField:
-    """Ground-truth field for one trial."""
+    """Ground-truth field for one trial; a gp-sample draw runs on one BLAS
+    thread, whatever the caller's, so that its bits do not depend on it."""
     if cfg.field_kind == "grid":
         return GridField(_grid_cached(cfg.grid_csv))
     if cfg.field_kind == "analytic":
         return AnalyticField(cfg.analytic_name, dict(cfg.analytic_params), mask)
     mean, kernel = _specs(cfg)
     nodes = _unique_points(targets, candidates)
-    return sample_field(
-        mean, kernel, nodes, substream_seed(cfg.seed, STREAM_FIELD, trial), mask
-    )
+    # A threaded OpenBLAS Cholesky rounds differently from about 150 nodes up.
+    restore = _one_blas_thread()
+    try:
+        return sample_field(
+            mean, kernel, nodes, substream_seed(cfg.seed, STREAM_FIELD, trial), mask
+        )
+    finally:
+        for setter, threads in restore:
+            setter(threads)
 
 
 def _unique_points(*arrays) -> np.ndarray:
@@ -132,7 +140,7 @@ def _unique_points(*arrays) -> np.ndarray:
 def _jf(x: float):
     """JSON-safe float: NaN becomes null."""
     x = float(x)
-    return None if np.isnan(x) else x
+    return None if math.isnan(x) else x
 
 
 def _trace_to_dict(trace: EpisodeTrace, trial: int, planner: str) -> dict:
@@ -216,7 +224,7 @@ def execute_run(cfg: RunConfig, workers: int = 1) -> dict:
 
     With ``workers`` > 1 the trials run in a process pool whose workers
     each use one BLAS thread; the calling process keeps its own BLAS
-    threading.
+    threading, apart from the field draw (see :func:`trial_field`).
     """
     t0 = time.perf_counter()
     if workers < 1:
@@ -230,28 +238,15 @@ def execute_run(cfg: RunConfig, workers: int = 1) -> dict:
             results = list(pool.map(functools.partial(run_trial, cfg), trials))
     results.sort(key=lambda r: r["trial"])
 
-    aggregates = {}
+    aggregates = {kind: {} for kind in cfg.planner_kinds}
     for kind in cfg.planner_kinds:
-        per_metric = {}
-        stacked = {
-            name: np.array(
-                [
-                    [
-                        _step_value(step, name)
-                        for step in res["traces"][kind]["steps"]
-                    ]
-                    for res in results
-                ]
-            )
-            for name in METRIC_FIELDS
-        }
-        for name, arr in stacked.items():
-            series = aggregate_series(name, arr)
-            per_metric[name] = {
-                "mean": [_jf(v) for v in series.mean],
-                "sd": [_jf(v) for v in series.sd],
+        for name in METRIC_FIELDS:
+            per_trial = [[_step_value(step, name) for step in res["traces"][kind]["steps"]] for res in results]
+            series = aggregate_series(name, per_trial)
+            aggregates[kind][name] = {
+                "mean": [_jf(v) for v in series.mean.tolist()],
+                "sd": [_jf(v) for v in series.sd.tolist()],
             }
-        aggregates[kind] = per_metric
 
     record = {
         "artifact": {"name": "senseplan", "version": __version__},
@@ -285,8 +280,10 @@ _OPENBLAS_SET_THREADS = (
 )
 
 
-def _loaded_openblas() -> list:
-    """Each OpenBLAS library mapped into this process, opened by ctypes.
+@functools.lru_cache(maxsize=1)
+def _loaded_openblas() -> tuple:
+    """Each OpenBLAS library mapped into this process, opened by ctypes;
+    looked up once per process.
 
     numpy and scipy each bundle their own copy.  Empty without ``/proc``.
     """
@@ -298,32 +295,38 @@ def _loaded_openblas() -> list:
                 if "openblas" in line.lower()
             }
     except OSError:
-        return []
+        return ()
     libs = []
     for path in sorted(paths):
         try:
             libs.append(ctypes.CDLL(path))
         except OSError:
             continue
-    return libs
+    return tuple(libs)
 
 
-def _one_blas_thread() -> None:
-    """Pool initializer: set every OpenBLAS loaded here to one thread.
+def _one_blas_thread() -> list:
+    """Set every OpenBLAS loaded here to one thread; return each one's
+    thread-count setter with the count it had before.
 
-    Each worker otherwise starts a BLAS thread pool as wide as the
-    machine, so ``workers`` processes run several times more busy
-    threads than there are cores on small matrices.  With another BLAS,
-    or without ``/proc``, this does nothing.
+    The pool initializer: each worker otherwise starts a BLAS thread pool
+    as wide as the machine, so ``workers`` processes run several times
+    more busy threads than there are cores on small matrices.  A library
+    without both a thread-count setter and getter is left as it is, as is
+    every BLAS without ``/proc`` or of another kind.
     """
+    restore = []
     for lib in _loaded_openblas():
         for name in _OPENBLAS_SET_THREADS:
             setter = getattr(lib, name, None)
-            if setter is not None:
-                setter.argtypes = [ctypes.c_int]
-                setter.restype = None
+            getter = getattr(lib, name.replace("_set_", "_get_"), None)
+            if setter is not None and getter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                restore.append((setter, getter()))
                 setter(1)
                 break
+    return restore
 
 
 def render_series_csv(record: dict) -> str:

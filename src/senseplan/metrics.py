@@ -10,6 +10,7 @@ diagnostic because its normalization (sqrt(N) rather than N) differs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,16 @@ def _paired_vectors(estimate, truth) -> tuple[np.ndarray, np.ndarray]:
     return est, tru
 
 
+def _norm(residual: np.ndarray) -> float:
+    """``sqrt(r @ r)``, a float vector's norm as ``np.linalg.norm`` takes it."""
+    return math.sqrt(residual @ residual)
+
+
+def _mean_variance(variances: np.ndarray) -> float:
+    """``sum / N`` of a nonempty float vector."""
+    return float(variances.sum() / variances.size)
+
+
 def estimating_error(estimate, truth) -> float:
     """Euclidean norm of the residual divided by the number of points.
 
@@ -36,13 +47,13 @@ def estimating_error(estimate, truth) -> float:
     (3, 4) over two points scores 2.5, not 5/sqrt(2).
     """
     est, tru = _paired_vectors(estimate, truth)
-    return float(np.linalg.norm(est - tru) / est.size)
+    return _norm(est - tru) / est.size
 
 
 def rmse(estimate, truth) -> float:
     """Conventional root-mean-square error, ``||residual||_2 / sqrt(N)``."""
     est, tru = _paired_vectors(estimate, truth)
-    return float(np.linalg.norm(est - tru) / np.sqrt(est.size))
+    return _norm(est - tru) / math.sqrt(est.size)
 
 
 def estimating_variance(covariance) -> float:
@@ -60,7 +71,7 @@ def estimating_variance(covariance) -> float:
         diag = cov
     else:
         raise InvalidInputError("covariance must be a matrix or a variance vector")
-    return float(np.sum(diag) / diag.size)
+    return _mean_variance(diag)
 
 
 def intersection_indices(points_a, points_b) -> tuple[np.ndarray, np.ndarray]:

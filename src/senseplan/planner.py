@@ -33,6 +33,7 @@ from .gp import (
     MeanSpec,
     MeasurementLog,
     as_points,
+    kernel_matrix,
     _CarriedConditioning,
     _GivenTargets,
     _clamped,
@@ -41,12 +42,7 @@ from .gp import (
 )
 from .environment import GroundTruthField, noisy_reading
 from .infogain import _explained_share
-from .metrics import (
-    estimating_error,
-    estimating_variance,
-    intersection_indices,
-    rmse,
-)
+from .metrics import _mean_variance, _norm, intersection_indices
 from .seeding import STREAM_NOISE, STREAM_PLANNER, substream
 
 #: Recognized planner kinds, in the order used for seed derivation.
@@ -193,7 +189,7 @@ def run_episode(config: ScenarioConfig, fld: GroundTruthField) -> EpisodeTrace:
     except InvalidInputError:
         shared_t = None
 
-    state = _CarriedConditioning(config.mean, config.kernel, config.noise_sd, points, n, config.horizon)
+    state = _CarriedConditioning(config.mean, config.kernel, config.noise_sd, points, config.horizon)
     steps: list[EpisodeStep] = []
     try:
         if greedy:
@@ -206,41 +202,45 @@ def run_episode(config: ScenarioConfig, fld: GroundTruthField) -> EpisodeTrace:
             else:
                 idx = int(planner_rng.integers(len(config.candidates)))
                 score = math.nan
-            location = config.candidates[idx]
             reading = noisy_reading(truth_c[idx], config.noise_sd, noise_rng)
-            state.add(n + idx, reading)
+            row = state.add(n + idx, reading)
             if greedy:
-                known.add(idx, state.rung)
+                known.add(idx, state.rung, row)
 
-            mu_t, var_t = state.mu[:n], state.cross.diagonal()
+            residual, var_t = state.mu[:n] - truth_t, state.var[:n]
+            norm = _norm(residual)
+            err_i = var_i = math.nan
             if shared_t is not None:
-                err_i = estimating_error(mu_t[shared_t], truth_t[shared_t])
-                var_i = estimating_variance(var_t[shared_t])
-            else:
-                err_i = math.nan
-                var_i = math.nan
+                err_i = _norm(residual[shared_t]) / len(shared_t)
+                var_i = _mean_variance(var_t[shared_t])
             steps.append(
                 EpisodeStep(
                     index=k,
                     chosen_index=idx,
-                    chosen=(float(location[0]), float(location[1])),
+                    chosen=tuple(config.candidates[idx].tolist()),
                     score=float(score),
                     measurement=float(reading),
-                    error=estimating_error(mu_t, truth_t),
-                    variance=estimating_variance(var_t),
+                    error=norm / n,
+                    variance=_mean_variance(var_t),
                     error_shared=err_i,
                     variance_shared=var_i,
-                    rmse=rmse(mu_t, truth_t),
+                    rmse=norm / math.sqrt(n),
                 )
             )
     except SensorPlanError as exc:
-        exc.partial_trace = _trace(config, steps, state.mu, state.cross)
+        exc.partial_trace = _trace(config, steps, state)
         raise
-    return _trace(config, steps, state.mu, state.cross)
+    return _trace(config, steps, state)
 
 
-def _trace(config: ScenarioConfig, steps: list, mu: np.ndarray, cross: np.ndarray) -> EpisodeTrace:
-    """Trace whose final belief is the target block of the last moments."""
+def _trace(config: ScenarioConfig, steps: list, state: _CarriedConditioning) -> EpisodeTrace:
+    """Trace whose final belief is formed once, from the carried rows:
+    ``K(T, T) - W_T' W_T`` over the targets, with diagonal ``var[:n]``."""
+    if not steps:
+        return EpisodeTrace(config=config, steps=())
     n = len(config.targets)
-    belief = GaussianBelief(config.targets, mu[:n], _symmetrize(cross)) if steps else None
+    W_t = state.W[: state.k, :n]
+    cov = _symmetrize(kernel_matrix(config.kernel, config.targets, config.targets) - W_t.T @ W_t)
+    np.fill_diagonal(cov, state.var[:n])
+    belief = GaussianBelief(config.targets, state.mu[:n], cov)
     return EpisodeTrace(config=config, steps=tuple(steps), final_belief=belief)

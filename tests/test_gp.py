@@ -359,15 +359,17 @@ class TestVariancesGivenTargets:
             np.testing.assert_allclose(var - removed, dense_given_targets(kernel, log, targets, points), atol=atol)
 
     def test_carried_state_matches_variance_pair(self):
-        """Readings folded into ``_GivenTargets`` one at a time leave the
-        variances the one-shot pair gives for the same log."""
+        """Readings folded into ``_GivenTargets`` one at a time, each with
+        its kernel row over the targets in their given (unsorted) order,
+        leave the variances the one-shot pair gives for the same log."""
         rng = np.random.default_rng(44)
         for _ in range(20):
             _, kernel, log, targets = random_instance(rng)
             cands = np.vstack([log.locations, rng.uniform(0, 8, (4, 2))])
+            points = np.vstack([targets, cands])
             known = gp_mod._GivenTargets(kernel, log.noise_sd, targets, cands, len(log))
             for i in range(len(log)):
-                known.add(i, kernel.jitter)
+                known.add(i, kernel.jitter, kernel_matrix(kernel, cands[i : i + 1], points)[0])
             var, removed = gp_mod._variance_pair(kernel, log, targets, cands)
             np.testing.assert_allclose(known.var[len(targets) :], var - removed, atol=1e-10 * kernel.signal_variance)
 
@@ -376,10 +378,11 @@ class TestVariancesGivenTargets:
         row and leave the variances as they were."""
         kernel = KernelSpec(signal_variance=2.0, lengthscale=1.0)
         targets = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 0.0]])
-        known = gp_mod._GivenTargets(kernel, 0.0, targets, np.array([[0.0, 0.0], [1.0, 1.0]]), 1)
+        cands = np.array([[0.0, 0.0], [1.0, 1.0]])
+        known = gp_mod._GivenTargets(kernel, 0.0, targets, cands, 1)
         assert known.k == 2
         before = known.var.copy()
-        known.add(0, 0.0)
+        known.add(0, 0.0, kernel_matrix(kernel, cands[:1], np.vstack([targets, cands]))[0])
         assert known.k == 2
         np.testing.assert_array_equal(known.var, before)
 

@@ -102,6 +102,56 @@ def test_pool_workers_use_one_blas_thread():
     assert openblas_thread_counts() == before
 
 
+#: A gp-sample run over 61 targets and 100 candidates (156 field nodes): a
+#: threaded Cholesky factor of this many nodes rounds differently from a
+#: single-threaded one.
+WIDE_GP_SAMPLE = """
+[scenario]
+horizon = 2
+trials = 2
+noise_sd = 1.0
+planner = both
+seed = 20260816
+
+[kernel]
+signal_variance = 9.0
+lengthscale = 1.5
+
+[field]
+kind = gp-sample
+
+[roi]
+kind = rectangle
+rect = 0, 0, 10, 10
+
+[placement]
+kind = sample
+n_targets = 61
+n_candidates = 100
+n_shared = 5
+"""
+
+
+@pytest.mark.skipif(
+    not openblas_thread_counts(), reason="no OpenBLAS thread-count getter and setter found"
+)
+def test_field_draw_runs_on_one_blas_thread(monkeypatch):
+    """A gp-sample field is drawn with every OpenBLAS at one thread, and the
+    caller's thread counts are restored afterwards."""
+    before = openblas_thread_counts()
+    during = []
+    sample_field = harness_mod.sample_field
+
+    def spied(*args):
+        during.append(openblas_thread_counts())
+        return sample_field(*args)
+
+    monkeypatch.setattr(harness_mod, "sample_field", spied)
+    execute_run(parse_config_text(WIDE_GP_SAMPLE))
+    assert during == [{path: 1 for path in before}] * 2
+    assert openblas_thread_counts() == before
+
+
 class TestExecuteRun:
     def test_minimal_bookkeeping(self):
         """2 trials x 2 planners x 5 steps x 4 metrics = 80 rows."""
@@ -194,6 +244,14 @@ class TestExecuteRun:
         assert loaded["artifact"]["name"] == "senseplan"
         assert "seed_scheme" in loaded
         assert open(series_path).readline().strip() == "trial,planner,step,metric,value"
+
+    def test_run_json_format(self, tmp_path):
+        """run.json is the record as ``json.dumps(indent=1)`` prints it, with
+        NaN refused and one trailing newline."""
+        record = execute_run(parse_config_text(MINI))
+        run_path, _ = write_outputs(record, tmp_path / "out")
+        with open(run_path) as fh:
+            assert fh.read() == json.dumps(record, indent=1, allow_nan=False) + "\n"
 
     def test_zero_noise_scores_are_finite_in_run_json(self, tmp_path):
         """Noise-free readings, repeats included (horizon 8 over 4
@@ -381,6 +439,17 @@ class TestCLI:
     def test_run_determinism_across_workers(self, tmp_path):
         cfg_path = write_config(tmp_path)
         main(["run", "--config", cfg_path, "--out", str(tmp_path / "a")])
+        main(["run", "--config", cfg_path, "--out", str(tmp_path / "b"), "--workers", "2"])
+        assert (tmp_path / "a" / "series.csv").read_bytes() == (
+            tmp_path / "b" / "series.csv"
+        ).read_bytes()
+
+    def test_gp_sample_field_determinism_across_workers(self, tmp_path):
+        """A field of more than 150 nodes gives the same series.csv bytes
+        serially, where the caller's BLAS may run several threads, and in a
+        pool of one-thread workers."""
+        cfg_path = write_config(tmp_path, WIDE_GP_SAMPLE)
+        main(["run", "--config", cfg_path, "--out", str(tmp_path / "a"), "--workers", "1"])
         main(["run", "--config", cfg_path, "--out", str(tmp_path / "b"), "--workers", "2"])
         assert (tmp_path / "a" / "series.csv").read_bytes() == (
             tmp_path / "b" / "series.csv"

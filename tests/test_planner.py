@@ -413,6 +413,41 @@ class TestRunEpisode:
                     step_metrics(step), fresh_metrics(cfg, fld, trace.steps[: step.index]), rtol=1e-12
                 )
 
+    def test_final_belief_agrees_with_the_last_step(self):
+        """With noise, the last step's variance and error are those of the
+        final belief, bit for bit, and the final belief, formed once from
+        the carried rows, is a fresh posterior's on the whole log."""
+        for kind in PLANNER_KINDS:
+            cfg = make_config(planner_kind=kind, horizon=12)
+            fld = linear_field()
+            trace = run_episode(cfg, fld)
+            last, belief = trace.steps[-1], trace.final_belief
+            assert last.variance == estimating_variance(belief.cov)
+            assert last.error == estimating_error(belief.mean, fld.values(cfg.targets))
+            log = MeasurementLog([s.chosen for s in trace.steps], [s.measurement for s in trace.steps], cfg.noise_sd)
+            fresh = posterior(cfg.mean, cfg.kernel, log, cfg.targets)
+            assert np.max(np.abs(belief.cov - fresh.cov)) <= 1e-10 * np.max(np.abs(fresh.cov))
+            np.testing.assert_array_equal(belief.cov, belief.cov.T)
+
+    def test_one_kernel_row_per_reading(self, monkeypatch):
+        """A greedy episode computes one kernel row per target and one per
+        reading, shared by both carried states; a random episode one per
+        reading."""
+        rows = []
+        kernel_matrix_ = gp_mod.kernel_matrix
+
+        def counted(spec, X, Y):
+            if len(X) == 1:
+                rows.append(X[0])
+            return kernel_matrix_(spec, X, Y)
+
+        monkeypatch.setattr(gp_mod, "kernel_matrix", counted)
+        for kind in PLANNER_KINDS:
+            rows.clear()
+            cfg = make_config(planner_kind=kind, horizon=9, n_targets=7)
+            run_episode(cfg, linear_field())
+            assert len(rows) == 7 * (kind == "greedy-edg") + 9
+
     def test_choices_stay_in_candidate_set(self):
         for kind in ("greedy-edg", "random"):
             cfg = make_config(planner_kind=kind, horizon=6)
