@@ -3,9 +3,13 @@
 The prior is a constant mean plus an isotropic squared-exponential
 covariance.  All operations take explicit location sets and return dense
 means and covariances.  Linear systems are solved through Cholesky
-factorizations with an escalating relative diagonal jitter, never through
-explicit inverses; a factorization that fails at the top of the jitter
-ladder raises :class:`~senseplan.errors.NumericalDegeneracyError`.
+factorizations, never through explicit inverses.
+
+One rule covers every conditioning on a log: a reading whose Cholesky
+pivot ``d^2`` is at or below ``JITTER_LADDER[0]`` of the prior variance
+(a noise-free repeat, a near-duplicate) adds nothing given the readings
+before it, so it adds no row.  :func:`jittered_cholesky` and its jitter
+ladder serve only matrices that are not a log's Gram matrix.
 
 The public functions are pure functions of their inputs and every
 public container is immutable after construction, so values can be
@@ -16,10 +20,11 @@ all of them at once.  Its query set is a prefix of its points, so one
 triangular solve serves both.  A log that grows one reading at a time,
 as in a planning episode, is instead carried by the private
 ``_CarriedConditioning``: one kernel row and one Gram-factor row per
-reading update its means and variances (it holds no covariance), and a
-degenerate pivot falls back on ``_condition``, the from-scratch path of
-:func:`predictive_moments`.  ``_GivenTargets`` carries the variances given
-the targets' values too, with the same row-append code and kernel row.
+reading update its means and variances (it holds no covariance).  A
+from-scratch factor with a degenerate pivot feeds its log through that
+code, so both skip the same readings.  ``_GivenTargets`` carries the
+variances given the targets' values too, with the same row-append code
+and kernel row.
 
 Location arrays are checked once, where they enter a public entry point
 (:func:`posterior`, :func:`predictive_moments`, :func:`sample_prior_field`
@@ -39,7 +44,9 @@ from scipy.spatial.distance import cdist
 
 from .errors import InvalidInputError, NumericalDegeneracyError
 
-#: Relative diagonal inflations tried, in order, when a factorization fails.
+#: Relative diagonal inflations :func:`jittered_cholesky` tries, in order,
+#: when a factorization fails.  A log's pivot at or below the first of
+#: them, relative to the prior variance, adds no row.
 JITTER_LADDER = (1e-10, 1e-8, 1e-6)
 
 
@@ -89,8 +96,8 @@ class KernelSpec:
         Correlation length in coordinate units.
     jitter : float, optional
         Baseline relative diagonal inflation applied to every Gram matrix
-        before factorization (relative to the mean diagonal).  Escalation
-        beyond this baseline happens automatically on failure.
+        before factorization (relative to the mean diagonal).  Only
+        :func:`jittered_cholesky` escalates beyond it, on failure.
     """
 
     signal_variance: float
@@ -277,14 +284,9 @@ def posterior(mean: MeanSpec, kernel: KernelSpec, log: MeasurementLog, query) ->
 
     With an empty log this is the prior ``(m(X), K(X, X))``; otherwise the
     usual conditioning of the joint Gaussian of readings and field values,
-    solved via the (jittered) Cholesky factor of the noisy Gram matrix.
-
-    Raises
-    ------
-    InvalidInputError
-        If ``query`` is empty or malformed.
-    NumericalDegeneracyError
-        If the Gram matrix cannot be factorized even after jitter escalation.
+    solved via the Cholesky factor of the noisy Gram matrix; a reading with
+    a degenerate pivot is skipped.  Raises InvalidInputError if ``query``
+    is empty or malformed.
     """
     X = as_points(query)
     if len(X) == 0:
@@ -306,7 +308,7 @@ def predictive_moments(mean: MeanSpec, kernel: KernelSpec, log: MeasurementLog, 
     P = as_points(points)
     if not 0 <= n_query <= len(P):
         raise InvalidInputError(f"n_query must be in [0, {len(P)}], got {n_query}")
-    W, _, mu, var, _ = _condition(mean, kernel, log.locations, log.values, log.noise_sd, P)
+    W, mu, var = _condition(mean, kernel, log.locations, log.values, log.noise_sd, P)
     return mu, _clamped(kernel, var), kernel_matrix(kernel, P[:n_query], P) - W[:, :n_query].T @ W
 
 
@@ -318,22 +320,27 @@ def _clamped(kernel: KernelSpec, var: np.ndarray) -> np.ndarray:
 def _condition(mean: MeanSpec, kernel: KernelSpec, Y, y, noise_sd: float, P):
     """Condition the field at ``P`` on readings ``y`` at ``Y``, from scratch.
 
-    Returns ``(W, alpha, mu, var, rung)``: the rows ``W = L^-1 K(Y, P)``
-    and ``alpha = L^-1 (y - m)`` of the Gram factor ``L``, the raw (unclamped)
-    means and variances at ``P``, and the relative jitter ``L`` was
-    factored with.
+    Returns ``(W, mu, var)``: the rows ``W = L^-1 K(Y, P)`` of the Gram
+    factor ``L`` and the raw (unclamped) means and variances at ``P``.  A
+    Gram matrix that does not factor with every pivot above the
+    threshold of ``_CarriedRows._push`` is fed in order through
+    :class:`_CarriedConditioning`, which skips the readings it should.
     """
-    mu = np.full(len(P), float(mean.constant))
-    var = np.full(len(P), kernel.signal_variance)
-    if not len(y):
-        return np.zeros((0, len(P))), np.zeros(0), mu, var, float(kernel.jitter)
-    G = kernel_matrix(kernel, Y, Y) + noise_sd**2 * np.eye(len(y))
-    L, rung = jittered_cholesky(G, base_jitter=kernel.jitter)
+    s2, sf2 = noise_sd**2, kernel.signal_variance
+    G = kernel_matrix(kernel, Y, Y) + (s2 + kernel.jitter * (sf2 + s2)) * np.eye(len(y))
+    try:
+        L = cholesky(G, lower=True)
+        degenerate = np.any(np.diagonal(L) ** 2 <= JITTER_LADDER[0] * sf2)
+    except LinAlgError:
+        degenerate = True
+    if degenerate:
+        state = _CarriedConditioning(mean, kernel, noise_sd, np.vstack([P, Y]), len(y))
+        for i, z in enumerate(y):
+            state.add(len(P) + i, z)
+        return state.W[: state.k, : len(P)], state.mu[: len(P)], state.var[: len(P)]
     W = solve_triangular(L, kernel_matrix(kernel, Y, P), lower=True)
-    alpha = solve_triangular(L, y - mean.constant, lower=True)
-    mu += alpha @ W
-    var -= np.einsum("ij,ij->j", W, W)
-    return W, alpha, mu, var, rung
+    mu = mean.constant + solve_triangular(L, y - mean.constant, lower=True) @ W
+    return W, mu, sf2 - np.einsum("ij,ij->j", W, W)
 
 
 class _CarriedRows:
@@ -352,16 +359,16 @@ class _CarriedRows:
         """The kernel row ``k(P[i], P)``."""
         return kernel_matrix(self.kernel, self.P[i : i + 1], self.P)[0]
 
-    def _push(self, i: int, row: np.ndarray, s2: float, rung: float):
+    def _push(self, i: int, row: np.ndarray, s2: float, jitter: float):
         """Append the row of a reading at ``P[i]``, whose kernel row is
-        ``row``, under jitter ``rung``: with ``l = W[:k, i]``,
-        ``d^2 = row[i] + s2 + rung (sf^2 + s2) - l'l`` and
+        ``row``, under relative jitter ``jitter``: with ``l = W[:k, i]``,
+        ``d^2 = row[i] + s2 + jitter (sf^2 + s2) - l'l`` and
         ``w = (row - l'W[:k]) / d``, then ``var -= w^2``; return
         ``(l, d, w)``.  Where ``d^2`` falls to ``JITTER_LADDER[0]`` of the
         prior variance or below, append nothing and return None."""
         k, sf2 = self.k, self.kernel.signal_variance
         l = self.W[:k, i]
-        d2 = row[i] + s2 + rung * (sf2 + s2) - l @ l
+        d2 = row[i] + s2 + jitter * (sf2 + s2) - l @ l
         if d2 <= JITTER_LADDER[0] * sf2:
             return None
         d = math.sqrt(d2)
@@ -387,43 +394,28 @@ class _CarriedConditioning(_CarriedRows):
     """The conditioning of the field at ``P`` on a growing log of readings
     at points of ``P``: the rows and raw variances of :class:`_CarriedRows`,
     ``alpha = L^-1 (y - m)`` and the raw means ``mu``; no covariance (that
-    of points ``B`` is ``K(B, B) - W[:k, B]' W[:k, B]``).  A degenerate pivot
-    (a noise-free repeat, a near-duplicate) rebuilds the state by
-    :func:`_condition` under the jitter ladder.  ``P`` is taken as checked;
-    ``capacity`` bounds the number of readings.
+    of points ``B`` is ``K(B, B) - W[:k, B]' W[:k, B]``).  A reading whose
+    pivot is degenerate (a noise-free repeat, a near-duplicate) adds
+    nothing given the readings before it, so it is skipped.  ``P`` is taken
+    as checked; ``capacity`` bounds the number of readings.
     """
 
     def __init__(self, mean: MeanSpec, kernel: KernelSpec, noise_sd: float, P, capacity: int):
         self.mean, self.noise_sd = mean, noise_sd
-        self.locations = np.empty((capacity, 2))
-        self.values = np.empty(capacity)
         self.alpha = np.empty(capacity)
-        _, _, self.mu, var, self.rung = _condition(mean, kernel, self.locations[:0], self.values[:0], noise_sd, P)
-        super().__init__(kernel, P, var, capacity)
+        self.mu = np.full(len(P), float(mean.constant))
+        super().__init__(kernel, P, np.full(len(P), kernel.signal_variance), capacity)
 
     def add(self, i: int, z: float) -> np.ndarray:
         """Fold in reading ``z`` taken at ``P[i]``; return the kernel row
-        ``k(P[i], P)`` computed for it.
-
-        A failed rebuild raises NumericalDegeneracyError and leaves the
-        state at the log before this reading.
-        """
-        k = self.k
-        self.locations[k] = self.P[i]
-        self.values[k] = z
+        ``k(P[i], P)`` computed for it."""
         row = self._row(i)
-        pushed = self._push(i, row, self.noise_sd**2, self.rung)
-        if pushed is None:
-            W, alpha, self.mu, self.var, self.rung = _condition(
-                self.mean, self.kernel, self.locations[: k + 1], self.values[: k + 1], self.noise_sd, self.P
-            )
-            self.W[: k + 1], self.alpha[: k + 1] = W, alpha
-            self.k = k + 1
-            return row
-        l, d, w = pushed
-        a = (z - self.mean.constant - l @ self.alpha[:k]) / d
-        self.alpha[k] = a
-        self.mu += a * w
+        pushed = self._push(i, row, self.noise_sd**2, self.kernel.jitter)
+        if pushed is not None:
+            l, d, w = pushed
+            a = (z - self.mean.constant - l @ self.alpha[: len(l)]) / d
+            self.alpha[len(l)] = a
+            self.mu += a * w
         return row
 
 
@@ -434,7 +426,7 @@ class _GivenTargets(_CarriedRows):
     The targets enter first, sorted, as noise-free readings.  A target or
     reading whose pivot is degenerate adds nothing given the rows before it
     (a duplicate target; noise-free, a reading at a target or a repeat), so
-    its row is skipped, not rebuilt.  ``capacity`` bounds the readings.
+    its row is skipped.  ``capacity`` bounds the readings.
     """
 
     def __init__(self, kernel: KernelSpec, noise_sd: float, targets, C, capacity: int):
@@ -444,10 +436,10 @@ class _GivenTargets(_CarriedRows):
         for i in range(self.n):
             self._push(i, self._row(i), 0.0, 0.0)
 
-    def add(self, j: int, rung: float, row: np.ndarray) -> None:
-        """Fold in a reading at ``C[j]`` taken under jitter ``rung``, given its
-        kernel row ``k(C[j], [targets; C])``, targets in their given order."""
-        self._push(self.n + j, np.concatenate((row[self.order], row[self.n :])), self.noise_sd**2, rung)
+    def add(self, j: int, row: np.ndarray) -> None:
+        """Fold in a reading at ``C[j]``, given its kernel row
+        ``k(C[j], [targets; C])``, targets in their given order."""
+        self._push(self.n + j, np.concatenate((row[self.order], row[self.n :])), self.noise_sd**2, self.kernel.jitter)
 
 
 def _variance_pair(kernel: KernelSpec, log: MeasurementLog, targets, points):
@@ -460,9 +452,10 @@ def _variance_pair(kernel: KernelSpec, log: MeasurementLog, targets, points):
     the targets' rows rather than differencing two variances of the prior's
     size, so it stays accurate where it is tiny.  Arrays are taken as checked.
     """
-    k, n = len(log), len(targets)
+    n = len(targets)
     _, P = _sorted_first(targets, points)
-    W, _, _, var, _ = _condition(MeanSpec(), kernel, log.locations, log.values, log.noise_sd, P)
+    W, _, var = _condition(MeanSpec(), kernel, log.locations, log.values, log.noise_sd, P)
+    k = len(W)
     rows = _CarriedRows(kernel, P, var.copy(), k + n)
     rows.W[:k], rows.k = W, k
     for i in range(n):

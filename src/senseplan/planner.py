@@ -21,12 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    InvalidInputError,
-    NumericalDegeneracyError,
-    PlanningError,
-    SensorPlanError,
-)
+from .errors import InvalidInputError, PlanningError, SensorPlanError
 from .gp import (
     GaussianBelief,
     KernelSpec,
@@ -119,11 +114,6 @@ class EpisodeTrace:
     final_belief: Optional[GaussianBelief] = field(default=None, repr=False)
 
 
-def _no_usable_gain(count: int) -> PlanningError:
-    message = f"none of the {count} candidates produced a usable gain score"
-    return PlanningError(message, failed_candidates=list(range(count)))
-
-
 def _greedy_choice(kernel: KernelSpec, noise_sd: float, var, explained) -> tuple[int, np.ndarray]:
     """Index of the highest-gain candidate, and every candidate's gain.
 
@@ -137,19 +127,16 @@ def _greedy_choice(kernel: KernelSpec, noise_sd: float, var, explained) -> tuple
     """
     share = _explained_share(kernel, noise_sd, var, explained)
     if np.all(np.isnan(share)):
-        raise _no_usable_gain(len(share))
+        count = len(share)
+        message = f"none of the {count} candidates produced a usable gain score"
+        raise PlanningError(message, failed_candidates=list(range(count)))
     gains = np.where(np.isnan(share), -math.inf, -0.5 * np.log1p(-share))
     return int(np.flatnonzero(gains >= (1.0 - TIE_RTOL) * gains.max())[0]), gains
 
 
 def _greedy_on_log(mean: MeanSpec, kernel: KernelSpec, log: MeasurementLog, candidates, targets):
-    """:func:`_greedy_choice` on one conditioning of ``log`` and the targets;
-    a Gram matrix that cannot be factorized fails every candidate."""
-    try:
-        var, explained = _variance_pair(kernel, log, targets, candidates)
-    except NumericalDegeneracyError:
-        raise _no_usable_gain(len(candidates)) from None
-    return _greedy_choice(kernel, log.noise_sd, var, explained)
+    """:func:`_greedy_choice` on one conditioning of ``log`` and the targets."""
+    return _greedy_choice(kernel, log.noise_sd, *_variance_pair(kernel, log, targets, candidates))
 
 
 def greedy_select(
@@ -205,7 +192,7 @@ def run_episode(config: ScenarioConfig, fld: GroundTruthField) -> EpisodeTrace:
             reading = noisy_reading(truth_c[idx], config.noise_sd, noise_rng)
             row = state.add(n + idx, reading)
             if greedy:
-                known.add(idx, state.rung, row)
+                known.add(idx, row)
 
             residual, var_t = state.mu[:n] - truth_t, state.var[:n]
             norm = _norm(residual)

@@ -309,6 +309,20 @@ class TestPosterior:
         np.testing.assert_allclose(belief.mean, vals, atol=1e-8)
         assert np.all(belief.marginal_variances() < 1e-6)
 
+    @pytest.mark.parametrize("reading, value, target", [((1.0, 0.0), -0.2, 0), ((0.0, 1e-10), 0.3, 1)])
+    def test_noise_free_repeat_adds_nothing(self, reading, value, target):
+        """A noise-free reading at a point already read, or within
+        round-off of one, adds no row: the variance left at a read point
+        stays exactly 0, and the moments are those without the repeat."""
+        kernel = KernelSpec(signal_variance=1.0, lengthscale=1.0)
+        pts = np.array([[0.0, 0.0], [1.0, 0.0]])
+        log = MeasurementLog(pts, [0.3, -0.2], 0.0)
+        mu, var, _ = predictive_moments(MeanSpec(), kernel, log.append(reading, value), pts, 0)
+        assert var[target] == 0.0
+        before_mu, before_var, _ = predictive_moments(MeanSpec(), kernel, log, pts, 0)
+        np.testing.assert_allclose(mu, before_mu, rtol=1e-12)
+        np.testing.assert_array_equal(var, before_var)
+
 
 class TestPredictiveMoments:
     def test_query_is_a_prefix_of_the_points(self):
@@ -369,7 +383,7 @@ class TestVariancesGivenTargets:
             points = np.vstack([targets, cands])
             known = gp_mod._GivenTargets(kernel, log.noise_sd, targets, cands, len(log))
             for i in range(len(log)):
-                known.add(i, kernel.jitter, kernel_matrix(kernel, cands[i : i + 1], points)[0])
+                known.add(i, kernel_matrix(kernel, cands[i : i + 1], points)[0])
             var, removed = gp_mod._variance_pair(kernel, log, targets, cands)
             np.testing.assert_allclose(known.var[len(targets) :], var - removed, atol=1e-10 * kernel.signal_variance)
 
@@ -382,7 +396,7 @@ class TestVariancesGivenTargets:
         known = gp_mod._GivenTargets(kernel, 0.0, targets, cands, 1)
         assert known.k == 2
         before = known.var.copy()
-        known.add(0, 0.0, kernel_matrix(kernel, cands[:1], np.vstack([targets, cands]))[0])
+        known.add(0, kernel_matrix(kernel, cands[:1], np.vstack([targets, cands]))[0])
         assert known.k == 2
         np.testing.assert_array_equal(known.var, before)
 

@@ -15,7 +15,6 @@ from senseplan import (
     KernelSpec,
     MeanSpec,
     MeasurementLog,
-    NumericalDegeneracyError,
     PlanningError,
     PolygonMask,
     ScenarioConfig,
@@ -179,8 +178,8 @@ class TestGreedySelect:
         assert len(calls) == 1
 
     def test_all_candidates_degenerate_raises_planning_error(self, monkeypatch):
-        def always_degenerate(*args, **kwargs):
-            raise NumericalDegeneracyError("forced")
+        def always_degenerate(kernel, log, targets, points):
+            return np.full(len(points), np.nan), np.zeros(len(points))
 
         monkeypatch.setattr(planner_mod, "_variance_pair", always_degenerate)
         targets = np.array([[0.0, 0.0]])
@@ -214,10 +213,15 @@ class TestZeroNoiseScores:
             assert np.all(np.isfinite(gains)) and np.all(gains >= 0)
 
     def test_repeat_scores_about_zero(self):
-        _, gains = planner_mod._greedy_on_log(
-            MEAN, self.KERNEL, self.LOG, np.array([[1.0, 1.0]]), self.TARGETS
-        )
-        assert 0.0 <= gains[0] < 1e-9
+        """A noise-free repeat reading adds no row to the log's
+        conditioning, so the scorer, the closed form and the quadrature
+        oracle all read its gain as 0."""
+        cand = np.array([1.0, 1.0])
+        _, gains = planner_mod._greedy_on_log(MEAN, self.KERNEL, self.LOG, cand[None], self.TARGETS)
+        exact = edg_exact(MEAN, self.KERNEL, self.LOG, cand, self.TARGETS).value
+        quad = edg_quadrature(MEAN, self.KERNEL, self.LOG, cand, self.TARGETS)
+        for gain in (gains[0], exact, quad):
+            assert 0.0 <= gain <= 1e-12
 
     def test_unmeasured_target_outranks_every_other_candidate(self):
         cands = np.array([[2.0, 2.0], [1.0, 1.0], [8.0, 1.0], [4.5, 4.5]])
@@ -301,37 +305,43 @@ class TestRunEpisode:
         np.testing.assert_array_equal(trace.final_belief.cov, belief.cov)
 
     def test_no_fresh_conditioning_per_step(self, monkeypatch):
-        """With noise, an episode carries one conditioning across its steps,
-        whichever planner runs it and however long it is: it makes no
-        ``predictive_moments`` or ``posterior`` call, factors no matrix (the
-        greedy planner's targets enter as rows too), and conditions from
-        scratch only once, on the empty log.  A noise-free repeat reading
-        rebuilds the conditioning from scratch."""
-        rebuilt = []
-        condition = gp_mod._condition
-
-        def counted(mean, kernel, Y, y, *args):
-            rebuilt.append(len(y))
-            return condition(mean, kernel, Y, y, *args)
+        """An episode carries one conditioning across its steps, whichever
+        planner runs it, however long it is and whatever the noise: it
+        makes no ``predictive_moments`` or ``posterior`` call, conditions
+        nothing from scratch and factors no matrix (the greedy planner's
+        targets enter as rows too).  A noise-free repeat reading is skipped
+        rather than rebuilt."""
 
         def forbidden(*args, **kwargs):
             raise AssertionError("run_episode conditioned on the whole log")
 
-        monkeypatch.setattr(gp_mod, "_condition", counted)
+        monkeypatch.setattr(gp_mod, "_condition", forbidden)
         monkeypatch.setattr(gp_mod, "jittered_cholesky", forbidden)
         monkeypatch.setattr(planner_mod, "predictive_moments", forbidden, raising=False)
         monkeypatch.setattr(planner_mod, "posterior", forbidden, raising=False)
         for kind in PLANNER_KINDS:
             for horizon in (5, 50):
-                rebuilt.clear()
                 run_episode(make_config(planner_kind=kind, horizon=horizon), linear_field())
-                assert rebuilt == [0]
-        monkeypatch.undo()
-        monkeypatch.setattr(gp_mod, "_condition", counted)
-        rebuilt.clear()
-        cfg = make_config(planner_kind="random", n_candidates=1, n_shared=0, horizon=3, noise_sd=0.0)
-        run_episode(cfg, linear_field())
-        assert rebuilt[:2] == [0, 2]
+                for n_candidates in (1, 5):
+                    cfg = make_config(
+                        planner_kind=kind, n_candidates=n_candidates, n_shared=1, horizon=horizon, noise_sd=0.0
+                    )
+                    run_episode(cfg, linear_field())
+
+    @pytest.mark.parametrize("noise_sd", [0.0, 2e-6])
+    def test_degenerate_repeat_adds_no_row(self, noise_sd):
+        """With zero noise, or noise below about 1e-5 of the prior standard
+        deviation (2 here), a repeat reading's pivot is at most 1e-10 of the
+        prior variance, so it adds no row: the final belief is the posterior
+        on the first reading alone, bit for bit, and a fresh posterior on
+        the whole log skips the repeats as well."""
+        cfg = make_config(planner_kind="random", n_candidates=1, n_shared=1, horizon=3, noise_sd=noise_sd)
+        trace = run_episode(cfg, linear_field())
+        whole = MeasurementLog([s.chosen for s in trace.steps], [s.measurement for s in trace.steps], noise_sd)
+        for log in (MeasurementLog(whole.locations[:1], whole.values[:1], noise_sd), whole):
+            belief = posterior(MEAN, KERNEL, log, cfg.targets)
+            np.testing.assert_array_equal(trace.final_belief.mean, belief.mean)
+            np.testing.assert_array_equal(trace.final_belief.cov, belief.cov)
 
     def test_one_truth_query_per_episode(self):
         """An episode reads the field once, at the targets and candidates
@@ -368,26 +378,27 @@ class TestRunEpisode:
 
     def test_step_metrics_match_fresh_posterior(self):
         """Every step's metrics equal those of a fresh posterior on that
-        step's log prefix."""
+        step's log prefix, noise-free repeat readings included."""
         for kind in ("greedy-edg", "random"):
-            cfg = make_config(planner_kind=kind, horizon=6)
-            fld = linear_field()
-            trace = run_episode(cfg, fld)
-            truth = np.array([field_value(fld, pt) for pt in cfg.targets])
-            shared, _ = intersection_indices(cfg.targets, cfg.candidates)
-            log = MeasurementLog.empty(cfg.noise_sd)
-            for step in trace.steps:
-                log = log.append(step.chosen, step.measurement)
-                belief = posterior(MEAN, KERNEL, log, cfg.targets)
-                expected = (
-                    estimating_error(belief.mean, truth),
-                    estimating_variance(belief.cov),
-                    estimating_error(belief.mean[shared], truth[shared]),
-                    estimating_variance(belief.cov[np.ix_(shared, shared)]),
-                    rmse(belief.mean, truth),
-                )
-                got = (step.error, step.variance, step.error_shared, step.variance_shared, step.rmse)
-                np.testing.assert_allclose(got, expected, rtol=1e-12)
+            for noise_sd, n_candidates in ((0.5, 5), (0.0, 2)):
+                cfg = make_config(planner_kind=kind, horizon=6, noise_sd=noise_sd, n_candidates=n_candidates)
+                fld = linear_field()
+                trace = run_episode(cfg, fld)
+                truth = np.array([field_value(fld, pt) for pt in cfg.targets])
+                shared, _ = intersection_indices(cfg.targets, cfg.candidates)
+                log = MeasurementLog.empty(cfg.noise_sd)
+                for step in trace.steps:
+                    log = log.append(step.chosen, step.measurement)
+                    belief = posterior(MEAN, KERNEL, log, cfg.targets)
+                    expected = (
+                        estimating_error(belief.mean, truth),
+                        estimating_variance(belief.cov),
+                        estimating_error(belief.mean[shared], truth[shared]),
+                        estimating_variance(belief.cov[np.ix_(shared, shared)]),
+                        rmse(belief.mean, truth),
+                    )
+                    got = (step.error, step.variance, step.error_shared, step.variance_shared, step.rmse)
+                    np.testing.assert_allclose(got, expected, rtol=1e-12)
 
     def test_carried_conditioning_does_not_drift(self):
         """Over a 300-step random episode, every 50th step's metrics equal
