@@ -51,10 +51,15 @@ PLACEMENT_BATCH = 1024
 
 def _nearest(tree: cKDTree, pts: np.ndarray) -> np.ndarray:
     """Index of the tree point nearest each row of ``pts``; ties go to the
-    lowest index."""
-    dist, _ = tree.query(pts)
-    near = tree.query_ball_point(pts, r=dist * (1.0 + 1e-12))
-    return np.array([min(idx) for idx in near], dtype=np.intp)
+    lowest index.  Only rows whose second-nearest point lies within the
+    ``1e-12`` relative tie band look for the lowest index among the ties."""
+    dist, idx = tree.query(pts, k=2)
+    near = idx[:, 0]
+    tied = np.flatnonzero(dist[:, 1] <= dist[:, 0] * (1.0 + 1e-12))
+    if len(tied):
+        balls = tree.query_ball_point(pts[tied], r=dist[tied, 0] * (1.0 + 1e-12))
+        near[tied] = [min(ball) for ball in balls]
+    return near
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cholesky, solve_triangular
+from scipy.linalg import LinAlgError, cholesky, get_lapack_funcs, solve_triangular
 from scipy.spatial.distance import cdist
 
 from .errors import InvalidInputError, NumericalDegeneracyError
@@ -138,7 +138,9 @@ class MeasurementLog:
     values : array-like, shape (k,)
         Readings in field units, one per location.
     noise_sd : float
-        Standard deviation of the additive measurement noise.
+        Standard deviation of the additive measurement noise.  Without
+        noise, two different readings at one location contradict each
+        other and are rejected; equal repeats are kept.
     """
 
     locations: np.ndarray
@@ -156,6 +158,17 @@ class MeasurementLog:
             raise InvalidInputError("measurement values must be finite")
         if not (np.isfinite(self.noise_sd) and self.noise_sd >= 0):
             raise InvalidInputError("noise_sd must be finite and >= 0")
+        if self.noise_sd == 0 and len(vals) > 1:
+            # Sorting by coordinates puts the readings at one location side by side.
+            order = np.lexsort(pts.T[::-1])
+            p, v = pts[order], vals[order]
+            clash = np.flatnonzero(np.all(p[1:] == p[:-1], axis=1) & (v[1:] != v[:-1]))
+            if len(clash):
+                i = clash[0]
+                raise InvalidInputError(
+                    f"noise-free readings {float(v[i])!r} and {float(v[i + 1])!r} at "
+                    f"{tuple(p[i].tolist())} contradict each other"
+                )
         vals = vals.copy()
         vals.flags.writeable = False
         object.__setattr__(self, "locations", pts)
@@ -224,7 +237,10 @@ def jittered_cholesky(matrix, base_jitter: float = 0.0):
     Factorizes ``matrix + r * scale * I`` where ``scale`` is the mean
     diagonal entry and ``r`` runs through ``base_jitter`` followed by the
     ladder ``1e-10, 1e-8, 1e-6`` (each floored by ``base_jitter``) until one
-    attempt succeeds.
+    attempt succeeds.  As with ``scipy.linalg.cholesky(lower=True)``, only
+    the lower triangle is read; a non-finite entry anywhere raises
+    ValueError.  ``matrix`` is left unchanged: it is copied once, and every
+    rung factors that copy in place.
 
     Returns
     -------
@@ -237,26 +253,49 @@ def jittered_cholesky(matrix, base_jitter: float = 0.0):
         If every rung of the ladder fails; carries the last jitter tried.
     """
     a = np.asarray(matrix, dtype=float)
-    n = a.shape[0]
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    return _cholesky_in_place(np.array(a, order="F"), base_jitter)
+
+
+def _cholesky_in_place(a: np.ndarray, base_jitter: float):
+    """:func:`jittered_cholesky` of the square Fortran-ordered buffer ``a``,
+    which it overwrites with the factor; no rung copies it.
+
+    LAPACK ``potrf`` (the routine ``scipy.linalg.cholesky`` calls) reads
+    and writes only the lower triangle.  The strict upper triangle is made
+    to mirror it before the first rung, so that it and the diagonal saved
+    then restore the matrix after a failed rung; it is zeroed once a rung
+    succeeds.  Each rung factors the bits of ``a + r * scale * I``.
+    """
+    n = len(a)
     if n == 0:
-        return np.zeros((0, 0)), float(base_jitter)
+        return a, float(base_jitter)
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
     scale = float(np.mean(np.diagonal(a)))
     if not np.isfinite(scale) or scale <= 0.0:
         scale = 1.0
-    attempted = float(base_jitter)
+    diag = np.diagonal(a).copy()
+    for j in range(1, n):
+        a[:j, j] = a[j, :j]
+    (potrf,) = get_lapack_funcs(("potrf",), (a,))
     ladder = dict.fromkeys(
         (float(base_jitter), *(max(float(base_jitter), r) for r in JITTER_LADDER))
     )
-    for rel in ladder:
-        attempted = rel
-        shifted = a if rel == 0.0 else a + (rel * scale) * np.eye(n)
-        try:
-            return cholesky(shifted, lower=True), rel
-        except LinAlgError:
-            continue
+    for rung, rel in enumerate(ladder):
+        if rung:
+            for j in range(n - 1):
+                a[j + 1 :, j] = a[j, j + 1 :]
+        if rel:
+            np.fill_diagonal(a, diag + rel * scale)
+        if potrf(a, lower=1, clean=0, overwrite_a=1)[1] == 0:
+            for j in range(1, n):
+                a[:j, j] = 0.0
+            return a, rel
     raise NumericalDegeneracyError(
-        f"covariance factorization failed up to relative jitter {attempted:g}",
-        jitter_attempted=attempted,
+        f"covariance factorization failed up to relative jitter {rel:g}",
+        jitter_attempted=rel,
     )
 
 
@@ -274,9 +313,16 @@ def kernel_matrix(spec: KernelSpec, X, Y) -> np.ndarray:
     When ``X`` and ``Y`` hold identical coordinates the result is exactly
     symmetric with diagonal ``spec.signal_variance``: ``cdist`` computes
     ``(a - b)**2`` and ``(b - a)**2`` alike and gives 0 on the diagonal.
+
+    The arithmetic runs in cdist's output buffer: the squared distances are
+    divided by ``-2 l^2``, exponentiated and scaled there, which rounds as
+    ``sf^2 * exp(-d2 / (2 l^2))`` does and allocates nothing else.
     """
-    d2 = cdist(X, Y, "sqeuclidean")
-    return spec.signal_variance * np.exp(-d2 / (2.0 * spec.lengthscale**2))
+    k = cdist(X, Y, "sqeuclidean")
+    k /= -2.0 * spec.lengthscale**2
+    np.exp(k, out=k)
+    k *= spec.signal_variance
+    return k
 
 
 def posterior(mean: MeanSpec, kernel: KernelSpec, log: MeasurementLog, query) -> GaussianBelief:
@@ -465,11 +511,15 @@ def _variance_pair(kernel: KernelSpec, log: MeasurementLog, targets, points):
 
 
 def sample_prior_field(mean: MeanSpec, kernel: KernelSpec, grid, seed: int) -> np.ndarray:
-    """One draw of the prior field at ``grid``, deterministic given ``seed``."""
+    """One draw of the prior field at ``grid``, deterministic given ``seed``.
+
+    The kernel matrix is factored in its own buffer, as ``K.T``: it is
+    exactly symmetric, and its transpose holds the same values in Fortran
+    order.  The draw holds that one ``n x n`` matrix.
+    """
     pts = as_points(grid)
     if len(pts) == 0:
         raise InvalidInputError("grid must contain at least one location")
-    K = kernel_matrix(kernel, pts, pts)
-    L, _ = jittered_cholesky(K, base_jitter=kernel.jitter)
+    L, _ = _cholesky_in_place(kernel_matrix(kernel, pts, pts).T, kernel.jitter)
     rng = np.random.default_rng(seed)
     return mean.constant + L @ rng.standard_normal(len(pts))

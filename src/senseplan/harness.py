@@ -36,7 +36,7 @@ from .environment import (
     sample_field,
 )
 from .errors import ConfigError, DataError, NumericalDegeneracyError, SensorPlanError
-from .gp import KernelSpec, MeanSpec, MeasurementLog, as_points, jittered_cholesky, kernel_matrix
+from .gp import KernelSpec, MeanSpec, MeasurementLog, _cholesky_in_place, as_points, kernel_matrix
 from .infogain import edg_quadrature, edg_unnormalized_form
 from .metrics import METRIC_NAMES, aggregate_series
 from .planner import EpisodeTrace, ScenarioConfig, _greedy_on_log, run_episode
@@ -132,9 +132,8 @@ def trial_field(
 def _unique_points(*arrays) -> np.ndarray:
     seen = {}
     for arr in arrays:
-        for pt in arr:
-            seen.setdefault((float(pt[0]), float(pt[1])), pt)
-    return np.array(list(seen.values()))
+        seen.update(dict.fromkeys(map(tuple, arr.tolist())))
+    return np.array(list(seen))
 
 
 def _jf(x: float):
@@ -476,7 +475,7 @@ def validate_run_config(cfg: RunConfig) -> tuple[list[str], list[str]]:
 
     pts = _unique_points(targets, candidates)
     try:
-        jittered_cholesky(kernel_matrix(kernel, pts, pts), base_jitter=kernel.jitter)
+        _cholesky_in_place(kernel_matrix(kernel, pts, pts).T, kernel.jitter)
     except NumericalDegeneracyError as exc:
         config_issues.append(f"kernel matrix on configured points is not usable: {exc}")
     return config_issues, data_issues

@@ -192,8 +192,10 @@ def edg_quadrature(
 
     Integrates ``KL(post-belief(z) || pre-belief)`` against the predictive
     density of the reading using the change of variables
-    ``z = mu_z + sqrt(2 var_z) t``.  The current belief and the reading's
-    moments come from one conditioning; each node conditions afresh.
+    ``z = mu_z + sqrt(2 var_z) t``; a noise-free reading where the log
+    already holds one repeats its value at every node.  The current belief
+    and the reading's moments come from one conditioning; each node
+    conditions afresh.
     Deterministic; serves as the independent oracle for :func:`edg_exact`.
     Raises InvalidInputError on empty targets and NumericalDegeneracyError
     on a degenerate candidate.
@@ -206,9 +208,10 @@ def edg_quadrature(
     prev = GaussianBelief(pts, mu[:n], _symmetrize(cross[:, :n]))
     t, w = quad.nodes()
     scale = math.sqrt(2.0 * (var[n] + log.noise_sd**2))
+    repeated = log.values[np.all(log.locations == cand, axis=1)] if log.noise_sd == 0 else ()
     total = 0.0
     for ti, wi in zip(t, w):
-        z = mu[n] + scale * ti
+        z = repeated[0] if len(repeated) else mu[n] + scale * ti
         post = posterior(mean, kernel, log.append(cand, z), pts)
         total += wi * kl_gaussian(post, prev)
     return total / math.sqrt(math.pi)

@@ -84,12 +84,12 @@ def intersection_indices(points_a, points_b) -> tuple[np.ndarray, np.ndarray]:
     a = as_points(points_a)
     b = as_points(points_b)
     lookup = {}
-    for j, pt in enumerate(b):
-        lookup.setdefault((pt[0], pt[1]), j)
+    for j, pt in enumerate(map(tuple, b.tolist())):
+        lookup.setdefault(pt, j)
     idx_a = []
     idx_b = []
-    for i, pt in enumerate(a):
-        j = lookup.get((pt[0], pt[1]))
+    for i, pt in enumerate(map(tuple, a.tolist())):
+        j = lookup.get(pt)
         if j is not None:
             idx_a.append(i)
             idx_b.append(j)

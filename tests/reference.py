@@ -17,16 +17,21 @@ mutual-information identity the package's closed form rests on.
 long way, in float: two gain matrices from their own Gram factors and the
 quadratic terms against a factor of the current target covariance, none
 of which the package's short form computes.
+
+:func:`ladder_cholesky` and :func:`prior_draw` are the jitter ladder and
+the gp-sample draw as plain scipy calls, one fresh matrix per rung, for
+checking the in-place factorization bit for bit.
 """
 
 import math
 
 import numpy as np
 from mpmath import mp
-from scipy.linalg import cho_solve
+from scipy.linalg import LinAlgError, cho_solve, cholesky
+from scipy.spatial.distance import cdist
 
-from senseplan import edg_exact, posterior
-from senseplan.gp import jittered_cholesky
+from senseplan import NumericalDegeneracyError, edg_exact, posterior
+from senseplan.gp import JITTER_LADDER, jittered_cholesky
 
 DPS = 40
 
@@ -115,3 +120,28 @@ def unnormalized_reference(mean, kernel, log, candidate, targets) -> float:
     quad2 = v2 @ (m2t_sinv_m2 @ v2)
     bracket = 2.0 * edg_exact(mean, kernel, log, cand[0], pts).structural_term + quad1 + quad2
     return float(0.25 * d * spread**3 * math.sqrt(math.pi) + 0.5 * spread * math.sqrt(math.pi) * bracket)
+
+
+def ladder_cholesky(matrix, base_jitter=0.0):
+    """The jitter ladder a rung at a time: ``scipy.linalg.cholesky(a + r *
+    scale * I, lower=True)`` on a fresh matrix for each ``r``."""
+    a = np.asarray(matrix, dtype=float)
+    scale = float(np.mean(np.diagonal(a)))
+    if not np.isfinite(scale) or scale <= 0.0:
+        scale = 1.0
+    ladder = dict.fromkeys((float(base_jitter), *(max(float(base_jitter), r) for r in JITTER_LADDER)))
+    for rel in ladder:
+        shifted = a if rel == 0.0 else a + (rel * scale) * np.eye(len(a))
+        try:
+            return cholesky(shifted, lower=True), rel
+        except LinAlgError:
+            continue
+    raise NumericalDegeneracyError(f"failed up to relative jitter {rel:g}", jitter_attempted=rel)
+
+
+def prior_draw(mean, kernel, pts, seed):
+    """A gp-sample draw with the kernel matrix written out as one
+    expression and factored by :func:`ladder_cholesky`."""
+    K = kernel.signal_variance * np.exp(-cdist(pts, pts, "sqeuclidean") / (2.0 * kernel.lengthscale**2))
+    L, _ = ladder_cholesky(K, base_jitter=kernel.jitter)
+    return mean.constant + L @ np.random.default_rng(seed).standard_normal(len(pts))

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 import senseplan.environment as env
 from senseplan import (
@@ -292,6 +293,38 @@ class TestSampledField:
         nodes = np.array([(x, y) for y in range(6) for x in range(6)], dtype=float)
         fld = SampledField(nodes, np.arange(36.0), PolygonMask.rectangle(0, 0, 5, 5))
         np.testing.assert_array_equal(fld.values(LATTICE_QUERIES), LATTICE_NEAREST)
+
+    def test_near_duplicate_and_single_nodes(self):
+        """Nodes 1e-13 apart tie for a far query and go to the lower index,
+        but not for a query at one of them; a one-node field answers every
+        query with its node."""
+        mask = PolygonMask.rectangle(0, 0, 10, 10)
+        nodes = np.array([[5.0, 5.0 + 1e-13], [5.0, 5.0], [2.0, 2.0]])
+        fld = SampledField(nodes, np.array([1.0, 2.0, 3.0]), mask)
+        queries = np.array([[5.0, 5.0], [5.0, 5.0 + 1e-13], [5.0, 9.0], [5.0, 4.0], [2.0, 2.5]])
+        np.testing.assert_array_equal(fld.values(queries), [2.0, 1.0, 1.0, 1.0, 3.0])
+        one = SampledField(np.array([[1.0, 1.0]]), np.array([5.0]), mask)
+        np.testing.assert_array_equal(one.values(queries), [5.0] * 5)
+
+    @pytest.mark.parametrize("kind", ["uniform", "lattice", "near-duplicates", "one-node"])
+    def test_nearest_matches_a_ball_query_on_every_row(self, kind):
+        """``_nearest`` equals the lowest index in the ball of radius
+        ``d (1 + 1e-12)`` around every query, the rule it narrows to tied rows."""
+        rng = np.random.default_rng(["uniform", "lattice", "near-duplicates", "one-node"].index(kind))
+        if kind == "lattice":
+            nodes = np.array([(x, y) for x in range(8) for y in range(8)], float)[rng.permutation(64)]
+            queries = rng.integers(0, 15, (2000, 2)) / 2.0
+        elif kind == "near-duplicates":
+            base = rng.uniform(0, 10, (40, 2))
+            nodes = np.vstack([base, base + rng.choice([0.0, 1e-13, -1e-13], base.shape)])
+            queries = np.vstack([nodes, rng.uniform(0, 10, (2000, 2))])
+        else:
+            nodes = rng.uniform(0, 10, (1 if kind == "one-node" else 300, 2))
+            queries = np.vstack([nodes, rng.uniform(-1, 11, (2000, 2))])
+        tree = cKDTree(nodes)
+        dist, _ = tree.query(queries)
+        balls = tree.query_ball_point(queries, r=dist * (1.0 + 1e-12))
+        np.testing.assert_array_equal(env._nearest(tree, queries), [min(ball) for ball in balls])
 
     def test_outside_region_raises(self):
         mask = PolygonMask.rectangle(0, 0, 10, 10)

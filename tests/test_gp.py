@@ -5,10 +5,13 @@ textbook formulas with an explicit matrix inverse.  The library itself
 never forms an inverse, so agreement is a real cross-check.
 """
 
+import tracemalloc
 from collections.abc import MutableMapping, MutableSequence, MutableSet
 
 import numpy as np
 import pytest
+from reference import ladder_cholesky, prior_draw
+from scipy.spatial.distance import cdist
 
 import senseplan.gp as gp_mod
 from senseplan import (
@@ -184,6 +187,27 @@ class TestKernelMatrix:
             eigs = np.linalg.eigvalsh(K)
             assert eigs.min() >= -1e-10 * max(eigs.max(), 1.0)
 
+    def test_bits_of_the_written_out_formula(self):
+        """The in-place arithmetic rounds as ``sf^2 * exp(-d2 / (2 l^2))``."""
+        rng = np.random.default_rng(11)
+        X, Y = rng.uniform(-3, 3, (40, 2)), rng.uniform(-3, 3, (25, 2))
+        k = KernelSpec(signal_variance=2.7, lengthscale=0.9)
+        expected = 2.7 * np.exp(-cdist(X, Y, "sqeuclidean") / (2.0 * 0.9**2))
+        np.testing.assert_array_equal(kernel_matrix(k, X, Y), expected)
+
+    def test_holds_only_its_result(self):
+        """No temporary the size of the result is alive beside it."""
+        rng = np.random.default_rng(12)
+        X, Y = rng.uniform(0, 10, (600, 2)), rng.uniform(0, 10, (500, 2))
+        tracemalloc.start()
+        try:
+            K = kernel_matrix(KernelSpec(9.0, 1.5), X, Y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert K.shape == (600, 500)
+        assert peak <= 1.1 * K.nbytes
+
     def test_hyperparameters_validated(self):
         with pytest.raises(InvalidInputError):
             KernelSpec(signal_variance=0.0, lengthscale=1.0)
@@ -213,6 +237,66 @@ class TestJitteredCholesky:
             jittered_cholesky(M)
         assert err.value.jitter_attempted is not None
 
+    @staticmethod
+    def positive_definite():
+        pts = np.random.default_rng(4).uniform(0, 5, (80, 2))
+        return kernel_matrix(KernelSpec(2.0, 0.5), pts, pts)
+
+    @staticmethod
+    def rank_deficient():
+        """300 points in a unit square at lengthscale 3: numerically
+        singular, so rung 0 fails."""
+        pts = np.random.default_rng(3).uniform(0, 1, (300, 2))
+        return kernel_matrix(KernelSpec(1.0, 3.0), pts, pts)
+
+    @staticmethod
+    def round_off_asymmetric():
+        """The rank-deficient matrix with its strict upper triangle one ulp
+        up: only the lower triangle may be read, on every rung."""
+        M = TestJitteredCholesky.rank_deficient()
+        upper = np.triu_indices(len(M), 1)
+        M[upper] = np.nextafter(M[upper], np.inf)
+        return M
+
+    @pytest.mark.parametrize(
+        "make, base_jitter, rung",
+        [
+            (positive_definite, 0.0, 0.0),
+            (rank_deficient, 0.0, 1e-10),
+            (round_off_asymmetric, 0.0, 1e-10),
+            (rank_deficient, 1e-9, 1e-9),
+            (rank_deficient, 1e-15, 1e-10),
+        ],
+        ids=["positive-definite", "rung-0-fails", "asymmetric-round-off", "base-jitter", "base-jitter-fails"],
+    )
+    def test_bits_of_the_scipy_ladder(self, make, base_jitter, rung):
+        """Each rung factors what ``scipy.linalg.cholesky(a + r*scale*I)``
+        factors, bit for bit, and the argument is left as it was."""
+        M = make()
+        before = M.copy()
+        L, used = jittered_cholesky(M, base_jitter=base_jitter)
+        L_ref, used_ref = ladder_cholesky(before, base_jitter=base_jitter)
+        assert used == used_ref == rung
+        np.testing.assert_array_equal(L, L_ref)
+        np.testing.assert_array_equal(M, before)
+
+    def test_every_rung_failing_reports_the_reference_jitter(self):
+        M = self.rank_deficient() - 1e-3 * np.eye(300)
+        before = M.copy()
+        with pytest.raises(NumericalDegeneracyError) as ref:
+            ladder_cholesky(M)
+        with pytest.raises(NumericalDegeneracyError) as err:
+            jittered_cholesky(M)
+        assert err.value.jitter_attempted == ref.value.jitter_attempted == 1e-6
+        np.testing.assert_array_equal(M, before)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_raises_value_error(self, bad):
+        M = np.eye(3)
+        M[0, 2] = bad
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            jittered_cholesky(M)
+
 
 class TestMeasurementLog:
     def test_append_is_persistent(self):
@@ -226,6 +310,18 @@ class TestMeasurementLog:
     def test_noise_must_be_nonnegative(self):
         with pytest.raises(InvalidInputError):
             MeasurementLog.empty(noise_sd=-0.1)
+
+    def test_noise_free_readings_at_one_location_must_agree(self):
+        """Without noise two different readings at one location contradict
+        each other, whether built at once or appended; equal repeats and
+        noisy readings are kept."""
+        pts = [[0.0, 0.0], [1.0, 0.0], [-0.0, 0.0]]
+        with pytest.raises(InvalidInputError, match=r"0\.3 and 0\.9 at \(0\.0, 0\.0\)"):
+            MeasurementLog(pts, [0.3, 0.5, 0.9], noise_sd=0.0)
+        with pytest.raises(InvalidInputError, match="contradict"):
+            MeasurementLog(pts[:2], [0.3, 0.5], noise_sd=0.0).append((0.0, 0.0), 0.9)
+        assert len(MeasurementLog(pts, [0.3, 0.5, 0.3], noise_sd=0.0)) == 3
+        assert len(MeasurementLog(pts, [0.3, 0.5, 0.9], noise_sd=0.1)) == 3
 
 
 class TestPosterior:
@@ -449,6 +545,21 @@ class TestPriorSampling:
         np.testing.assert_array_equal(a, b)
         c = sample_prior_field(MeanSpec(0.0), kernel, grid, seed=100)
         assert not np.array_equal(a, c)
+
+    def test_bits_of_the_scipy_ladder_in_one_matrix(self):
+        """A draw over 800 nodes (rung 0 fails) equals the draw through a
+        fresh kernel matrix and a fresh matrix per rung, bit for bit, while
+        holding one ``n x n`` matrix (the scipy ladder holds about three)."""
+        nodes = np.random.default_rng(5).uniform(0, 10, (800, 2))
+        kernel, mean = KernelSpec(9.0, 1.5), MeanSpec(0.5)
+        tracemalloc.start()
+        try:
+            draw = sample_prior_field(mean, kernel, nodes, seed=8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(draw, prior_draw(mean, kernel, nodes, seed=8))
+        assert peak <= 1.25 * 8 * len(nodes) ** 2
 
     def test_first_two_moments(self):
         """Empirical mean and covariance of many draws approach m and K."""

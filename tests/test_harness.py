@@ -3,6 +3,7 @@
 import ctypes
 import json
 import math
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -150,6 +151,29 @@ def test_field_draw_runs_on_one_blas_thread(monkeypatch):
     execute_run(parse_config_text(WIDE_GP_SAMPLE))
     assert during == [{path: 1 for path in before}] * 2
     assert openblas_thread_counts() == before
+
+
+def test_validate_factors_the_kernel_matrix_in_place():
+    """validate's probe factorization holds one ``n x n`` matrix over the
+    trial-0 nodes (the copying ladder held about three) and passes a
+    runnable config."""
+    cfg = parse_config_text(WIDE_GP_SAMPLE.replace("n_candidates = 100", "n_candidates = 600"))
+    tracemalloc.start()
+    try:
+        issues = validate_run_config(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert issues == ([], [])
+    assert peak <= 1.25 * 8 * (61 + 600 - 5) ** 2
+
+
+def test_unique_points_keep_the_first_of_each_location():
+    a = np.array([[1.0, 2.0], [0.0, 0.5], [1.0, 2.0]])
+    b = np.array([[-0.0, 0.5], [3.0, 4.0]])
+    out = harness_mod._unique_points(a, b)
+    np.testing.assert_array_equal(out, [[1.0, 2.0], [0.0, 0.5], [3.0, 4.0]])
+    assert not np.signbit(out[1, 0])
 
 
 class TestExecuteRun:

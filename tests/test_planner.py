@@ -207,21 +207,28 @@ class TestZeroNoiseScores:
         for _ in range(20):
             targets = rng.uniform(0, 10, (6, 2))
             cands = np.vstack([targets[:3], rng.uniform(0, 10, (5, 2))])
-            visited = cands[rng.integers(0, len(cands), 4)]
-            log = MeasurementLog(visited, rng.normal(0, 1, 4), 0.0)
+            visits = rng.integers(0, len(cands), 4)
+            values = rng.normal(0, 1, 4)
+            # Noise-free repeats read the value of the first visit.
+            log = MeasurementLog(cands[visits], [values[list(visits).index(i)] for i in visits], 0.0)
             _, gains = planner_mod._greedy_on_log(MEAN, self.KERNEL, log, cands, targets)
             assert np.all(np.isfinite(gains)) and np.all(gains >= 0)
 
     def test_repeat_scores_about_zero(self):
         """A noise-free repeat reading adds no row to the log's
         conditioning, so the scorer, the closed form and the quadrature
-        oracle all read its gain as 0."""
+        oracle all read its gain as 0.  After three more readings the
+        predictive mean at the repeat differs from its reading by round-off,
+        and the quadrature's readings must still repeat the logged one."""
+        pts = np.random.default_rng(1).uniform(0, 5, (3, 2))
+        longer = MeasurementLog(np.vstack([pts, self.LOG.locations]), np.append(np.arange(3.0), self.LOG.values), 0.0)
         cand = np.array([1.0, 1.0])
-        _, gains = planner_mod._greedy_on_log(MEAN, self.KERNEL, self.LOG, cand[None], self.TARGETS)
-        exact = edg_exact(MEAN, self.KERNEL, self.LOG, cand, self.TARGETS).value
-        quad = edg_quadrature(MEAN, self.KERNEL, self.LOG, cand, self.TARGETS)
-        for gain in (gains[0], exact, quad):
-            assert 0.0 <= gain <= 1e-12
+        for log in (self.LOG, longer):
+            _, gains = planner_mod._greedy_on_log(MEAN, self.KERNEL, log, cand[None], self.TARGETS)
+            exact = edg_exact(MEAN, self.KERNEL, log, cand, self.TARGETS).value
+            quad = edg_quadrature(MEAN, self.KERNEL, log, cand, self.TARGETS)
+            for gain in (gains[0], exact, quad):
+                assert 0.0 <= gain <= 1e-12
 
     def test_unmeasured_target_outranks_every_other_candidate(self):
         cands = np.array([[2.0, 2.0], [1.0, 1.0], [8.0, 1.0], [4.5, 4.5]])
