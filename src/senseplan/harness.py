@@ -13,12 +13,12 @@ from __future__ import annotations
 import ctypes
 import functools
 import hashlib
-import io
 import json
 import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -239,12 +239,13 @@ def execute_run(cfg: RunConfig, workers: int = 1) -> dict:
 
     aggregates = {kind: {} for kind in cfg.planner_kinds}
     for kind in cfg.planner_kinds:
-        for name in METRIC_FIELDS:
-            per_trial = [[_step_value(step, name) for step in res["traces"][kind]["steps"]] for res in results]
+        for name, field in METRIC_FIELDS.items():
+            # A null (NaN) field reads as NaN in the float array.
+            per_trial = [[step[field] for step in res["traces"][kind]["steps"]] for res in results]
             series = aggregate_series(name, per_trial)
             aggregates[kind][name] = {
-                "mean": [_jf(v) for v in series.mean.tolist()],
-                "sd": [_jf(v) for v in series.sd.tolist()],
+                "mean": [None if v != v else v for v in series.mean.tolist()],
+                "sd": [None if v != v else v for v in series.sd.tolist()],
             }
 
     record = {
@@ -264,11 +265,6 @@ def execute_run(cfg: RunConfig, workers: int = 1) -> dict:
         },
     }
     return record
-
-
-def _step_value(step: dict, metric: str) -> float:
-    value = step[METRIC_FIELDS[metric]]
-    return float("nan") if value is None else float(value)
 
 
 _OPENBLAS_SET_THREADS = (
@@ -328,31 +324,103 @@ def _one_blas_thread() -> list:
     return restore
 
 
+def _float_text(x: float) -> str:
+    text = float.__repr__(x)
+    if "n" in text:  # nan, inf or -inf
+        raise ValueError(text)
+    return text
+
+
+#: JSON text of each plain scalar type, keyed on the exact type.
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_text,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _json_text(value, nl: str) -> str:
+    """``value`` as ``json.dumps(value, indent=1)`` prints it, with each of
+    its lines after the first starting with ``nl`` (a newline and the
+    indent of ``value``'s own level).
+
+    Dicts with ``str`` keys, lists, tuples and the plain scalars are built
+    here, one join per container; anything else is json's own text,
+    re-indented, which is exact because JSON strings hold no raw newline.
+    The brackets go onto the first and last item before the join, so a
+    container's text is not copied again after it.
+    """
+    scalar = _SCALAR_TEXT.get(type(value))
+    if scalar is not None:
+        return scalar(value)
+    inner = nl + " "
+    sep = "," + inner
+    if type(value) in (list, tuple):
+        if not value:
+            return "[]"
+        if set(map(type, value)) == {float}:
+            body = sep.join(map(float.__repr__, value))
+            if "n" in body:
+                raise ValueError(body)
+            return "[" + inner + body + nl + "]"
+        items = [_json_text(v, inner) for v in value]
+        brackets = "[]"
+    elif type(value) is dict and set(map(type, value)) == {str}:
+        items = [encode_basestring_ascii(k) + ": " + _json_text(v, inner) for k, v in value.items()]
+        brackets = "{}"
+    else:
+        return json.dumps(value, indent=1, allow_nan=False).replace("\n", nl)
+    items[0] = brackets[0] + inner + items[0]
+    items[-1] += nl + brackets[1]
+    return sep.join(items)
+
+
+def render_run_json(record) -> str:
+    """``record`` as ``json.dumps(record, indent=1, allow_nan=False)``
+    prints it, byte for byte, built a container at a time.
+
+    A record json cannot encode raises json's own error: NaN or an
+    infinity raises ``ValueError``, an unknown type ``TypeError``.
+    """
+    try:
+        return _json_text(record, "\n")
+    except (TypeError, ValueError, RecursionError):
+        # Let json raise its own error, with its own message.
+        return json.dumps(record, indent=1, allow_nan=False)
+
+
 def render_series_csv(record: dict) -> str:
-    """Long-format per-step metric table, one value per row."""
-    buf = io.StringIO()
-    buf.write("trial,planner,step,metric,value\n")
+    """Long-format per-step metric table, one value per row: a step's
+    float written with ``repr``, or ``nan`` where it is null."""
+    fields = [(f",{metric},", METRIC_FIELDS[metric]) for metric in METRIC_NAMES]
+    parts = ["trial,planner,step,metric,value\n"]
     for trace in record["traces"]:
+        head = f"{trace['trial']},{trace['planner']},"
         for step in trace["steps"]:
-            for metric in METRIC_NAMES:
-                value = _step_value(step, metric)
-                buf.write(
-                    f"{trace['trial']},{trace['planner']},{step['step']},"
-                    f"{metric},{repr(value)}\n"
-                )
-    return buf.getvalue()
+            prefix = head + str(step["step"])
+            for label, field in fields:
+                value = step[field]
+                parts += (prefix, label, "nan" if value is None else float.__repr__(value), "\n")
+    return "".join(parts)
 
 
 def write_outputs(record: dict, out_dir) -> tuple[str, str]:
-    """Write run.json and series.csv; returns their paths."""
+    """Write run.json and series.csv; returns their paths.
+
+    Both texts are rendered before either file is opened, so a record that
+    cannot be encoded raises and leaves the directory as it was.
+    """
+    run_text = render_run_json(record) + "\n"
+    series_text = render_series_csv(record)
     os.makedirs(str(out_dir), exist_ok=True)
     run_path = os.path.join(str(out_dir), "run.json")
     series_path = os.path.join(str(out_dir), "series.csv")
     with open(run_path, "w") as fh:
-        json.dump(record, fh, indent=1, allow_nan=False)
-        fh.write("\n")
+        fh.write(run_text)
     with open(series_path, "w", newline="") as fh:
-        fh.write(render_series_csv(record))
+        fh.write(series_text)
     return run_path, series_path
 
 

@@ -195,7 +195,10 @@ def edg_quadrature(
     ``z = mu_z + sqrt(2 var_z) t``; a noise-free reading where the log
     already holds one repeats its value at every node.  The current belief
     and the reading's moments come from one conditioning; each node
-    conditions afresh.
+    conditions afresh.  A noise-free reading at a target whose current
+    variance is above ``JITTER_LADDER[0]`` of the prior variance leaves that
+    target known exactly, so the divergence is infinite at every node; that
+    case returns ``inf`` without running the nodes.
     Deterministic; serves as the independent oracle for :func:`edg_exact`.
     Raises InvalidInputError on empty targets and NumericalDegeneracyError
     on a degenerate candidate.
@@ -205,6 +208,8 @@ def edg_quadrature(
     mu, var, cross = predictive_moments(mean, kernel, log, np.vstack([pts, cand]), n)
     if math.isnan(var[n]):
         raise NumericalDegeneracyError("predictive variance is negative beyond round-off")
+    if log.noise_sd == 0 and var[n] > JITTER_LADDER[0] * kernel.signal_variance and np.all(pts == cand, axis=1).any():
+        return math.inf
     prev = GaussianBelief(pts, mu[:n], _symmetrize(cross[:, :n]))
     t, w = quad.nodes()
     scale = math.sqrt(2.0 * (var[n] + log.noise_sd**2))

@@ -21,8 +21,13 @@ of which the package's short form computes.
 :func:`ladder_cholesky` and :func:`prior_draw` are the jitter ladder and
 the gp-sample draw as plain scipy calls, one fresh matrix per rung, for
 checking the in-place factorization bit for bit.
+
+:func:`render_series_csv` writes ``series.csv`` one value at a time, each
+converted by ``float`` and written with ``repr``, for checking the
+package's one-pass renderer byte for byte.
 """
 
+import io
 import math
 
 import numpy as np
@@ -32,6 +37,8 @@ from scipy.spatial.distance import cdist
 
 from senseplan import NumericalDegeneracyError, edg_exact, posterior
 from senseplan.gp import JITTER_LADDER, jittered_cholesky
+from senseplan.harness import METRIC_FIELDS
+from senseplan.metrics import METRIC_NAMES
 
 DPS = 40
 
@@ -145,3 +152,17 @@ def prior_draw(mean, kernel, pts, seed):
     K = kernel.signal_variance * np.exp(-cdist(pts, pts, "sqeuclidean") / (2.0 * kernel.lengthscale**2))
     L, _ = ladder_cholesky(K, base_jitter=kernel.jitter)
     return mean.constant + L @ np.random.default_rng(seed).standard_normal(len(pts))
+
+
+def render_series_csv(record: dict) -> str:
+    """Long-format per-step metric table, one value per row; a null value
+    reads ``nan``."""
+    buf = io.StringIO()
+    buf.write("trial,planner,step,metric,value\n")
+    for trace in record["traces"]:
+        for step in trace["steps"]:
+            for metric in METRIC_NAMES:
+                value = step[METRIC_FIELDS[metric]]
+                value = float("nan") if value is None else float(value)
+                buf.write(f"{trace['trial']},{trace['planner']},{step['step']},{metric},{repr(value)}\n")
+    return buf.getvalue()

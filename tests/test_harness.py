@@ -8,6 +8,8 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import senseplan.harness as harness_mod
 import senseplan.infogain as infogain_mod
@@ -21,11 +23,14 @@ from senseplan.harness import (
     _one_blas_thread,
     execute_run,
     load_log_csv,
+    render_run_json,
     render_series_csv,
     score_table,
     validate_run_config,
     write_outputs,
 )
+
+from reference import render_series_csv as reference_series_csv
 
 MINI = """
 [scenario]
@@ -295,6 +300,98 @@ class TestExecuteRun:
         assert all(isinstance(s, float) and math.isfinite(s) and s >= 0 for s in scores)
         for trace in traces:
             assert len({step["chosen_index"] for step in trace["steps"][:4]}) == 4
+
+
+#: Floats at json's edges: signed zero, the smallest subnormal, the first
+#: float that prints with an exponent, and the largest finite float.
+EDGE_FLOATS = st.sampled_from([-0.0, 5e-324, 1e16, 1.7976931348623157e308])
+FINITE = st.one_of(EDGE_FLOATS, st.floats(allow_nan=False, allow_infinity=False))
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**64, max_value=10**80),
+    FINITE,
+    FINITE.map(np.float64),
+    st.text(),
+)
+JSON_KEYS = st.one_of(st.text(), st.integers(), FINITE, st.booleans(), st.none())
+JSON_TREES = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.lists(FINITE, max_size=5),
+        st.lists(st.one_of(FINITE, FINITE.map(np.float64)), min_size=1, max_size=5),
+        st.lists(st.one_of(st.integers(), st.booleans()), max_size=5),
+        st.dictionaries(JSON_KEYS, children, max_size=5),
+        st.dictionaries(st.text(), children, max_size=5),
+    ),
+    max_leaves=30,
+)
+
+
+def json_error(value):
+    """The exception ``json.dumps(value, indent=1, allow_nan=False)`` raises."""
+    with pytest.raises((TypeError, ValueError)) as exc:
+        json.dumps(value, indent=1, allow_nan=False)
+    return exc.value
+
+
+class TestOutputText:
+    @settings(derandomize=True, deadline=None, max_examples=400)
+    @given(JSON_TREES)
+    def test_run_json_text_is_json_dumps(self, tree):
+        """The renderer prints any JSON-like tree as ``json.dumps`` does:
+        empty and nested containers, tuples, bools among ints, big ints,
+        non-ASCII and control characters, non-``str`` keys and
+        ``np.float64`` values."""
+        assert render_run_json(tree) == json.dumps(tree, indent=1, allow_nan=False)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64(math.nan), object()])
+    @pytest.mark.parametrize(
+        "place",
+        [
+            lambda v: v,
+            lambda v: [1.0, v, 2.0],
+            lambda v: {"a": [0, {"b": v}]},
+            lambda v: {1: v},
+            lambda v: (v,),
+        ],
+    )
+    def test_unencodable_values_raise_as_json_does(self, bad, place):
+        """NaN and the infinities raise json's ``ValueError``, an unknown
+        type its ``TypeError``, with json's message."""
+        tree = place(bad)
+        expected = json_error(tree)
+        with pytest.raises(type(expected)) as exc:
+            render_run_json(tree)
+        assert str(exc.value) == str(expected)
+
+    def test_unencodable_record_leaves_outputs_untouched(self, tmp_path):
+        """Both texts are rendered before a file is opened: a record with a
+        NaN timing raises json's error and leaves the earlier run.json and
+        series.csv as they were."""
+        record = execute_run(parse_config_text(MINI))
+        run_path, series_path = write_outputs(record, tmp_path)
+        before = [open(p, "rb").read() for p in (run_path, series_path)]
+        record["timings"]["total_seconds"] = math.nan
+        expected = json_error(record)
+        with pytest.raises(ValueError) as exc:
+            write_outputs(record, tmp_path)
+        assert str(exc.value) == str(expected)
+        assert [open(p, "rb").read() for p in (run_path, series_path)] == before
+
+    @pytest.mark.parametrize("n_shared", [2, 0])
+    def test_series_csv_matches_the_per_value_reference(self, n_shared):
+        """The one-pass table equals the per-value one byte for byte on two
+        trials of both planners; with no shared points the error-I and
+        variance-I rows read nan."""
+        record = execute_run(parse_config_text(MINI.replace("n_shared = 2", f"n_shared = {n_shared}")))
+        text = render_series_csv(record)
+        assert text == reference_series_csv(record)
+        nan_rows = [row for row in text.splitlines() if row.endswith(",nan")]
+        assert len(nan_rows) == (0 if n_shared else 2 * 2 * 5 * 2)
 
 
 SYMMETRIC = """

@@ -263,6 +263,18 @@ class TestZeroNoiseScores:
         _, gain = greedy_select(MEAN, kernel, log, [[5.0, 5.0]], targets)
         assert math.isfinite(gain) and gain >= 0.0
 
+    @pytest.mark.parametrize(
+        "readings, cand",
+        [((), (4.5, 4.5)), (((4.0, 1.0),), (4.5, 4.5)), (((1.0, 1.0),), (8.0, 1.0))],
+    )
+    def test_quadrature_is_infinite_at_an_unmeasured_target(self, readings, cand):
+        """A noise-free reading at a target the log leaves uncertain makes
+        that target known, so the KL divergence is infinite at every node:
+        the quadrature reads inf whether round-off leaves the post variance
+        there at exactly 0 or not (before, 18.37 and 11.72 for the last two)."""
+        log = MeasurementLog(np.array(readings).reshape(-1, 2), np.full(len(readings), 0.3), 0.0)
+        assert edg_quadrature(MEAN, self.KERNEL, log, cand, self.TARGETS) == math.inf
+
     def test_edg_routes_match_direct_conditioning(self):
         """``edg_exact`` and the quadrature oracle give the gain at (2, 2)
         of the test above, 2.15104633e-6 when its two noise-free
