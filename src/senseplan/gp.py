@@ -16,9 +16,8 @@ public container is immutable after construction, so values can be
 shared freely across threads.  Nothing is cached between their calls:
 each conditioning builds and factors its own Gram matrix, so callers that
 need several quantities from one log ask :func:`predictive_moments` for
-all of them at once.  Its query set is a prefix of its points, so one
-triangular solve serves both.  A log that grows one reading at a time,
-as in a planning episode, is instead carried by the private
+all of them at once.  A log that grows one reading at a time, as in a
+planning episode, is instead carried by the private
 ``_CarriedConditioning``: one kernel row and one Gram-factor row per
 reading update its means and variances (it holds no covariance).  A
 from-scratch factor with a degenerate pivot feeds its log through that
@@ -337,25 +336,19 @@ def posterior(mean: MeanSpec, kernel: KernelSpec, log: MeasurementLog, query) ->
     X = as_points(query)
     if len(X) == 0:
         raise InvalidInputError("query must contain at least one location")
-    mu, _, cov = predictive_moments(mean, kernel, log, X, len(X))
+    mu, _, cov = predictive_moments(mean, kernel, log, X)
     return GaussianBelief(X, mu, _symmetrize(cov))
 
 
-def predictive_moments(mean: MeanSpec, kernel: KernelSpec, log: MeasurementLog, points, n_query: int):
-    """Posterior means ``(C,)`` and variances ``(C,)`` of the field at
-    ``points``, and the posterior cross-covariance ``(n_query, C)`` of
-    their first ``n_query`` rows with all of them.
-
-    One Gram factor and one triangular solve serve every point; the query
-    block reuses the solve's first ``n_query`` columns.  Variances below
-    zero by at most ``1e-10`` of the prior variance are clamped to zero,
-    larger negatives become NaN.
+def predictive_moments(mean: MeanSpec, kernel: KernelSpec, log: MeasurementLog, points):
+    """Posterior means ``(C,)``, variances ``(C,)`` and covariance ``(C, C)``
+    of the field at ``points``, from one Gram factor and one triangular
+    solve.  Variances below zero by at most ``1e-10`` of the prior variance
+    are clamped to zero, larger negatives become NaN.
     """
     P = as_points(points)
-    if not 0 <= n_query <= len(P):
-        raise InvalidInputError(f"n_query must be in [0, {len(P)}], got {n_query}")
     W, mu, var = _condition(mean, kernel, log.locations, log.values, log.noise_sd, P)
-    return mu, _clamped(kernel, var), kernel_matrix(kernel, P[:n_query], P) - W[:, :n_query].T @ W
+    return mu, _clamped(kernel, var), kernel_matrix(kernel, P, P) - W.T @ W
 
 
 def _clamped(kernel: KernelSpec, var: np.ndarray) -> np.ndarray:

@@ -466,7 +466,7 @@ def score_table(cfg: RunConfig, log: MeasurementLog) -> dict:
         i = int(np.argmin(inside))
         raise DataError(f"measurement log row {i + 1} at {tuple(log.locations[i])} lies outside the region of interest")
     mean, kernel = _specs(cfg)
-    argmax, gains = _greedy_on_log(mean, kernel, log, candidates, targets)
+    argmax, gains = _greedy_on_log(kernel, log, candidates, targets)
     exact = np.where(gains == -np.inf, np.nan, gains)
     columns = {
         "edg_quadrature": lambda c: edg_quadrature(mean, kernel, log, c, targets),

@@ -17,7 +17,7 @@ evaluate it.  The routes, cross-checked in the tests:
     The closed form for one candidate, split into the mean-shift term
     ``0.5 * rho`` and the covariance-only ("structural") rest.
 ``edg_quadrature``
-    Gauss-Hermite quadrature of the defining integral, through
+    Gauss-Hermite quadrature of the defining integral from the parts of
     :func:`kl_gaussian`; exact with a few nodes, as the integrand is
     quadratic in the reading.  The independent oracle for the closed form.
 ``edg_unnormalized_form``
@@ -49,7 +49,6 @@ from .gp import (
     as_point,
     as_points,
     jittered_cholesky,
-    posterior,
     predictive_moments,
 )
 
@@ -76,9 +75,10 @@ class QuadratureSpec:
     node_count: int = 64
 
     def __post_init__(self):
-        if int(self.node_count) < 1:
-            raise InvalidInputError("node_count must be >= 1")
-        object.__setattr__(self, "node_count", int(self.node_count))
+        count = self.node_count
+        if isinstance(count, bool) or not (isinstance(count, (int, np.integer)) and count >= 1):
+            raise InvalidInputError("node_count must be an integer >= 1")
+        object.__setattr__(self, "node_count", int(count))
 
     def nodes(self) -> tuple[np.ndarray, np.ndarray]:
         """Physicists' nodes and weights; the raw weights sum to sqrt(pi)."""
@@ -118,12 +118,20 @@ def kl_gaussian(post: GaussianBelief, pre: GaussianBelief) -> float:
     """
     if not np.array_equal(post.query, pre.query):
         raise InvalidInputError("beliefs must be over the same query locations")
-    L, _ = jittered_cholesky(pre.cov)
-    half = solve_triangular(L, post.cov - pre.cov, lower=True)
-    lam = np.maximum(np.linalg.eigvalsh(solve_triangular(L, half.T, lower=True)), -1.0)
+    L, spread = _covariance_part(pre.cov, post.cov - pre.cov)
     w = solve_triangular(L, post.mean - pre.mean, lower=True)
+    return spread + 0.5 * float(w @ w)
+
+
+def _covariance_part(Q: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, float]:
+    """The jittered factor ``L`` of ``Q`` and the covariance part ``0.5 *
+    sum(lam - log1p(lam))`` of the KL divergence to ``Q`` from a covariance
+    ``Q + delta`` (see :func:`kl_gaussian`)."""
+    L, _ = jittered_cholesky(Q)
+    half = solve_triangular(L, delta, lower=True)
+    lam = np.maximum(np.linalg.eigvalsh(solve_triangular(L, half.T, lower=True)), -1.0)
     with np.errstate(divide="ignore"):
-        return 0.5 * (float(np.sum(lam - np.log1p(lam))) + float(w @ w))
+        return L, 0.5 * float(np.sum(lam - np.log1p(lam)))
 
 
 def _explained_share(kernel: KernelSpec, noise_sd: float, var, explained) -> np.ndarray:
@@ -191,35 +199,34 @@ def edg_quadrature(
     """Expected discrimination gain by Gauss-Hermite quadrature over the reading.
 
     Integrates ``KL(post-belief(z) || pre-belief)`` against the predictive
-    density of the reading using the change of variables
-    ``z = mu_z + sqrt(2 var_z) t``; a noise-free reading where the log
-    already holds one repeats its value at every node.  The current belief
-    and the reading's moments come from one conditioning; each node
-    conditions afresh.  A noise-free reading at a target whose current
-    variance is above ``JITTER_LADDER[0]`` of the prior variance leaves that
-    target known exactly, so the divergence is infinite at every node; that
-    case returns ``inf`` without running the nodes.
+    density of the reading, ``z = mu_z + sqrt(2 var_z) t``.  One conditioning
+    gives both beliefs: with ``d^2`` the reading's Cholesky pivot and ``g``
+    its gain on the targets, the post covariance ``Q - d^2 g g'`` does not
+    depend on ``z`` and the post mean moves by ``g (z - mu_z)``, so the
+    covariance part of :func:`kl_gaussian` is computed once and each node
+    adds its mean part.  A pivot at or below ``JITTER_LADDER[0]`` of the
+    prior variance (a noise-free repeat) adds nothing and reads 0; a
+    noise-free reading at a target with variance above that reads ``inf``.
     Deterministic; serves as the independent oracle for :func:`edg_exact`.
     Raises InvalidInputError on empty targets and NumericalDegeneracyError
     on a degenerate candidate.
     """
     cand, pts = _checked(candidate, targets)
     n = len(pts)
-    mu, var, cross = predictive_moments(mean, kernel, log, np.vstack([pts, cand]), n)
+    mu, var, cov = predictive_moments(mean, kernel, log, np.vstack([pts, cand]))
     if math.isnan(var[n]):
         raise NumericalDegeneracyError("predictive variance is negative beyond round-off")
-    if log.noise_sd == 0 and var[n] > JITTER_LADDER[0] * kernel.signal_variance and np.all(pts == cand, axis=1).any():
+    s2, sf2 = log.noise_sd**2, kernel.signal_variance
+    if log.noise_sd == 0 and var[n] > JITTER_LADDER[0] * sf2 and np.all(pts == cand, axis=1).any():
         return math.inf
-    prev = GaussianBelief(pts, mu[:n], _symmetrize(cross[:, :n]))
+    d2 = var[n] + s2 + kernel.jitter * (sf2 + s2)
+    if d2 <= JITTER_LADDER[0] * sf2:
+        return 0.0
+    g = cov[:n, n] / d2
+    L, spread = _covariance_part(_symmetrize(cov[:n, :n]), -d2 * np.outer(g, g))
+    u = solve_triangular(L, g, lower=True)
     t, w = quad.nodes()
-    scale = math.sqrt(2.0 * (var[n] + log.noise_sd**2))
-    repeated = log.values[np.all(log.locations == cand, axis=1)] if log.noise_sd == 0 else ()
-    total = 0.0
-    for ti, wi in zip(t, w):
-        z = repeated[0] if len(repeated) else mu[n] + scale * ti
-        post = posterior(mean, kernel, log.append(cand, z), pts)
-        total += wi * kl_gaussian(post, prev)
-    return total / math.sqrt(math.pi)
+    return float(w @ (spread + (var[n] + s2) * t**2 * (u @ u))) / math.sqrt(math.pi)
 
 
 def edg_unnormalized_form(

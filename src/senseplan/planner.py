@@ -134,7 +134,7 @@ def _greedy_choice(kernel: KernelSpec, noise_sd: float, var, explained) -> tuple
     return int(np.flatnonzero(gains >= (1.0 - TIE_RTOL) * gains.max())[0]), gains
 
 
-def _greedy_on_log(mean: MeanSpec, kernel: KernelSpec, log: MeasurementLog, candidates, targets):
+def _greedy_on_log(kernel: KernelSpec, log: MeasurementLog, candidates, targets):
     """:func:`_greedy_choice` on one conditioning of ``log`` and the targets."""
     return _greedy_choice(kernel, log.noise_sd, *_variance_pair(kernel, log, targets, candidates))
 
@@ -150,7 +150,7 @@ def greedy_select(
     cands, pts = as_points(candidates), as_points(targets)
     if len(cands) == 0 or len(pts) == 0:
         raise InvalidInputError("candidates and targets must be nonempty")
-    idx, gains = _greedy_on_log(mean, kernel, log, cands, pts)
+    idx, gains = _greedy_on_log(kernel, log, cands, pts)
     return cands[idx], float(gains[idx])
 
 

@@ -97,7 +97,7 @@ class TestPointCoercion:
             return as_points(locations)
 
         monkeypatch.setattr(gp_mod, "as_points", counting)
-        predictive_moments(mean, kernel, log, query, 2)
+        predictive_moments(mean, kernel, log, query)
         assert len(calls) == 1
 
     def test_entry_points_reject_malformed_points(self):
@@ -118,7 +118,7 @@ class TestPointCoercion:
 
         takes_points = {
             "posterior": lambda p: posterior(mean, kernel, log, p),
-            "predictive_moments": lambda p: predictive_moments(mean, kernel, log, p, 1),
+            "predictive_moments": lambda p: predictive_moments(mean, kernel, log, p),
             "greedy_select candidates": lambda p: greedy_select(mean, kernel, log, p, good),
             "ScenarioConfig targets": lambda p: scenario(p, good),
             "ScenarioConfig candidates": lambda p: scenario(good, p),
@@ -413,34 +413,30 @@ class TestPosterior:
         kernel = KernelSpec(signal_variance=1.0, lengthscale=1.0)
         pts = np.array([[0.0, 0.0], [1.0, 0.0]])
         log = MeasurementLog(pts, [0.3, -0.2], 0.0)
-        mu, var, _ = predictive_moments(MeanSpec(), kernel, log.append(reading, value), pts, 0)
+        mu, var, _ = predictive_moments(MeanSpec(), kernel, log.append(reading, value), pts)
         assert var[target] == 0.0
-        before_mu, before_var, _ = predictive_moments(MeanSpec(), kernel, log, pts, 0)
+        before_mu, before_var, _ = predictive_moments(MeanSpec(), kernel, log, pts)
         np.testing.assert_allclose(mu, before_mu, rtol=1e-12)
         np.testing.assert_array_equal(var, before_var)
 
 
 class TestPredictiveMoments:
-    def test_query_is_a_prefix_of_the_points(self):
-        """With points ``[targets; candidates]`` and ``n_query = len(targets)``
-        the target block is the targets' posterior and the candidate block is
-        the dense oracle's cross-covariance; ``n_query = 0`` queries nothing."""
+    def test_matches_posterior_and_dense_oracle(self):
+        """With points ``[targets; candidates]`` the target block is the
+        targets' posterior and the candidate block is the dense oracle's
+        cross-covariance."""
         rng = np.random.default_rng(41)
         for _ in range(20):
             mean, kernel, log, targets = random_instance(rng)
             points = np.vstack([targets, rng.uniform(0, 8, (5, 2))])
             n = len(targets)
-            mu, var, cross = predictive_moments(mean, kernel, log, points, n)
+            mu, var, cov = predictive_moments(mean, kernel, log, points)
             belief = posterior(mean, kernel, log, targets)
             dense_mu, dense_cov = dense_posterior(mean, kernel, log, points)
             np.testing.assert_allclose(mu[:n], belief.mean, rtol=1e-12)
-            np.testing.assert_allclose(cross[:, :n], belief.cov, rtol=1e-12)
+            np.testing.assert_allclose(cov[:n, :n], belief.cov, rtol=1e-12)
             np.testing.assert_allclose(mu[n:], dense_mu[n:], rtol=1e-12)
-            np.testing.assert_allclose(cross[:, n:], dense_cov[:n, n:], rtol=1e-12)
-            _, _, none = predictive_moments(mean, kernel, log, points, 0)
-            assert none.shape == (0, len(points))
-        with pytest.raises(InvalidInputError):
-            predictive_moments(mean, kernel, log, points, len(points) + 1)
+            np.testing.assert_allclose(cov[:n, n:], dense_cov[:n, n:], rtol=1e-12)
 
 
 def dense_given_targets(kernel, log, targets, points):
@@ -521,16 +517,16 @@ class TestPredictiveMeasurement:
 
     def test_prior_prediction(self):
         kernel = KernelSpec(signal_variance=3.0, lengthscale=1.0)
-        mu, var, cross = predictive_moments(MeanSpec(1.5), kernel, MeasurementLog.empty(0.5), (0.0, 0.0), 0)
+        mu, var, cov = predictive_moments(MeanSpec(1.5), kernel, MeasurementLog.empty(0.5), (0.0, 0.0))
         np.testing.assert_array_equal(mu, [1.5])
         np.testing.assert_allclose(var, [3.0])
-        assert cross.shape == (0, 1)
+        np.testing.assert_allclose(cov, [[3.0]])
 
     def test_matches_posterior_marginal(self):
         rng = np.random.default_rng(11)
         mean, kernel, log, _ = random_instance(rng)
         cand = rng.uniform(0, 8, 2)
-        mu, var, _ = predictive_moments(mean, kernel, log, cand, 0)
+        mu, var, _ = predictive_moments(mean, kernel, log, cand)
         belief = posterior(mean, kernel, log, cand[np.newaxis, :])
         np.testing.assert_allclose(mu[0], belief.mean[0], rtol=1e-12)
         np.testing.assert_allclose(var[0], belief.cov[0, 0], atol=1e-12)

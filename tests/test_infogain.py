@@ -23,7 +23,9 @@ from senseplan import (
     edg_quadrature,
     edg_unnormalized_form,
     kl_gaussian,
+    posterior,
 )
+from senseplan.gp import predictive_moments
 
 
 def random_gaussian_pair(rng, dim):
@@ -201,16 +203,13 @@ class TestEDGExact:
 
     def test_one_conditioning_per_call(self, monkeypatch):
         """One ``edg_exact`` call conditions on the log once: one
-        ``_variance_pair`` call, and no ``predictive_moments`` or
-        ``posterior`` call."""
-        calls = count_calls(monkeypatch, "_variance_pair", "predictive_moments", "posterior")
+        ``_variance_pair`` call, and no ``predictive_moments`` call; the
+        module has no ``posterior`` to call."""
+        calls = count_calls(monkeypatch, "_variance_pair", "predictive_moments")
         mean, kernel, log, cand, targets = random_scenario(np.random.default_rng(17), n_obs=3)
         edg_exact(mean, kernel, log, cand, targets)
-        assert {name: len(c) for name, c in calls.items()} == {
-            "_variance_pair": 1,
-            "predictive_moments": 0,
-            "posterior": 0,
-        }
+        assert {name: len(c) for name, c in calls.items()} == {"_variance_pair": 1, "predictive_moments": 0}
+        assert not hasattr(infogain_mod, "posterior")
 
     def test_diminishing_returns_on_repeat(self):
         """Measuring the same spot again is worth strictly less, sigma > 0."""
@@ -238,19 +237,65 @@ class TestEDGQuadrature:
         large = edg_quadrature(mean, kernel, log, cand, targets, QuadratureSpec(64))
         np.testing.assert_allclose(small, large, rtol=1e-10)
 
-    def test_one_conditioning_then_one_per_node(self, monkeypatch):
-        """The current belief and the reading's moments come from one
-        ``predictive_moments`` call on the log; each node then conditions
-        the log extended by its reading once."""
-        calls = count_calls(monkeypatch, "predictive_moments", "posterior")
+    def test_one_conditioning_and_one_factorization(self, monkeypatch):
+        """Whatever the node count, both beliefs and the reading's moments
+        come from one ``predictive_moments`` call on the log, and one
+        ``jittered_cholesky`` call factors the target covariance.  No node
+        builds a log or a posterior: the module has no ``posterior``."""
+        calls = count_calls(monkeypatch, "predictive_moments", "jittered_cholesky")
         mean, kernel, log, cand, targets = random_scenario(np.random.default_rng(17), n_obs=3)
-        edg_quadrature(mean, kernel, log, cand, targets, QuadratureSpec(node_count=9))
-        assert [args[2] for args in calls["predictive_moments"]] == [log]
-        assert [len(args[2]) for args in calls["posterior"]] == [len(log) + 1] * 9
+
+        def no_new_log(self):
+            raise AssertionError("edg_quadrature built a MeasurementLog")
+
+        monkeypatch.setattr(MeasurementLog, "__post_init__", no_new_log)
+        for node_count in (4, 9, 64):
+            quad = QuadratureSpec(node_count)
+            assert edg_quadrature(mean, kernel, log, cand, targets, quad) > 0
+            assert [args[2] for args in calls["predictive_moments"]] == [log]
+            assert len(calls["jittered_cholesky"]) == 1
+            for recorded in calls.values():
+                recorded.clear()
+        assert not hasattr(infogain_mod, "posterior")
+
+    def test_matches_the_definition_node_by_node(self):
+        """Against the definition evaluated from the public API, with the
+        log extended and conditioned afresh at each node (a noise-free
+        repeat takes the logged value), over noise 0, 0.1 and 1, kernel
+        jitter 0, 1e-8 and 1e-6, and random, logged and target candidates.
+        A noise-free repeat under jitter has no reading to pin the node to;
+        there the value integrates a jitter-sized spread, finite and >= 0."""
+        rng = np.random.default_rng(23)
+        quad = QuadratureSpec(8)
+        t, w = quad.nodes()
+        for i in range(108):
+            noise, jitter = (0.0, 0.1, 1.0)[i % 3], (0.0, 1e-8, 1e-6)[i // 3 % 3]
+            mean, kernel, log, cand, targets = random_scenario(rng, n_obs=int(rng.integers(1, 8)))
+            kernel = KernelSpec(kernel.signal_variance, kernel.lengthscale, jitter)
+            log = MeasurementLog(log.locations, log.values, noise)
+            cand = (cand, log.locations[0], targets[0])[i // 9 % 3]
+            value = edg_quadrature(mean, kernel, log, cand, targets, quad)
+            logged = log.values[np.all(log.locations == cand, axis=1)] if noise == 0 else []
+            if len(logged) and jitter:
+                assert math.isfinite(value) and value >= 0
+                continue
+            mu, var, _ = predictive_moments(mean, kernel, log, cand)
+            pre = posterior(mean, kernel, log, targets)
+            if noise == 0 and var[0] > 1e-10 * kernel.signal_variance and np.all(targets == cand, axis=1).any():
+                assert value == math.inf
+                continue
+            nodes = logged[:1].repeat(len(t)) if len(logged) else mu[0] + math.sqrt(2 * (var[0] + noise**2)) * t
+            kl = [kl_gaussian(posterior(mean, kernel, log.append(cand, z), targets), pre) for z in nodes]
+            ref = float(w @ kl) / math.sqrt(math.pi)
+            assert abs(value - ref) <= 1e-10 * abs(ref) + 1e-12, (i, value, ref)
 
     def test_node_count_validated(self):
-        with pytest.raises(InvalidInputError):
-            QuadratureSpec(0)
+        """The node count is an integer >= 1; a float, a string or a bool is
+        rejected, not rounded or parsed."""
+        for count in (0, 2.7, "64", True):
+            with pytest.raises(InvalidInputError):
+                QuadratureSpec(count)
+        assert QuadratureSpec(np.int64(3)).node_count == 3
 
 
 class TestUnnormalizedForm:
@@ -259,18 +304,16 @@ class TestUnnormalizedForm:
         """The variant, its empty-log fallback included, conditions on the
         log once, takes its structural term from that conditioning and makes
         no factorization of its own."""
-        calls = count_calls(
-            monkeypatch, "_variance_pair", "predictive_moments", "posterior", "edg_exact", "jittered_cholesky"
-        )
+        calls = count_calls(monkeypatch, "_variance_pair", "predictive_moments", "edg_exact", "jittered_cholesky")
         mean, kernel, log, cand, targets = random_scenario(np.random.default_rng(17), n_obs=n_obs)
         edg_unnormalized_form(mean, kernel, log, cand, targets)
         assert {name: len(c) for name, c in calls.items()} == {
             "_variance_pair": 1,
             "predictive_moments": 0,
-            "posterior": 0,
             "edg_exact": 0,
             "jittered_cholesky": 0,
         }
+        assert not hasattr(infogain_mod, "posterior")
 
     def test_empty_log_falls_back_to_exact(self):
         rng = np.random.default_rng(14)

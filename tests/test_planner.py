@@ -137,7 +137,7 @@ class TestGreedySelect:
             targets = rng.uniform(0, 10, (8, 2))
             on_targets = targets[rng.permutation(8)[:3]]
             cands = np.vstack([rng.uniform(0, 10, (2, 2)), on_targets])
-            idx, gains = planner_mod._greedy_on_log(MEAN, KERNEL, log, cands, targets)
+            idx, gains = planner_mod._greedy_on_log(KERNEL, log, cands, targets)
             assert idx == 2
             np.testing.assert_allclose(gains[2:], expected, rtol=1e-12)
 
@@ -153,7 +153,7 @@ class TestGreedySelect:
             k = int(rng.integers(0, 6))
             noise = rng.uniform(0.1, 1.0)
             log = MeasurementLog(rng.uniform(0, 10, (k, 2)), rng.normal(0, 1, k), noise)
-            _, gains = planner_mod._greedy_on_log(mean, kernel, log, cands, targets)
+            _, gains = planner_mod._greedy_on_log(kernel, log, cands, targets)
             ref = [edg_exact(mean, kernel, log, c, targets).value for c in cands]
             np.testing.assert_allclose(gains, ref, rtol=1e-8, atol=1e-12)
 
@@ -211,7 +211,7 @@ class TestZeroNoiseScores:
             values = rng.normal(0, 1, 4)
             # Noise-free repeats read the value of the first visit.
             log = MeasurementLog(cands[visits], [values[list(visits).index(i)] for i in visits], 0.0)
-            _, gains = planner_mod._greedy_on_log(MEAN, self.KERNEL, log, cands, targets)
+            _, gains = planner_mod._greedy_on_log(self.KERNEL, log, cands, targets)
             assert np.all(np.isfinite(gains)) and np.all(gains >= 0)
 
     def test_repeat_scores_about_zero(self):
@@ -224,7 +224,7 @@ class TestZeroNoiseScores:
         longer = MeasurementLog(np.vstack([pts, self.LOG.locations]), np.append(np.arange(3.0), self.LOG.values), 0.0)
         cand = np.array([1.0, 1.0])
         for log in (self.LOG, longer):
-            _, gains = planner_mod._greedy_on_log(MEAN, self.KERNEL, log, cand[None], self.TARGETS)
+            _, gains = planner_mod._greedy_on_log(self.KERNEL, log, cand[None], self.TARGETS)
             exact = edg_exact(MEAN, self.KERNEL, log, cand, self.TARGETS).value
             quad = edg_quadrature(MEAN, self.KERNEL, log, cand, self.TARGETS)
             for gain in (gains[0], exact, quad):
@@ -232,7 +232,7 @@ class TestZeroNoiseScores:
 
     def test_unmeasured_target_outranks_every_other_candidate(self):
         cands = np.array([[2.0, 2.0], [1.0, 1.0], [8.0, 1.0], [4.5, 4.5]])
-        idx, gains = planner_mod._greedy_on_log(MEAN, self.KERNEL, self.LOG, cands, self.TARGETS)
+        idx, gains = planner_mod._greedy_on_log(self.KERNEL, self.LOG, cands, self.TARGETS)
         assert idx == 2 and np.all(np.isfinite(gains))
         assert gains[2] > max(gains[0], gains[1])
 
@@ -246,9 +246,7 @@ class TestZeroNoiseScores:
             return 4.0 - k @ np.linalg.solve(kernel_matrix(self.KERNEL, points, points), k)
 
         expected = 0.5 * math.log(cond_var([[1.0, 1.0]]) / cond_var(self.TARGETS))
-        _, gains = planner_mod._greedy_on_log(
-            MEAN, self.KERNEL, self.LOG, np.array([[2.0, 2.0]]), self.TARGETS
-        )
+        _, gains = planner_mod._greedy_on_log(self.KERNEL, self.LOG, np.array([[2.0, 2.0]]), self.TARGETS)
         np.testing.assert_allclose(gains[0], expected, rtol=1e-6)
 
     def test_all_targets_measured_scores_finite(self):

@@ -55,7 +55,7 @@ def problems(draw, noise=NOISE, distinct_targets=False):
 @given(problems())
 def test_gains_are_finite_and_nonnegative(problem):
     kernel, log, candidates, targets = problem
-    _, gains = planner_mod._greedy_on_log(MEAN, kernel, log, candidates, targets)
+    _, gains = planner_mod._greedy_on_log(kernel, log, candidates, targets)
     assert np.all(np.isfinite(gains)) and np.all(gains >= 0.0)
 
 
@@ -65,12 +65,12 @@ def test_gains_follow_candidates_and_ignore_target_order(problem, random):
     """With noise and distinct targets, permuting the candidates permutes
     the gains and permuting the targets leaves them as they are."""
     kernel, log, candidates, targets = problem
-    _, gains = planner_mod._greedy_on_log(MEAN, kernel, log, candidates, targets)
+    _, gains = planner_mod._greedy_on_log(kernel, log, candidates, targets)
     order = random.sample(range(len(candidates)), len(candidates))
-    _, permuted = planner_mod._greedy_on_log(MEAN, kernel, log, candidates[order], targets)
+    _, permuted = planner_mod._greedy_on_log(kernel, log, candidates[order], targets)
     np.testing.assert_allclose(permuted, gains[order], rtol=1e-9, atol=1e-12)
     shuffled = targets[random.sample(range(len(targets)), len(targets))]
-    _, same = planner_mod._greedy_on_log(MEAN, kernel, log, candidates, shuffled)
+    _, same = planner_mod._greedy_on_log(kernel, log, candidates, shuffled)
     np.testing.assert_allclose(same, gains, rtol=1e-9, atol=1e-12)
 
 
@@ -84,10 +84,10 @@ def test_nearly_coincident_targets_in_any_order():
     targets = np.array([(0.0, 0.5), (0.0, 1.0), (0.0, 1e-6), (1.0, 0.0), (0.0, 0.0)])
     candidates = np.array([(0.0, 0.0), (44.125, 0.0)])
     ref = np.array([float(edg_reference(kernel, log, c, targets)) for c in candidates])
-    _, gains = planner_mod._greedy_on_log(MEAN, kernel, log, candidates, targets)
+    _, gains = planner_mod._greedy_on_log(kernel, log, candidates, targets)
     np.testing.assert_allclose(gains, ref, rtol=1e-10)
     for order in itertools.permutations(range(len(targets))):
-        _, permuted = planner_mod._greedy_on_log(MEAN, kernel, log, candidates, targets[list(order)])
+        _, permuted = planner_mod._greedy_on_log(kernel, log, candidates, targets[list(order)])
         np.testing.assert_allclose(permuted, gains, rtol=TIE_RTOL, atol=0)
 
 
@@ -100,10 +100,10 @@ def test_a_reading_never_raises_a_target_variance(problem, value):
     variance where it was or lower, up to 1e-10 of the prior variance.  The
     examples append a noise-free repeat and a near-duplicate reading."""
     kernel, log, candidates, targets = problem
-    _, before, _ = predictive_moments(MEAN, kernel, log, targets, 0)
+    _, before, _ = predictive_moments(MEAN, kernel, log, targets)
     for candidate in candidates:
         # Noise-free, a reading where the log holds one repeats its value.
         logged = log.values[np.all(log.locations == candidate, axis=1)] if log.noise_sd == 0 else []
         z = logged[0] if len(logged) else value
-        _, after, _ = predictive_moments(MEAN, kernel, log.append(candidate, z), targets, 0)
+        _, after, _ = predictive_moments(MEAN, kernel, log.append(candidate, z), targets)
         assert np.all(after <= before + 1e-10 * kernel.signal_variance)
