@@ -38,14 +38,14 @@ def main():
 
     print(f"{'candidate':>12}  {'closed form':>12}  {'quadrature':>12}  {'variant':>10}")
     for cand in candidates:
-        exact = edg_exact(mean, kernel, log, cand, targets).value
+        exact = edg_exact(kernel, log, cand, targets).value
         quad = edg_quadrature(mean, kernel, log, cand, targets)
-        variant = edg_unnormalized_form(mean, kernel, log, cand, targets).value
+        variant = edg_unnormalized_form(kernel, log, cand, targets).value
         print(
             f"({cand[0]:4.1f},{cand[1]:4.1f})  {exact:12.6f}  {quad:12.6f}  {variant:10.4f}"
         )
 
-    choice, score = greedy_select(mean, kernel, log, candidates, targets)
+    choice, score = greedy_select(kernel, log, candidates, targets)
     print()
     print(f"greedy choice: ({choice[0]:.1f}, {choice[1]:.1f}) with gain {score:.6f}")
 

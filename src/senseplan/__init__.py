@@ -54,10 +54,7 @@ from .metrics import (
     METRIC_NAMES,
     MetricSeries,
     aggregate_series,
-    estimating_error,
-    estimating_variance,
     intersection_indices,
-    rmse,
 )
 from .planner import (
     PLANNER_KINDS,
@@ -104,8 +101,6 @@ __all__ = [
     "edg_exact",
     "edg_quadrature",
     "edg_unnormalized_form",
-    "estimating_error",
-    "estimating_variance",
     "field_value",
     "greedy_select",
     "intersection_indices",
@@ -115,7 +110,6 @@ __all__ = [
     "load_grid_csv",
     "place_scenario",
     "posterior",
-    "rmse",
     "run_episode",
     "sample_field",
     "sample_prior_field",

@@ -391,14 +391,3 @@ def echo_config(cfg: RunConfig, resolved_mean: float) -> dict:
     if cfg.roi_kind == "grid":
         del sections["roi"]
     return sections
-
-
-def render_config_ini(sections: dict) -> str:
-    """Write an echoed config mapping back to INI text."""
-    lines = []
-    for name, body in sections.items():
-        lines.append(f"[{name}]")
-        for key, value in body.items():
-            lines.append(f"{key} = {value}")
-        lines.append("")
-    return "\n".join(lines)

@@ -83,6 +83,11 @@ def as_point(location) -> np.ndarray:
     return pt
 
 
+def _integer_at_least(value, least: int) -> bool:
+    """Whether ``value`` is a Python or NumPy integer, not a bool, and ``>= least``."""
+    return not isinstance(value, bool) and isinstance(value, (int, np.integer)) and value >= least
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     """Isotropic squared-exponential covariance.
@@ -121,10 +126,6 @@ class MeanSpec:
     def __post_init__(self):
         if not np.isfinite(self.constant):
             raise InvalidInputError("mean constant must be finite")
-
-    def at(self, locations) -> np.ndarray:
-        """Mean vector over ``locations``."""
-        return np.full(len(as_points(locations)), float(self.constant))
 
 
 @dataclass(frozen=True, eq=False)

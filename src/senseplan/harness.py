@@ -470,7 +470,7 @@ def score_table(cfg: RunConfig, log: MeasurementLog) -> dict:
     exact = np.where(gains == -np.inf, np.nan, gains)
     columns = {
         "edg_quadrature": lambda c: edg_quadrature(mean, kernel, log, c, targets),
-        "edg_unnormalized": lambda c: edg_unnormalized_form(mean, kernel, log, c, targets).value,
+        "edg_unnormalized": lambda c: edg_unnormalized_form(kernel, log, c, targets).value,
     }
     rows = []
     for idx, cand in enumerate(candidates):

@@ -44,6 +44,7 @@ from .gp import (
     KernelSpec,
     MeanSpec,
     MeasurementLog,
+    _integer_at_least,
     _symmetrize,
     _variance_pair,
     as_point,
@@ -76,7 +77,7 @@ class QuadratureSpec:
 
     def __post_init__(self):
         count = self.node_count
-        if isinstance(count, bool) or not (isinstance(count, (int, np.integer)) and count >= 1):
+        if not _integer_at_least(count, 1):
             raise InvalidInputError("node_count must be an integer >= 1")
         object.__setattr__(self, "node_count", int(count))
 
@@ -171,19 +172,13 @@ def _exact(kernel: KernelSpec, log: MeasurementLog, candidate, targets) -> tuple
     return float(var[0]), EDGResult(value, value - 0.5 * share, 0.5 * share)
 
 
-def edg_exact(
-    mean: MeanSpec,
-    kernel: KernelSpec,
-    log: MeasurementLog,
-    candidate,
-    targets,
-) -> EDGResult:
+def edg_exact(kernel: KernelSpec, log: MeasurementLog, candidate, targets) -> EDGResult:
     """Expected discrimination gain of measuring at ``candidate``, closed form.
 
     The one-candidate case of the planner's scorer, from one conditioning
-    on the log and the targets.  The mean does not enter.  Raises
-    InvalidInputError on empty targets and NumericalDegeneracyError on a
-    degenerate candidate.
+    on the log and the targets.  It depends on covariances alone, so it takes
+    no prior mean and reads no logged value.  Raises InvalidInputError on
+    empty targets and NumericalDegeneracyError on a degenerate candidate.
     """
     return _exact(kernel, log, candidate, targets)[1]
 
@@ -229,13 +224,7 @@ def edg_quadrature(
     return float(w @ (spread + (var[n] + s2) * t**2 * (u @ u))) / math.sqrt(math.pi)
 
 
-def edg_unnormalized_form(
-    mean: MeanSpec,
-    kernel: KernelSpec,
-    log: MeasurementLog,
-    candidate,
-    targets,
-) -> UnnormalizedFormResult:
+def edg_unnormalized_form(kernel: KernelSpec, log: MeasurementLog, candidate, targets) -> UnnormalizedFormResult:
     """Closed-form EDG variant with an unnormalized Gaussian reading weight.
 
     Literally ``sqrt(pi) * (0.25 * d * s^3 + 0.5 * s * (2 * structural +

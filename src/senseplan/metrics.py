@@ -6,6 +6,8 @@ variance ``tr(Sigma) / N``.  Both are reported over the full target set
 (suffix ``-V``) and over the targets shared with the candidate set
 (suffix ``-I``).  Root-mean-square error is kept as an auxiliary
 diagnostic because its normalization (sqrt(N) rather than N) differs.
+The planner records each step's values as ``EpisodeStep`` fields (``error``,
+``variance``, their ``_shared`` forms, ``rmse``); this module aggregates them.
 """
 
 from __future__ import annotations
@@ -22,14 +24,6 @@ from .gp import as_points
 METRIC_NAMES = ("error-V", "variance-V", "error-I", "variance-I")
 
 
-def _paired_vectors(estimate, truth) -> tuple[np.ndarray, np.ndarray]:
-    est = np.asarray(estimate, dtype=float).reshape(-1)
-    tru = np.asarray(truth, dtype=float).reshape(-1)
-    if est.size == 0 or est.shape != tru.shape:
-        raise InvalidInputError("estimate and truth must be equal-length nonempty vectors")
-    return est, tru
-
-
 def _norm(residual: np.ndarray) -> float:
     """``sqrt(r @ r)``, a float vector's norm as ``np.linalg.norm`` takes it."""
     return math.sqrt(residual @ residual)
@@ -38,40 +32,6 @@ def _norm(residual: np.ndarray) -> float:
 def _mean_variance(variances: np.ndarray) -> float:
     """``sum / N`` of a nonempty float vector."""
     return float(variances.sum() / variances.size)
-
-
-def estimating_error(estimate, truth) -> float:
-    """Euclidean norm of the residual divided by the number of points.
-
-    Note the normalization is ``1/N``, not ``1/sqrt(N)``: a residual of
-    (3, 4) over two points scores 2.5, not 5/sqrt(2).
-    """
-    est, tru = _paired_vectors(estimate, truth)
-    return _norm(est - tru) / est.size
-
-
-def rmse(estimate, truth) -> float:
-    """Conventional root-mean-square error, ``||residual||_2 / sqrt(N)``."""
-    est, tru = _paired_vectors(estimate, truth)
-    return _norm(est - tru) / math.sqrt(est.size)
-
-
-def estimating_variance(covariance) -> float:
-    """Mean posterior marginal variance, ``tr(Sigma) / N``.
-
-    Accepts either a full covariance matrix or a vector of marginal
-    variances.
-    """
-    cov = np.asarray(covariance, dtype=float)
-    if cov.ndim == 2:
-        if cov.shape[0] != cov.shape[1] or cov.shape[0] == 0:
-            raise InvalidInputError("covariance must be square and nonempty")
-        diag = np.diag(cov)
-    elif cov.ndim == 1 and cov.size > 0:
-        diag = cov
-    else:
-        raise InvalidInputError("covariance must be a matrix or a variance vector")
-    return _mean_variance(diag)
 
 
 def intersection_indices(points_a, points_b) -> tuple[np.ndarray, np.ndarray]:

@@ -32,6 +32,7 @@ from .gp import (
     _CarriedConditioning,
     _GivenTargets,
     _clamped,
+    _integer_at_least,
     _symmetrize,
     _variance_pair,
 )
@@ -75,8 +76,10 @@ class ScenarioConfig:
             raise InvalidInputError(
                 f"unknown planner kind {self.planner_kind!r}; choose from {PLANNER_KINDS}"
             )
-        if not (isinstance(self.horizon, (int, np.integer)) and self.horizon >= 1):
+        if not _integer_at_least(self.horizon, 1):
             raise InvalidInputError("horizon must be an integer >= 1")
+        if not (_integer_at_least(self.seed, 0) and _integer_at_least(self.trial_index, 0)):
+            raise InvalidInputError("seed and trial_index must be integers >= 0")
         if not (np.isfinite(self.noise_sd) and self.noise_sd >= 0):
             raise InvalidInputError("noise_sd must be finite and >= 0")
         if not isinstance(self.kernel, KernelSpec) or not isinstance(self.mean, MeanSpec):
@@ -139,13 +142,7 @@ def _greedy_on_log(kernel: KernelSpec, log: MeasurementLog, candidates, targets)
     return _greedy_choice(kernel, log.noise_sd, *_variance_pair(kernel, log, targets, candidates))
 
 
-def greedy_select(
-    mean: MeanSpec,
-    kernel: KernelSpec,
-    log: MeasurementLog,
-    candidates,
-    targets,
-) -> tuple[np.ndarray, float]:
+def greedy_select(kernel: KernelSpec, log: MeasurementLog, candidates, targets) -> tuple[np.ndarray, float]:
     """Location of the highest-gain candidate, and its score."""
     cands, pts = as_points(candidates), as_points(targets)
     if len(cands) == 0 or len(pts) == 0:

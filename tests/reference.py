@@ -25,10 +25,14 @@ checking the in-place factorization bit for bit.
 :func:`render_series_csv` writes ``series.csv`` one value at a time, each
 converted by ``float`` and written with ``repr``, for checking the
 package's one-pass renderer byte for byte.
+
+:func:`ini_text` writes an echoed configuration back as INI text with the
+standard library's ``ConfigParser``.
 """
 
 import io
 import math
+from configparser import ConfigParser
 
 import numpy as np
 from mpmath import mp
@@ -125,7 +129,7 @@ def unnormalized_reference(mean, kernel, log, candidate, targets) -> float:
     d = m2t_sinv_m2[-1, -1]
     quad1 = v1 @ (m1.T @ cho_solve((Lp, True), m1 @ v1 - 2.0 * (m2 @ v2)))
     quad2 = v2 @ (m2t_sinv_m2 @ v2)
-    bracket = 2.0 * edg_exact(mean, kernel, log, cand[0], pts).structural_term + quad1 + quad2
+    bracket = 2.0 * edg_exact(kernel, log, cand[0], pts).structural_term + quad1 + quad2
     return float(0.25 * d * spread**3 * math.sqrt(math.pi) + 0.5 * spread * math.sqrt(math.pi) * bracket)
 
 
@@ -166,3 +170,12 @@ def render_series_csv(record: dict) -> str:
                 value = float("nan") if value is None else float(value)
                 buf.write(f"{trace['trial']},{trace['planner']},{step['step']},{metric},{repr(value)}\n")
     return buf.getvalue()
+
+
+def ini_text(sections: dict) -> str:
+    """``{section: {key: value}}`` as INI text, as ``ConfigParser`` writes it."""
+    parser = ConfigParser()
+    parser.read_dict(sections)
+    out = io.StringIO()
+    parser.write(out)
+    return out.getvalue()

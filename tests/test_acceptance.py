@@ -76,7 +76,7 @@ def test_a1_closed_form_matches_quadrature_oracle():
     quad = QuadratureSpec(64)
     for _ in range(200):
         mean, kernel, log, cand, targets = random_edg_instance(rng)
-        exact = edg_exact(mean, kernel, log, cand, targets).value
+        exact = edg_exact(kernel, log, cand, targets).value
         oracle = edg_quadrature(mean, kernel, log, cand, targets, quad)
         denom = max(abs(oracle), 1e-12)
         worst = max(worst, abs(exact - oracle) / denom)
@@ -97,7 +97,7 @@ def test_a1_instances_match_extended_precision_reference():
     for i in (3, 50, 120, 171):
         mean, kernel, log, cand, targets = instances[i]
         ref = edg_reference(kernel, log, cand, targets)
-        exact = edg_exact(mean, kernel, log, cand, targets).value
+        exact = edg_exact(kernel, log, cand, targets).value
         quad = edg_quadrature(mean, kernel, log, cand, targets, QuadratureSpec(64))
         assert abs(exact - ref) <= 1e-8 * ref, (i, exact, ref)
         assert abs(quad - ref) <= 1e-8 * ref, (i, quad, ref)
@@ -189,7 +189,7 @@ def test_a3_posterior_oracle_and_conditioning():
         belief = posterior(mean, kernel, log, query)
         Kxy = kernel_matrix(kernel, query, Y)
         G = np.linalg.inv(kernel_matrix(kernel, Y, Y) + noise**2 * np.eye(n_obs))
-        mu = mean.at(query) + Kxy @ G @ (Z - mean.at(Y))
+        mu = mean.constant + Kxy @ G @ (Z - mean.constant)
         cov = kernel_matrix(kernel, query, query) - Kxy @ G @ Kxy.T
         worst_dense = max(
             worst_dense,
@@ -211,7 +211,7 @@ def test_a3_posterior_oracle_and_conditioning():
     mean = MeanSpec(0.5)
     query = np.array([[0.0, 0.0], [2.0, 1.0], [4.0, 4.0]])
     prior = posterior(mean, kernel, MeasurementLog.empty(1.0), query)
-    prior_exact = np.array_equal(prior.mean, mean.at(query)) and np.array_equal(
+    prior_exact = np.array_equal(prior.mean, np.full(len(query), mean.constant)) and np.array_equal(
         prior.cov, kernel_matrix(kernel, query, query)
     )
 
@@ -261,8 +261,8 @@ def test_a4_monotonicity_suite():
             psd_ok &= np.linalg.eigvalsh((gap + gap.T) / 2).min() >= floor
 
     for _ in range(100):
-        m, k, log, cand, targets = random_edg_instance(rng)
-        value = edg_exact(m, k, log, cand, targets).value
+        _, k, log, cand, targets = random_edg_instance(rng)
+        value = edg_exact(k, log, cand, targets).value
         min_gain = min(min_gain, value)
         gain_ok &= value >= -1e-10
 
@@ -391,13 +391,13 @@ def test_a7_unnormalized_form_characterization():
     agree = 0
     n_instances = 100
     for _ in range(n_instances):
-        mean, kernel, log, _, targets = random_edg_instance(rng, k_min=2, k_max=8)
+        _, kernel, log, _, targets = random_edg_instance(rng, k_min=2, k_max=8)
         candidates = rng.uniform(0, 7, (6, 2))
         exact_scores = []
         variant_scores = []
         for cand in candidates:
-            e = edg_exact(mean, kernel, log, cand, targets).value
-            u = edg_unnormalized_form(mean, kernel, log, cand, targets)
+            e = edg_exact(kernel, log, cand, targets).value
+            u = edg_unnormalized_form(kernel, log, cand, targets)
             assert not u.fallback
             assert np.isfinite(u.value)
             exact_scores.append(e)
@@ -428,6 +428,6 @@ def test_a7_instances_match_the_literal_variant():
     for _ in range(100):
         mean, kernel, log, _, targets = random_edg_instance(rng, k_min=2, k_max=8)
         for cand in rng.uniform(0, 7, (6, 2)):
-            value = edg_unnormalized_form(mean, kernel, log, cand, targets).value
+            value = edg_unnormalized_form(kernel, log, cand, targets).value
             expected = unnormalized_reference(mean, kernel, log, cand, targets)
             np.testing.assert_allclose(value, expected, rtol=1e-9, atol=1e-11)

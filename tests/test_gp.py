@@ -44,11 +44,11 @@ def dense_posterior(mean, kernel, log, query):
     Y = log.locations
     Kxx = kernel_matrix(kernel, X, X)
     if len(Y) == 0:
-        return mean.at(X), Kxx
+        return np.full(len(X), mean.constant), Kxx
     Kxy = kernel_matrix(kernel, X, Y)
     G = kernel_matrix(kernel, Y, Y) + log.noise_sd**2 * np.eye(len(Y))
     Ginv = np.linalg.inv(G)
-    mu = mean.at(X) + Kxy @ Ginv @ (log.values - mean.at(Y))
+    mu = mean.constant + Kxy @ Ginv @ (log.values - mean.constant)
     cov = Kxx - Kxy @ Ginv @ Kxy.T
     return mu, cov
 
@@ -119,19 +119,19 @@ class TestPointCoercion:
         takes_points = {
             "posterior": lambda p: posterior(mean, kernel, log, p),
             "predictive_moments": lambda p: predictive_moments(mean, kernel, log, p),
-            "greedy_select candidates": lambda p: greedy_select(mean, kernel, log, p, good),
+            "greedy_select candidates": lambda p: greedy_select(kernel, log, p, good),
             "ScenarioConfig targets": lambda p: scenario(p, good),
             "ScenarioConfig candidates": lambda p: scenario(good, p),
             "MeasurementLog": lambda p: MeasurementLog(p, np.zeros(len(p)), noise_sd=0.4),
             "MeasurementLog.append": lambda p: log.append(p[-1:], 1.0),
             "sample_field": lambda p: sample_field(mean, kernel, p, 3, region),
-            "edg_exact candidate": lambda p: edg_exact(mean, kernel, log, p[-1:], good),
+            "edg_exact candidate": lambda p: edg_exact(kernel, log, p[-1:], good),
         }
         takes_targets = {
-            "greedy_select targets": lambda p: greedy_select(mean, kernel, log, good, p),
-            "edg_exact": lambda p: edg_exact(mean, kernel, log, (1.5, 0.5), p),
+            "greedy_select targets": lambda p: greedy_select(kernel, log, good, p),
+            "edg_exact": lambda p: edg_exact(kernel, log, (1.5, 0.5), p),
             "edg_quadrature": lambda p: edg_quadrature(mean, kernel, log, (1.5, 0.5), p),
-            "edg_unnormalized_form": lambda p: edg_unnormalized_form(mean, kernel, log, (1.5, 0.5), p),
+            "edg_unnormalized_form": lambda p: edg_unnormalized_form(kernel, log, (1.5, 0.5), p),
         }
         takes_one_point = {"field_value": lambda p: field_value(fld, p)}
         malformed = {

@@ -15,7 +15,7 @@ import senseplan.harness as harness_mod
 import senseplan.infogain as infogain_mod
 from senseplan import edg_exact
 from senseplan.cli import main
-from senseplan.config import parse_config_text, render_config_ini
+from senseplan.config import parse_config_text
 from senseplan.gp import MeasurementLog
 from senseplan.harness import (
     _OPENBLAS_SET_THREADS,
@@ -30,7 +30,7 @@ from senseplan.harness import (
     write_outputs,
 )
 
-from reference import render_series_csv as reference_series_csv
+from reference import ini_text, render_series_csv as reference_series_csv
 
 MINI = """
 [scenario]
@@ -257,7 +257,7 @@ class TestExecuteRun:
         it back yields the identical traces."""
         cfg = parse_config_text(MINI)
         record = execute_run(cfg)
-        echoed_text = render_config_ini(record["config"])
+        echoed_text = ini_text(record["config"])
         cfg2 = parse_config_text(echoed_text)
         issues = validate_run_config(cfg2)
         assert issues == ([], [])
@@ -457,8 +457,8 @@ class TestScore:
         cfg = parse_config_text(MINI)
         log = MeasurementLog(np.array([[2.0, 2.0], [7.0, 5.0]]), np.array([9.5, 11.0]), cfg.noise_sd)
         targets, candidates = harness_mod.trial_placement(cfg, harness_mod.build_mask(cfg), 0)
-        mean, kernel = harness_mod._specs(cfg)
-        expected = [edg_exact(mean, kernel, log, c, targets).value for c in candidates]
+        _, kernel = harness_mod._specs(cfg)
+        expected = [edg_exact(kernel, log, c, targets).value for c in candidates]
 
         def forbidden(*args, **kwargs):
             raise AssertionError("score_table called edg_exact")

@@ -152,9 +152,7 @@ class TestEDGExact:
         the gain is log(2)/2."""
         kernel = KernelSpec(signal_variance=1.0, lengthscale=1.0)
         pt = np.array([0.0, 0.0])
-        result = edg_exact(
-            MeanSpec(0.0), kernel, MeasurementLog.empty(1.0), pt, pt[np.newaxis]
-        )
+        result = edg_exact(kernel, MeasurementLog.empty(1.0), pt, pt[np.newaxis])
         assert abs(result.value - 0.34657359027997264) < 1e-12
 
     def test_scalar_prior_case_general(self):
@@ -166,9 +164,7 @@ class TestEDGExact:
             v = rng.uniform(0.2, 5.0)
             s = rng.uniform(0.3, 2.0)
             kernel = KernelSpec(signal_variance=v, lengthscale=1.0)
-            result = edg_exact(
-                MeanSpec(0.0), kernel, MeasurementLog.empty(s), pt, pt[np.newaxis]
-            )
+            result = edg_exact(kernel, MeasurementLog.empty(s), pt, pt[np.newaxis])
             np.testing.assert_allclose(
                 result.value, 0.5 * math.log1p(v / s**2), rtol=1e-12
             )
@@ -178,27 +174,27 @@ class TestEDGExact:
         rng = np.random.default_rng(9)
         for _ in range(60):
             mean, kernel, log, cand, targets = random_scenario(rng)
-            exact = edg_exact(mean, kernel, log, cand, targets).value
+            exact = edg_exact(kernel, log, cand, targets).value
             quad = edg_quadrature(mean, kernel, log, cand, targets)
             assert np.isclose(exact, quad, rtol=1e-8, atol=1e-12)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(10)
         for _ in range(60):
-            mean, kernel, log, cand, targets = random_scenario(rng)
-            assert edg_exact(mean, kernel, log, cand, targets).value >= -1e-10
+            _, kernel, log, cand, targets = random_scenario(rng)
+            assert edg_exact(kernel, log, cand, targets).value >= -1e-10
 
     def test_terms_sum_to_value(self):
         rng = np.random.default_rng(11)
-        mean, kernel, log, cand, targets = random_scenario(rng, n_obs=4)
-        r = edg_exact(mean, kernel, log, cand, targets)
+        _, kernel, log, cand, targets = random_scenario(rng, n_obs=4)
+        r = edg_exact(kernel, log, cand, targets)
         np.testing.assert_allclose(r.structural_term + r.mean_shift_term, r.value)
 
     def test_distant_candidate_gains_nothing(self):
         kernel = KernelSpec(signal_variance=1.0, lengthscale=0.5)
         targets = np.array([[0.0, 0.0], [1.0, 0.0]])
         far = np.array([100.0, 100.0])
-        r = edg_exact(MeanSpec(0.0), kernel, MeasurementLog.empty(0.5), far, targets)
+        r = edg_exact(kernel, MeasurementLog.empty(0.5), far, targets)
         assert abs(r.value) < 1e-12
 
     def test_one_conditioning_per_call(self, monkeypatch):
@@ -206,8 +202,8 @@ class TestEDGExact:
         ``_variance_pair`` call, and no ``predictive_moments`` call; the
         module has no ``posterior`` to call."""
         calls = count_calls(monkeypatch, "_variance_pair", "predictive_moments")
-        mean, kernel, log, cand, targets = random_scenario(np.random.default_rng(17), n_obs=3)
-        edg_exact(mean, kernel, log, cand, targets)
+        _, kernel, log, cand, targets = random_scenario(np.random.default_rng(17), n_obs=3)
+        edg_exact(kernel, log, cand, targets)
         assert {name: len(c) for name, c in calls.items()} == {"_variance_pair": 1, "predictive_moments": 0}
         assert not hasattr(infogain_mod, "posterior")
 
@@ -217,9 +213,9 @@ class TestEDGExact:
         for _ in range(10):
             mean, kernel, _, cand, targets = random_scenario(rng, n_obs=0)
             log = MeasurementLog.empty(1.0)
-            first = edg_exact(mean, kernel, log, cand, targets).value
+            first = edg_exact(kernel, log, cand, targets).value
             log = log.append(cand, mean.constant + rng.normal())
-            second = edg_exact(mean, kernel, log, cand, targets).value
+            second = edg_exact(kernel, log, cand, targets).value
             assert second < first
 
 
@@ -305,8 +301,8 @@ class TestUnnormalizedForm:
         log once, takes its structural term from that conditioning and makes
         no factorization of its own."""
         calls = count_calls(monkeypatch, "_variance_pair", "predictive_moments", "edg_exact", "jittered_cholesky")
-        mean, kernel, log, cand, targets = random_scenario(np.random.default_rng(17), n_obs=n_obs)
-        edg_unnormalized_form(mean, kernel, log, cand, targets)
+        _, kernel, log, cand, targets = random_scenario(np.random.default_rng(17), n_obs=n_obs)
+        edg_unnormalized_form(kernel, log, cand, targets)
         assert {name: len(c) for name, c in calls.items()} == {
             "_variance_pair": 1,
             "predictive_moments": 0,
@@ -317,18 +313,18 @@ class TestUnnormalizedForm:
 
     def test_empty_log_falls_back_to_exact(self):
         rng = np.random.default_rng(14)
-        mean, kernel, log, cand, targets = random_scenario(rng, n_obs=0)
-        u = edg_unnormalized_form(mean, kernel, log, cand, targets)
-        e = edg_exact(mean, kernel, log, cand, targets)
+        _, kernel, log, cand, targets = random_scenario(rng, n_obs=0)
+        u = edg_unnormalized_form(kernel, log, cand, targets)
+        e = edg_exact(kernel, log, cand, targets)
         assert u.fallback
         np.testing.assert_allclose(u.value, e.value)
 
     def test_finite_and_deterministic(self):
         rng = np.random.default_rng(15)
         for _ in range(20):
-            mean, kernel, log, cand, targets = random_scenario(rng, n_obs=5)
-            a = edg_unnormalized_form(mean, kernel, log, cand, targets)
-            b = edg_unnormalized_form(mean, kernel, log, cand, targets)
+            _, kernel, log, cand, targets = random_scenario(rng, n_obs=5)
+            a = edg_unnormalized_form(kernel, log, cand, targets)
+            b = edg_unnormalized_form(kernel, log, cand, targets)
             assert not a.fallback
             assert np.isfinite(a.value)
             assert a.value == b.value
@@ -339,6 +335,6 @@ class TestUnnormalizedForm:
         the variant reads 0, whatever the readings were."""
         kernel = KernelSpec(signal_variance=2.9314442739284154, lengthscale=2.576874920536818)
         log = MeasurementLog([(3.0, 0.0), (0.0, 4.0), (1.0, 0.0)], values, 0.0)
-        u = edg_unnormalized_form(MeanSpec(), kernel, log, (3.0, 2.0), [(1.0, 0.0), (3.0, 0.0)])
+        u = edg_unnormalized_form(kernel, log, (3.0, 2.0), [(1.0, 0.0), (3.0, 0.0)])
         assert not u.fallback
         assert abs(u.value) <= 1e-12

@@ -7,64 +7,8 @@ from senseplan import (
     InvalidInputError,
     MetricSeries,
     aggregate_series,
-    estimating_error,
-    estimating_variance,
     intersection_indices,
-    rmse,
 )
-
-
-class TestEstimatingError:
-    def test_residual_three_four_over_two_points(self):
-        """||(3, 4)|| / 2 = 2.5, not 5/sqrt(2)."""
-        assert estimating_error([3.0, 4.0], [0.0, 0.0]) == 2.5
-
-    def test_zero_for_perfect_estimate(self):
-        assert estimating_error([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == 0.0
-
-    def test_permutation_invariant(self):
-        rng = np.random.default_rng(0)
-        est = rng.normal(0, 1, 10)
-        tru = rng.normal(0, 1, 10)
-        perm = rng.permutation(10)
-        assert estimating_error(est, tru) == estimating_error(est[perm], tru[perm])
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(InvalidInputError):
-            estimating_error([1.0, 2.0], [1.0])
-        with pytest.raises(InvalidInputError):
-            estimating_error([], [])
-
-
-class TestRMSE:
-    def test_differs_from_estimating_error_by_sqrt_n(self):
-        rng = np.random.default_rng(1)
-        est = rng.normal(0, 1, 9)
-        tru = rng.normal(0, 1, 9)
-        np.testing.assert_allclose(
-            rmse(est, tru), estimating_error(est, tru) * np.sqrt(9), rtol=1e-14
-        )
-
-
-class TestEstimatingVariance:
-    def test_trace_over_dimension(self):
-        cov = np.diag([1.0, 2.0, 3.0])
-        assert estimating_variance(cov) == 2.0
-
-    def test_accepts_marginal_variances_directly(self):
-        assert estimating_variance([1.0, 2.0, 3.0]) == 2.0
-
-    def test_divides_by_given_dimension(self):
-        """Restriction first, then variance: the divisor follows the
-        belief that is actually scored."""
-        cov = np.diag([2.0, 4.0, 6.0, 8.0])
-        keep = np.array([1, 3])
-        sub = cov[np.ix_(keep, keep)]
-        assert estimating_variance(sub) == 6.0
-
-    def test_rejects_nonsquare(self):
-        with pytest.raises(InvalidInputError):
-            estimating_variance(np.ones((2, 3)))
 
 
 class TestIntersection:

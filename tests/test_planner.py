@@ -20,15 +20,12 @@ from senseplan import (
     ScenarioConfig,
     edg_exact,
     edg_quadrature,
-    estimating_error,
-    estimating_variance,
     field_value,
     greedy_select,
     intersection_indices,
     kernel_matrix,
     place_scenario,
     posterior,
-    rmse,
     run_episode,
     sample_field,
 )
@@ -67,20 +64,29 @@ def step_metrics(step):
     return (step.error, step.variance, step.error_shared, step.variance_shared, step.rmse)
 
 
+def written_out_metrics(belief, truth, shared):
+    """The five step metrics of ``belief``, from their formulas: the error
+    ``||mu - truth||_2 / N`` and the variance ``tr(Sigma) / N`` over all N
+    targets and over the ``shared`` ones, and the rmse
+    ``||mu - truth||_2 / sqrt(N)``."""
+    residual, var = belief.mean - truth, np.diag(belief.cov)
+    n, m = len(truth), len(shared)
+    return (
+        np.linalg.norm(residual) / n,
+        var.sum() / n,
+        np.linalg.norm(residual[shared]) / m,
+        var[shared].sum() / m,
+        np.linalg.norm(residual) / np.sqrt(n),
+    )
+
+
 def fresh_metrics(cfg, fld, steps):
     """A step's five metrics from a fresh posterior on the readings of
     ``steps``."""
     truth = fld.values(cfg.targets)
     shared, _ = intersection_indices(cfg.targets, cfg.candidates)
     log = MeasurementLog([s.chosen for s in steps], [s.measurement for s in steps], cfg.noise_sd)
-    belief = posterior(cfg.mean, cfg.kernel, log, cfg.targets)
-    return (
-        estimating_error(belief.mean, truth),
-        estimating_variance(belief.cov),
-        estimating_error(belief.mean[shared], truth[shared]),
-        estimating_variance(belief.cov[np.ix_(shared, shared)]),
-        rmse(belief.mean, truth),
-    )
+    return written_out_metrics(posterior(cfg.mean, cfg.kernel, log, cfg.targets), truth, shared)
 
 
 class TestGreedySelect:
@@ -88,10 +94,10 @@ class TestGreedySelect:
         targets = np.array([[1.0, 1.0], [2.0, 2.0]])
         cand = np.array([[1.5, 1.5]])
         log = MeasurementLog.empty(0.5)
-        loc, score = greedy_select(MEAN, KERNEL, log, cand, targets)
+        loc, score = greedy_select(KERNEL, log, cand, targets)
         np.testing.assert_array_equal(loc, cand[0])
         np.testing.assert_allclose(
-            score, edg_exact(MEAN, KERNEL, log, cand[0], targets).value
+            score, edg_exact(KERNEL, log, cand[0], targets).value
         )
 
     def test_zero_information_candidate_loses(self):
@@ -99,7 +105,7 @@ class TestGreedySelect:
         sitting on a target."""
         targets = np.array([[1.0, 1.0]])
         cands = np.array([[90.0, 90.0], [1.0, 1.0]])
-        loc, _ = greedy_select(MEAN, KERNEL, MeasurementLog.empty(0.5), cands, targets)
+        loc, _ = greedy_select(KERNEL, MeasurementLog.empty(0.5), cands, targets)
         np.testing.assert_array_equal(loc, [1.0, 1.0])
 
     def test_matches_exhaustive_quadrature_rescoring(self):
@@ -110,7 +116,7 @@ class TestGreedySelect:
             targets = rng.uniform(0, 10, (6, 2))
             cands = rng.uniform(0, 10, (10, 2))
             log = MeasurementLog(rng.uniform(0, 10, (3, 2)), rng.normal(0, 1, 3), 0.5)
-            loc, score = greedy_select(MEAN, KERNEL, log, cands, targets)
+            loc, score = greedy_select(KERNEL, log, cands, targets)
             oracle = [edg_quadrature(MEAN, KERNEL, log, c, targets) for c in cands]
             best = int(np.argmax(oracle))
             np.testing.assert_array_equal(loc, cands[best])
@@ -121,8 +127,8 @@ class TestGreedySelect:
         targets = np.array([[0.0, 0.0]])
         cands = np.array([[3.0, 3.0], [1.0, 1.0], [1.0, 1.0]])
         log = MeasurementLog.empty(0.5)
-        loc, _ = greedy_select(MEAN, KERNEL, log, cands, targets)
-        scores = [edg_exact(MEAN, KERNEL, log, c, targets).value for c in cands]
+        loc, _ = greedy_select(KERNEL, log, cands, targets)
+        scores = [edg_exact(KERNEL, log, c, targets).value for c in cands]
         assert scores[1] == scores[2] and scores[1] > scores[0]
         np.testing.assert_array_equal(loc, cands[1])
 
@@ -147,14 +153,14 @@ class TestGreedySelect:
         rng = np.random.default_rng(33)
         for _ in range(20):
             kernel = KernelSpec(rng.uniform(0.5, 5.0), rng.uniform(0.3, 4.0))
-            mean = MeanSpec(rng.normal())
+            rng.normal()  # a prior mean; the gains do not read it
             targets = rng.uniform(0, 10, (7, 2))
             cands = np.vstack([rng.uniform(0, 10, (9, 2)), targets[:2]])
             k = int(rng.integers(0, 6))
             noise = rng.uniform(0.1, 1.0)
             log = MeasurementLog(rng.uniform(0, 10, (k, 2)), rng.normal(0, 1, k), noise)
             _, gains = planner_mod._greedy_on_log(kernel, log, cands, targets)
-            ref = [edg_exact(mean, kernel, log, c, targets).value for c in cands]
+            ref = [edg_exact(kernel, log, c, targets).value for c in cands]
             np.testing.assert_allclose(gains, ref, rtol=1e-8, atol=1e-12)
 
     def test_one_conditioning_per_decision(self, monkeypatch):
@@ -174,7 +180,7 @@ class TestGreedySelect:
         monkeypatch.setattr(planner_mod, "posterior", forbidden, raising=False)
         rng = np.random.default_rng(4)
         log = MeasurementLog(rng.uniform(0, 10, (3, 2)), rng.normal(0, 1, 3), 0.5)
-        greedy_select(MEAN, KERNEL, log, rng.uniform(0, 10, (6, 2)), rng.uniform(0, 10, (4, 2)))
+        greedy_select(KERNEL, log, rng.uniform(0, 10, (6, 2)), rng.uniform(0, 10, (4, 2)))
         assert len(calls) == 1
 
     def test_all_candidates_degenerate_raises_planning_error(self, monkeypatch):
@@ -185,12 +191,12 @@ class TestGreedySelect:
         targets = np.array([[0.0, 0.0]])
         cands = np.array([[1.0, 1.0], [2.0, 2.0]])
         with pytest.raises(PlanningError) as err:
-            greedy_select(MEAN, KERNEL, MeasurementLog.empty(0.5), cands, targets)
+            greedy_select(KERNEL, MeasurementLog.empty(0.5), cands, targets)
         assert err.value.failed_candidates == [0, 1]
 
     def test_empty_candidates_rejected(self):
         with pytest.raises(InvalidInputError):
-            greedy_select(MEAN, KERNEL, MeasurementLog.empty(0.5), [], [[0.0, 0.0]])
+            greedy_select(KERNEL, MeasurementLog.empty(0.5), [], [[0.0, 0.0]])
 
 
 class TestZeroNoiseScores:
@@ -225,7 +231,7 @@ class TestZeroNoiseScores:
         cand = np.array([1.0, 1.0])
         for log in (self.LOG, longer):
             _, gains = planner_mod._greedy_on_log(self.KERNEL, log, cand[None], self.TARGETS)
-            exact = edg_exact(MEAN, self.KERNEL, log, cand, self.TARGETS).value
+            exact = edg_exact(self.KERNEL, log, cand, self.TARGETS).value
             quad = edg_quadrature(MEAN, self.KERNEL, log, cand, self.TARGETS)
             for gain in (gains[0], exact, quad):
                 assert 0.0 <= gain <= 1e-12
@@ -258,7 +264,7 @@ class TestZeroNoiseScores:
         kernel = KernelSpec(signal_variance=2.0, lengthscale=8.0)
         targets = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
         log = MeasurementLog(targets, [0.1, 0.2, 0.3], 0.0)
-        _, gain = greedy_select(MEAN, kernel, log, [[5.0, 5.0]], targets)
+        _, gain = greedy_select(kernel, log, [[5.0, 5.0]], targets)
         assert math.isfinite(gain) and gain >= 0.0
 
     @pytest.mark.parametrize(
@@ -279,7 +285,7 @@ class TestZeroNoiseScores:
         conditionings are done at 40 digits."""
         expected = 2.1510463332e-6
         cand = np.array([2.0, 2.0])
-        exact = edg_exact(MEAN, self.KERNEL, self.LOG, cand, self.TARGETS).value
+        exact = edg_exact(self.KERNEL, self.LOG, cand, self.TARGETS).value
         quad = edg_quadrature(MEAN, self.KERNEL, self.LOG, cand, self.TARGETS)
         np.testing.assert_allclose([exact, quad], expected, rtol=1e-6)
 
@@ -406,16 +412,8 @@ class TestRunEpisode:
                 log = MeasurementLog.empty(cfg.noise_sd)
                 for step in trace.steps:
                     log = log.append(step.chosen, step.measurement)
-                    belief = posterior(MEAN, KERNEL, log, cfg.targets)
-                    expected = (
-                        estimating_error(belief.mean, truth),
-                        estimating_variance(belief.cov),
-                        estimating_error(belief.mean[shared], truth[shared]),
-                        estimating_variance(belief.cov[np.ix_(shared, shared)]),
-                        rmse(belief.mean, truth),
-                    )
-                    got = (step.error, step.variance, step.error_shared, step.variance_shared, step.rmse)
-                    np.testing.assert_allclose(got, expected, rtol=1e-12)
+                    expected = written_out_metrics(posterior(MEAN, KERNEL, log, cfg.targets), truth, shared)
+                    np.testing.assert_allclose(step_metrics(step), expected, rtol=1e-12)
 
     def test_carried_conditioning_does_not_drift(self):
         """Over a 300-step random episode, every 50th step's metrics equal
@@ -450,8 +448,9 @@ class TestRunEpisode:
             fld = linear_field()
             trace = run_episode(cfg, fld)
             last, belief = trace.steps[-1], trace.final_belief
-            assert last.variance == estimating_variance(belief.cov)
-            assert last.error == estimating_error(belief.mean, fld.values(cfg.targets))
+            n = len(cfg.targets)
+            assert last.variance == np.diag(belief.cov).sum() / n
+            assert last.error == np.linalg.norm(belief.mean - fld.values(cfg.targets)) / n
             log = MeasurementLog([s.chosen for s in trace.steps], [s.measurement for s in trace.steps], cfg.noise_sd)
             fresh = posterior(cfg.mean, cfg.kernel, log, cfg.targets)
             assert np.max(np.abs(belief.cov - fresh.cov)) <= 1e-10 * np.max(np.abs(fresh.cov))
@@ -490,7 +489,7 @@ class TestRunEpisode:
         trace = run_episode(cfg, linear_field())
         log = MeasurementLog.empty(cfg.noise_sd)
         for step in trace.steps:
-            loc, score = greedy_select(MEAN, KERNEL, log, cfg.candidates, cfg.targets)
+            loc, score = greedy_select(KERNEL, log, cfg.candidates, cfg.targets)
             assert tuple(loc) == step.chosen
             np.testing.assert_allclose(score, step.score, rtol=1e-12)
             log = log.append(step.chosen, step.measurement)
@@ -592,6 +591,11 @@ class TestRunEpisode:
             make_config(noise_sd=-1.0)
         with pytest.raises(InvalidInputError):
             make_config(planner_kind="exhaustive")
+        for bad in ({"seed": -1}, {"trial_index": -1}, {"seed": 1.7}, {"trial_index": 0.5}, {"horizon": True}, {"seed": True}):
+            with pytest.raises(InvalidInputError):
+                make_config(**bad)
+        cfg = make_config(seed=np.int64(3), trial_index=np.int64(2), horizon=np.int64(2))
+        assert (type(cfg.seed), type(cfg.trial_index), type(cfg.horizon)) == (int, int, int)
 
 
 class TestPairedSeeding:

@@ -1,11 +1,13 @@
 """Static checks on the package source, standing in for a linter."""
 
 import ast
+import re
 from pathlib import Path
 
 import senseplan
 
 PACKAGE_DIR = Path(senseplan.__file__).parent
+README = Path(__file__).parents[1] / "README.md"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -118,7 +120,6 @@ COERCING_FUNCTIONS = {
     "environment.field_value",
     "environment.place_scenario",
     "gp.GaussianBelief.__post_init__",
-    "gp.MeanSpec.at",
     "gp.MeasurementLog.__post_init__",
     "gp.MeasurementLog.append",
     "gp.posterior",
@@ -170,3 +171,37 @@ def test_all_names_every_reexport():
     tree = ast.parse((PACKAGE_DIR / "__init__.py").read_text())
     imported = [alias.name for node in tree.body if isinstance(node, ast.ImportFrom) for alias in node.names]
     assert sorted(senseplan.__all__) == sorted([*imported, "__version__"])
+
+
+def test_public_functions_are_used_or_documented():
+    """Every public module-level function is imported by another package
+    module (``__init__``'s re-exports do not count), read by name in its
+    own module, or named in README as `` `name(`` or `` `name` ``, so a
+    function nothing calls does not linger as API.  Imports are matched,
+    not attribute names, which other classes' fields may share."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    imported = {
+        (node.module, alias.name)
+        for module, tree in trees.items()
+        if module != "__init__"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    }
+    readme = README.read_text()
+    unused = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                continue
+            own = {
+                ref.id
+                for other in tree.body
+                if other is not node
+                for ref in ast.walk(other)
+                if isinstance(ref, ast.Name) and isinstance(ref.ctx, ast.Load)
+            }
+            documented = re.search(rf"`{node.name}[(`]", readme)
+            if (module, node.name) not in imported and node.name not in own and not documented:
+                unused.append(f"{module}.{node.name}")
+    assert unused == []
