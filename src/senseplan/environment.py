@@ -23,7 +23,6 @@ Nearest-cell and nearest-node ties go to the lowest index.  Locations are
 from __future__ import annotations
 
 import csv
-import inspect
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
@@ -361,8 +360,7 @@ ANALYTIC_CATALOG = {
 
 def analytic_defaults(name: str) -> dict:
     """Each parameter of catalog field ``name`` with its default."""
-    params = inspect.signature(ANALYTIC_CATALOG[name]).parameters.values()
-    return {p.name: p.default for p in params if p.kind is p.KEYWORD_ONLY}
+    return dict(ANALYTIC_CATALOG[name].__kwdefaults__)
 
 
 def _points_inside(region: RoIMask, points) -> np.ndarray:

@@ -22,8 +22,8 @@ planning episode, is instead carried by the private
 reading update its means and variances (it holds no covariance).  A
 from-scratch factor with a degenerate pivot feeds its log through that
 code, so both skip the same readings.  ``_GivenTargets`` carries the
-variances given the targets' values too, with the same row-append code
-and kernel row.
+candidates' variances given the targets' values too, with the same
+row-append code and the candidates' part of the same kernel row.
 
 Location arrays are checked once, where they enter a public entry point
 (:func:`posterior`, :func:`predictive_moments`, :func:`sample_prior_field`
@@ -49,6 +49,14 @@ from .errors import InvalidInputError, NumericalDegeneracyError
 JITTER_LADDER = (1e-10, 1e-8, 1e-6)
 
 
+def _floats(values, what: str) -> np.ndarray:
+    """``values`` as a float array; InvalidInputError if they are not real numbers."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"{what}: not an array of real numbers ({exc})") from None
+
+
 def as_points(locations) -> np.ndarray:
     """Coerce ``locations`` to a read-only ``(n, 2)`` float array.
 
@@ -56,7 +64,7 @@ def as_points(locations) -> np.ndarray:
     list of pairs, or an existing ``(n, 2)`` array.  Non-finite coordinates
     are rejected.
     """
-    pts = np.asarray(locations, dtype=float)
+    pts = _floats(locations, "locations")
     if pts.size == 0:
         pts = pts.reshape(0, 2)
     pts = np.atleast_2d(pts)
@@ -73,7 +81,7 @@ def as_points(locations) -> np.ndarray:
 
 def as_point(location) -> np.ndarray:
     """Coerce a single location to a read-only ``(2,)`` float array."""
-    pt = np.asarray(location, dtype=float).reshape(-1)
+    pt = _floats(location, "location").reshape(-1)
     if pt.shape != (2,):
         raise InvalidInputError(f"expected one coordinate pair, got shape {pt.shape}")
     if not np.all(np.isfinite(pt)):
@@ -149,7 +157,7 @@ class MeasurementLog:
 
     def __post_init__(self):
         pts = as_points(self.locations)
-        vals = np.asarray(self.values, dtype=float).reshape(-1)
+        vals = _floats(self.values, "measurement values").reshape(-1)
         if len(pts) != len(vals):
             raise InvalidInputError(
                 f"{len(pts)} locations but {len(vals)} values in measurement log"
@@ -202,8 +210,8 @@ class GaussianBelief:
 
     def __post_init__(self):
         query = as_points(self.query)
-        mean = np.asarray(self.mean, dtype=float).reshape(-1)
-        cov = np.asarray(self.cov, dtype=float)
+        mean = _floats(self.mean, "belief mean").reshape(-1)
+        cov = _floats(self.cov, "belief covariance")
         n = len(query)
         if mean.shape != (n,) or cov.shape != (n, n):
             raise InvalidInputError(
@@ -299,10 +307,6 @@ def _cholesky_in_place(a: np.ndarray, base_jitter: float):
     )
 
 
-def _symmetrize(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.T)
-
-
 def kernel_matrix(spec: KernelSpec, X, Y) -> np.ndarray:
     """Cross-covariance matrix with entries ``k(x_i, y_j)``.
 
@@ -338,7 +342,7 @@ def posterior(mean: MeanSpec, kernel: KernelSpec, log: MeasurementLog, query) ->
     if len(X) == 0:
         raise InvalidInputError("query must contain at least one location")
     mu, _, cov = predictive_moments(mean, kernel, log, X)
-    return GaussianBelief(X, mu, _symmetrize(cov))
+    return GaussianBelief(X, mu, cov)
 
 
 def predictive_moments(mean: MeanSpec, kernel: KernelSpec, log: MeasurementLog, points):
@@ -422,12 +426,10 @@ class _CarriedRows:
         return l, d, w
 
 
-def _sorted_first(targets, points) -> tuple[np.ndarray, np.ndarray]:
-    """The order sorting ``targets`` by their coordinates, and ``[targets;
-    points]`` in that order, so that the targets' rows, appended in turn,
-    do not depend on the order they come in."""
-    order = np.lexsort(targets.T[::-1])
-    return order, np.vstack([targets[order], points])
+def _sorted_first(targets, points) -> np.ndarray:
+    """``[targets; points]``, the targets sorted by their coordinates so that
+    their rows, appended in turn, do not depend on the order they come in."""
+    return np.vstack([targets[np.lexsort(targets.T[::-1])], points])
 
 
 class _CarriedConditioning(_CarriedRows):
@@ -460,26 +462,27 @@ class _CarriedConditioning(_CarriedRows):
 
 
 class _GivenTargets(_CarriedRows):
-    """Noise-free variances ``var`` at ``P = [targets; C]`` given the
-    targets' values and a growing log of readings at the candidates ``C``.
+    """Noise-free variances ``var`` at the candidates ``C`` given the
+    targets' values and a growing log of readings at points of ``C``.
 
-    The targets enter first, sorted, as noise-free readings.  A target or
+    The targets enter first, sorted, as noise-free readings over ``[targets;
+    C]``; after them only the candidates' columns are kept.  A target or
     reading whose pivot is degenerate adds nothing given the rows before it
     (a duplicate target; noise-free, a reading at a target or a repeat), so
     its row is skipped.  ``capacity`` bounds the readings.
     """
 
     def __init__(self, kernel: KernelSpec, noise_sd: float, targets, C, capacity: int):
-        self.n, self.noise_sd = len(targets), noise_sd
-        self.order, P = _sorted_first(targets, C)
-        super().__init__(kernel, P, np.full(len(P), kernel.signal_variance), self.n + capacity)
-        for i in range(self.n):
-            self._push(i, self._row(i), 0.0, 0.0)
+        n, self.noise_sd = len(targets), noise_sd
+        rows = _CarriedRows(kernel, _sorted_first(targets, C), np.full(n + len(C), kernel.signal_variance), n)
+        for i in range(n):
+            rows._push(i, rows._row(i), 0.0, 0.0)
+        super().__init__(kernel, C, rows.var[n:], rows.k + capacity)
+        self.W[: rows.k], self.k = rows.W[: rows.k, n:], rows.k
 
     def add(self, j: int, row: np.ndarray) -> None:
-        """Fold in a reading at ``C[j]``, given its kernel row
-        ``k(C[j], [targets; C])``, targets in their given order."""
-        self._push(self.n + j, np.concatenate((row[self.order], row[self.n :])), self.noise_sd**2, self.kernel.jitter)
+        """Fold in a reading at ``C[j]``, given its kernel row ``k(C[j], C)``."""
+        self._push(j, row, self.noise_sd**2, self.kernel.jitter)
 
 
 def _variance_pair(kernel: KernelSpec, log: MeasurementLog, targets, points):
@@ -493,7 +496,7 @@ def _variance_pair(kernel: KernelSpec, log: MeasurementLog, targets, points):
     size, so it stays accurate where it is tiny.  Arrays are taken as checked.
     """
     n = len(targets)
-    _, P = _sorted_first(targets, points)
+    P = _sorted_first(targets, points)
     W, _, var = _condition(MeanSpec(), kernel, log.locations, log.values, log.noise_sd, P)
     k = len(W)
     rows = _CarriedRows(kernel, P, var.copy(), k + n)

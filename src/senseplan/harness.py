@@ -36,10 +36,10 @@ from .environment import (
     sample_field,
 )
 from .errors import ConfigError, DataError, NumericalDegeneracyError, SensorPlanError
-from .gp import KernelSpec, MeanSpec, MeasurementLog, _cholesky_in_place, as_points, kernel_matrix
-from .infogain import edg_quadrature, edg_unnormalized_form
+from .gp import KernelSpec, MeanSpec, MeasurementLog, _cholesky_in_place, _variance_pair, as_points, kernel_matrix
+from .infogain import _explained_share, _unnormalized, edg_quadrature
 from .metrics import METRIC_NAMES, aggregate_series
-from .planner import EpisodeTrace, ScenarioConfig, _greedy_on_log, run_episode
+from .planner import EpisodeTrace, ScenarioConfig, _greedy_choice, run_episode
 from .seeding import (
     SEED_SCHEME,
     STREAM_FIELD,
@@ -457,8 +457,10 @@ def score_table(cfg: RunConfig, log: MeasurementLog) -> dict:
     """Expected-gain table over all candidates for a fixed log.
 
     Uses the trial-0 scenario placement.  Returns row dicts plus the
-    argmax row index as chosen by the greedy rule; the ``edg_exact``
-    column is the greedy rule's own gain vector, NaN where degenerate.
+    argmax row index as chosen by the greedy rule.  One conditioning gives
+    the ``edg_exact`` column, the greedy rule's own gain vector, and the
+    ``edg_unnormalized`` one, NaN where degenerate; only the quadrature
+    oracle runs per candidate.
     """
     mask = build_mask(cfg)
     targets, candidates = trial_placement(cfg, mask, 0)
@@ -466,21 +468,19 @@ def score_table(cfg: RunConfig, log: MeasurementLog) -> dict:
         i = int(np.argmin(inside))
         raise DataError(f"measurement log row {i + 1} at {tuple(log.locations[i])} lies outside the region of interest")
     mean, kernel = _specs(cfg)
-    argmax, gains = _greedy_on_log(kernel, log, candidates, targets)
+    var, explained = _variance_pair(kernel, log, targets, candidates)
+    argmax, gains = _greedy_choice(kernel, log.noise_sd, var, explained)
     exact = np.where(gains == -np.inf, np.nan, gains)
-    columns = {
-        "edg_quadrature": lambda c: edg_quadrature(mean, kernel, log, c, targets),
-        "edg_unnormalized": lambda c: edg_unnormalized_form(kernel, log, c, targets).value,
-    }
+    rho = _explained_share(kernel, log.noise_sd, var, explained)
+    unnormalized = _unnormalized(kernel, log.noise_sd, var, rho, exact) if len(log) else exact
     rows = []
     for idx, cand in enumerate(candidates):
+        try:
+            quadrature = edg_quadrature(mean, kernel, log, cand, targets)
+        except NumericalDegeneracyError:
+            quadrature = float("nan")
         row = {"index": idx, "x": float(cand[0]), "y": float(cand[1]), "edg_exact": float(exact[idx])}
-        for name, evaluate in columns.items():
-            try:
-                row[name] = evaluate(cand)
-            except NumericalDegeneracyError:
-                row[name] = float("nan")
-        rows.append(row)
+        rows.append({**row, "edg_quadrature": quadrature, "edg_unnormalized": float(unnormalized[idx])})
     return {"rows": rows, "argmax": argmax, "argmax_score": float(gains[argmax])}
 
 

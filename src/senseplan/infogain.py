@@ -45,7 +45,6 @@ from .gp import (
     MeanSpec,
     MeasurementLog,
     _integer_at_least,
-    _symmetrize,
     _variance_pair,
     as_point,
     as_points,
@@ -218,7 +217,7 @@ def edg_quadrature(
     if d2 <= JITTER_LADDER[0] * sf2:
         return 0.0
     g = cov[:n, n] / d2
-    L, spread = _covariance_part(_symmetrize(cov[:n, :n]), -d2 * np.outer(g, g))
+    L, spread = _covariance_part(cov[:n, :n], -d2 * np.outer(g, g))
     u = solve_triangular(L, g, lower=True)
     t, w = quad.nodes()
     return float(w @ (spread + (var[n] + s2) * t**2 * (u @ u))) / math.sqrt(math.pi)
@@ -234,17 +233,22 @@ def edg_unnormalized_form(kernel: KernelSpec, log: MeasurementLog, candidate, ta
     and ``quad2 = +dm' P^-1 dm`` cancel (``P`` the target covariance); and
     ``d = g' P^-1 g / (s + noise_sd^2)^2 = rho / (s + noise_sd^2)``, ``g``
     the reading's covariance with the targets and ``rho`` the explained
-    share.  So the value is ``sqrt(pi) * s * (structural_term + 0.25 * s^2
-    * rho / (s + noise_sd^2))`` from :func:`edg_exact`'s one conditioning,
-    the reading variance floored as in the share.  It is *not* an
-    expectation under the normalized predictive density; the score command
-    reports it beside :func:`edg_exact`.  With an empty log the variant is
-    undefined, and the exact value is returned with ``fallback=True``.
+    share.  So the value is :func:`_unnormalized` of :func:`edg_exact`'s
+    one conditioning.  It is *not* an expectation under the normalized
+    predictive density; the score command reports it beside
+    :func:`edg_exact`.  With an empty log the variant is undefined, and the
+    exact value is returned with ``fallback=True``.
     """
     s, exact = _exact(kernel, log, candidate, targets)
     if len(log) == 0:
         return UnnormalizedFormResult(exact.value, fallback=True)
-    rho = 2.0 * exact.mean_shift_term
-    v = max(s + log.noise_sd**2, JITTER_LADDER[0] * kernel.signal_variance)
-    value = math.sqrt(math.pi) * s * (exact.structural_term + 0.25 * s**2 * rho / v)
-    return UnnormalizedFormResult(value, fallback=False)
+    value = _unnormalized(kernel, log.noise_sd, s, 2.0 * exact.mean_shift_term, exact.value)
+    return UnnormalizedFormResult(float(value), fallback=False)
+
+
+def _unnormalized(kernel: KernelSpec, noise_sd: float, s, rho, value):
+    """``sqrt(pi) * s * (value - 0.5 * rho + 0.25 * s^2 * rho / v)`` of the
+    noise-free variances ``s``, explained shares ``rho`` and exact gains
+    ``value``, ``v = s + noise_sd^2`` floored as in the share."""
+    v = np.maximum(s + noise_sd**2, JITTER_LADDER[0] * kernel.signal_variance)
+    return math.sqrt(math.pi) * s * ((value - 0.5 * rho) + 0.25 * s**2 * rho / v)

@@ -33,7 +33,6 @@ from .gp import (
     _GivenTargets,
     _clamped,
     _integer_at_least,
-    _symmetrize,
     _variance_pair,
 )
 from .environment import GroundTruthField, noisy_reading
@@ -181,7 +180,7 @@ def run_episode(config: ScenarioConfig, fld: GroundTruthField) -> EpisodeTrace:
         for k in range(1, config.horizon + 1):
             if greedy:
                 v = _clamped(config.kernel, state.var[n:])
-                idx, gains = _greedy_choice(config.kernel, config.noise_sd, v, v - known.var[n:])
+                idx, gains = _greedy_choice(config.kernel, config.noise_sd, v, v - known.var)
                 score = gains[idx]
             else:
                 idx = int(planner_rng.integers(len(config.candidates)))
@@ -189,7 +188,7 @@ def run_episode(config: ScenarioConfig, fld: GroundTruthField) -> EpisodeTrace:
             reading = noisy_reading(truth_c[idx], config.noise_sd, noise_rng)
             row = state.add(n + idx, reading)
             if greedy:
-                known.add(idx, row)
+                known.add(idx, row[n:])
 
             residual, var_t = state.mu[:n] - truth_t, state.var[:n]
             norm = _norm(residual)
@@ -224,7 +223,7 @@ def _trace(config: ScenarioConfig, steps: list, state: _CarriedConditioning) -> 
         return EpisodeTrace(config=config, steps=())
     n = len(config.targets)
     W_t = state.W[: state.k, :n]
-    cov = _symmetrize(kernel_matrix(config.kernel, config.targets, config.targets) - W_t.T @ W_t)
+    cov = kernel_matrix(config.kernel, config.targets, config.targets) - W_t.T @ W_t
     np.fill_diagonal(cov, state.var[:n])
     belief = GaussianBelief(config.targets, state.mu[:n], cov)
     return EpisodeTrace(config=config, steps=tuple(steps), final_belief=belief)

@@ -86,6 +86,38 @@ class TestPointCoercion:
         with pytest.raises(InvalidInputError):
             as_point([1.0])
 
+    @pytest.mark.parametrize(
+        "bad",
+        [[[0, 0], [1]], [[0, "a"]], "ab", [[0, 1j]], {"x": 1}],
+        ids=["ragged", "string entry", "string", "complex", "dict"],
+    )
+    @pytest.mark.parametrize("entry", ["posterior", "greedy_select", "edg_exact", "MeasurementLog"])
+    def test_non_numeric_locations_raise_invalid_input(self, entry, bad):
+        """Locations numpy cannot read as real numbers raise
+        InvalidInputError, not numpy's ValueError or TypeError."""
+        kernel = KernelSpec(signal_variance=2.0, lengthscale=1.0)
+        log = MeasurementLog([[1.0, 1.0]], [0.3], noise_sd=0.4)
+        good = np.array([[0.0, 0.0], [2.0, 1.0]])
+        calls = {
+            "posterior": lambda: posterior(MeanSpec(), kernel, log, bad),
+            "greedy_select": lambda: greedy_select(kernel, log, bad, good),
+            "edg_exact": lambda: edg_exact(kernel, log, bad, good),
+            "MeasurementLog": lambda: MeasurementLog(bad, [0.0], 0.1),
+        }
+        with pytest.raises(InvalidInputError, match="not an array of real numbers"):
+            calls[entry]()
+
+    def test_non_numeric_values_raise_invalid_input(self):
+        """So do readings, belief means and covariances that are not real
+        numbers."""
+        for make in (
+            lambda: MeasurementLog([[0, 0]], ["x"], 0.1),
+            lambda: GaussianBelief([[0, 0]], ["x"], [[1.0]]),
+            lambda: GaussianBelief([[0, 0]], [0.0], [[1j]]),
+        ):
+            with pytest.raises(InvalidInputError, match="not an array of real numbers"):
+                make()
+
     def test_predictive_moments_coerces_its_points_once(self, monkeypatch):
         """Points are checked where they enter; the kernel matrices and the
         prior mean below that use the checked array as it is."""
@@ -336,6 +368,30 @@ class TestPosterior:
             np.testing.assert_allclose(belief.mean, mu, atol=1e-10, rtol=1e-10)
             np.testing.assert_allclose(belief.cov, cov, atol=1e-10 * scale)
 
+    @pytest.mark.parametrize("case", ["empty log", "noisy log", "noise-free repeat"])
+    def test_covariance_is_exactly_symmetric(self, monkeypatch, case):
+        """``K(P, P) - W'W`` is symmetric bit for bit, so the covariance is
+        returned as computed.  A noise-free log with a repeat takes the
+        carried fallback of ``_condition``."""
+        mean, kernel, log, query = random_instance(np.random.default_rng(31), n_obs=12, n_query=40)
+        query = np.vstack([query, log.locations[:3]])
+        if case == "empty log":
+            log = MeasurementLog.empty(0.5)
+        elif case == "noise-free repeat":
+            repeated = np.vstack([log.locations, log.locations[:1]])
+            log = MeasurementLog(repeated, np.append(log.values, log.values[0]), 0.0)
+        built = []
+
+        class Spied(gp_mod._CarriedConditioning):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(gp_mod, "_CarriedConditioning", Spied)
+        cov = posterior(mean, kernel, log, query).cov
+        assert np.array_equal(cov, cov.T)
+        assert bool(built) == (case == "noise-free repeat")
+
     def test_empty_log_returns_prior_exactly(self):
         kernel = KernelSpec(signal_variance=2.0, lengthscale=1.5)
         mean = MeanSpec(constant=0.7)
@@ -466,18 +522,19 @@ class TestVariancesGivenTargets:
 
     def test_carried_state_matches_variance_pair(self):
         """Readings folded into ``_GivenTargets`` one at a time, each with
-        its kernel row over the targets in their given (unsorted) order,
-        leave the variances the one-shot pair gives for the same log."""
+        its kernel row over the candidates, leave the variances the one-shot
+        pair gives for the same log.  The state keeps only the candidates'
+        columns."""
         rng = np.random.default_rng(44)
         for _ in range(20):
             _, kernel, log, targets = random_instance(rng)
             cands = np.vstack([log.locations, rng.uniform(0, 8, (4, 2))])
-            points = np.vstack([targets, cands])
             known = gp_mod._GivenTargets(kernel, log.noise_sd, targets, cands, len(log))
+            assert known.W.shape[1] == len(cands) == len(known.var)
             for i in range(len(log)):
-                known.add(i, kernel_matrix(kernel, cands[i : i + 1], points)[0])
+                known.add(i, kernel_matrix(kernel, cands[i : i + 1], cands)[0])
             var, removed = gp_mod._variance_pair(kernel, log, targets, cands)
-            np.testing.assert_allclose(known.var[len(targets) :], var - removed, atol=1e-10 * kernel.signal_variance)
+            np.testing.assert_allclose(known.var, var - removed, atol=1e-10 * kernel.signal_variance)
 
     def test_degenerate_rows_are_skipped(self):
         """A repeated target, and a noise-free reading at a target, add no
@@ -488,7 +545,7 @@ class TestVariancesGivenTargets:
         known = gp_mod._GivenTargets(kernel, 0.0, targets, cands, 1)
         assert known.k == 2
         before = known.var.copy()
-        known.add(0, kernel_matrix(kernel, cands[:1], np.vstack([targets, cands]))[0])
+        known.add(0, kernel_matrix(kernel, cands[:1], cands)[0])
         assert known.k == 2
         np.testing.assert_array_equal(known.var, before)
 

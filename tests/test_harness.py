@@ -11,9 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import senseplan.gp as gp_mod
 import senseplan.harness as harness_mod
 import senseplan.infogain as infogain_mod
-from senseplan import edg_exact
+import senseplan.planner as planner_mod
+from senseplan import edg_exact, edg_unnormalized_form
 from senseplan.cli import main
 from senseplan.config import parse_config_text
 from senseplan.gp import MeasurementLog
@@ -466,6 +468,36 @@ class TestScore:
         monkeypatch.setattr(infogain_mod, "edg_exact", forbidden)
         table = score_table(cfg, log)
         np.testing.assert_allclose([row["edg_exact"] for row in table["rows"]], expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("n_readings", [0, 2])
+    def test_one_conditioning_per_table(self, monkeypatch, n_readings):
+        """One ``_variance_pair`` call over every candidate gives both the
+        ``edg_exact`` and the ``edg_unnormalized`` columns: no candidate is
+        conditioned on alone through ``edg_unnormalized_form`` or
+        ``_exact``.  The column still agrees with ``edg_unnormalized_form``."""
+        cfg = parse_config_text(MINI)
+        log = MeasurementLog([[2.0, 2.0], [7.0, 5.0]][:n_readings], [9.5, 11.0][:n_readings], cfg.noise_sd)
+        targets, candidates = harness_mod.trial_placement(cfg, harness_mod.build_mask(cfg), 0)
+        _, kernel = harness_mod._specs(cfg)
+        assert len(candidates) >= 3
+        expected = [edg_unnormalized_form(kernel, log, c, targets).value for c in candidates]
+        calls = []
+
+        def counted(*args, _real=gp_mod._variance_pair):
+            calls.append(args)
+            return _real(*args)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("score_table conditioned on one candidate alone")
+
+        for module in (planner_mod, infogain_mod, harness_mod):
+            monkeypatch.setattr(module, "_variance_pair", counted, raising=False)
+        for module in (infogain_mod, harness_mod):
+            monkeypatch.setattr(module, "edg_unnormalized_form", forbidden, raising=False)
+        monkeypatch.setattr(infogain_mod, "_exact", forbidden)
+        table = score_table(cfg, log)
+        assert len(calls) == 1
+        np.testing.assert_allclose([row["edg_unnormalized"] for row in table["rows"]], expected, rtol=1e-12)
 
     def test_out_of_roi_log_rejected(self):
         cfg = parse_config_text(MINI)

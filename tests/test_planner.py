@@ -310,6 +310,14 @@ class TestRandomSelect:
 
 
 class TestRunEpisode:
+    @pytest.mark.parametrize("kind", PLANNER_KINDS)
+    def test_final_covariance_is_exactly_symmetric(self, kind):
+        """The final belief's covariance, ``K(T, T) - W_T' W_T`` with the
+        carried variances on its diagonal, is symmetric bit for bit."""
+        cfg = make_config(planner_kind=kind, n_targets=30, n_candidates=20, n_shared=5, horizon=12)
+        cov = run_episode(cfg, linear_field()).final_belief.cov
+        assert np.array_equal(cov, cov.T)
+
     def test_horizon_one_single_candidate(self):
         """One step, one candidate: the belief is the one-measurement
         posterior."""
