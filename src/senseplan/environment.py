@@ -16,18 +16,24 @@ form.  Three kinds of field are supported:
     One draw of the Gaussian-process prior at a fixed node set, queried by
     nearest node.  Used as the synthetic surrogate for gridded data.
 
-Nearest-cell and nearest-node ties go to the lowest index.  Locations are
+Nearest-cell and nearest-node ties go to the lowest index: every cell or
+node within ``1e-12`` relative of the nearest distance ``sqrt(dx^2 +
+dy^2)`` ties.  A sampled field answers a query at one of its nodes from a
+table of node coordinates, and searches all nodes only for the others.  A
+grid searches a fixed lattice window around the query's nearest lattice
+index: any cell within the support radius ``R`` lies within ``ceil(R /
+dlat) + 1`` rows and ``ceil(R / dlon) + 1`` columns of it.  Locations are
 ``(x, y)`` pairs; for geodata ``x`` is longitude and ``y`` is latitude.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import (
     DataError,
@@ -47,17 +53,34 @@ MAX_PLACEMENT_ATTEMPTS = 1_000_000
 #: Rejection-sampling draws tested per region query.
 PLACEMENT_BATCH = 1024
 
+#: Distances a nearest search computes per pass over a chunk of queries.
+_SEARCH_BLOCK = 1 << 15
 
-def _nearest(tree: cKDTree, pts: np.ndarray) -> np.ndarray:
-    """Index of the tree point nearest each row of ``pts``; ties go to the
-    lowest index.  Only rows whose second-nearest point lies within the
-    ``1e-12`` relative tie band look for the lowest index among the ties."""
-    dist, idx = tree.query(pts, k=2)
-    near = idx[:, 0]
-    tied = np.flatnonzero(dist[:, 1] <= dist[:, 0] * (1.0 + 1e-12))
-    if len(tied):
-        balls = tree.query_ball_point(pts[tied], r=dist[tied, 0] * (1.0 + 1e-12))
-        near[tied] = [min(ball) for ball in balls]
+
+def _lowest_tied(dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of ``dist``, the least distance and the lowest column within
+    ``1e-12`` relative of it."""
+    least = dist.min(axis=1)
+    return least, np.argmax(dist <= least[:, None] * (1.0 + 1e-12), axis=1)
+
+
+def _window(u: np.ndarray, n: int, half: int) -> np.ndarray:
+    """Per coordinate ``u`` in lattice units, the ``2 half + 1`` indices
+    from ``half`` below its nearest index to ``half`` above, clipped to
+    ``0 .. n-1``."""
+    nearest = np.rint(np.clip(u, 0, n - 1)).astype(np.intp)
+    return np.clip(nearest[:, None] + np.arange(-half, half + 1), 0, n - 1)
+
+
+def _nearest(nodes: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Index of the row of ``nodes`` nearest each row of ``pts``, ties to
+    the lowest index; a brute-force search over chunks of ``pts``."""
+    near = np.empty(len(pts), dtype=np.intp)
+    chunk = max(1, _SEARCH_BLOCK // len(nodes))
+    for s in range(0, len(pts), chunk):
+        x, y = pts[s : s + chunk].T
+        dx, dy = np.subtract.outer(x, nodes[:, 0]), np.subtract.outer(y, nodes[:, 1])
+        _, near[s : s + chunk] = _lowest_tied(np.sqrt(dx * dx + dy * dy))
     return near
 
 
@@ -172,23 +195,53 @@ class GridData(RoIMask):
         object.__setattr__(self, "lon_present", lon_p.copy())
         object.__setattr__(self, "lat_coords", np.asarray(lat_c, dtype=float).copy())
         object.__setattr__(self, "lon_coords", np.asarray(lon_c, dtype=float).copy())
-        ii, jj = np.nonzero(np.isfinite(vals))
-        centers = np.column_stack([self.lon_coords[jj], self.lat_coords[ii]])
-        # np.nonzero is row-major, so tree order is row-major cell order.
-        object.__setattr__(self, "_cell_values", vals[ii, jj])
-        object.__setattr__(self, "_tree", cKDTree(centers))
+        object.__setattr__(self, "_present", np.isfinite(vals))
 
     @property
     def cell_diagonal(self) -> float:
         return float(np.hypot(self.dlat, self.dlon))
 
+    def _nearest_cells(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Distance from each row of ``pts`` to its nearest non-missing cell
+        centre in the lattice window (``inf`` where the window holds none),
+        and the row-major index of the lowest cell tied with it.
+
+        The window spans ``ceil(R / dlat) + 1`` rows and ``ceil(R / dlon) +
+        1`` columns either side of the query's nearest lattice index, for the
+        support radius ``R``; the extra cell covers centres a little off the
+        lattice.  Queries are searched a chunk at a time."""
+        radius = SUPPORT_DIAGONALS * self.cell_diagonal
+        nlat, nlon = self.values.shape
+        hi, hj = math.ceil(radius / self.dlat) + 1, math.ceil(radius / self.dlon) + 1
+        dist, cell = np.empty(len(pts)), np.empty(len(pts), dtype=np.intp)
+        chunk = max(1, _SEARCH_BLOCK // ((2 * hi + 1) * (2 * hj + 1)))
+        for s in range(0, len(pts), chunk):
+            x, y = pts[s : s + chunk].T
+            # Indices are clipped to the grid: the cells within R of a query
+            # off its edge stay in the window, and positions off the grid
+            # repeat its edge cells in row-major order, so the lowest tied
+            # position is the lowest row-major cell.
+            i = _window((y - self.lat0) / self.dlat, nlat, hi)
+            j = _window((x - self.lon0) / self.dlon, nlon, hj)
+            dy, dx = y[:, None] - self.lat_coords[i], x[:, None] - self.lon_coords[j]
+            with np.errstate(over="ignore"):  # a far query is at distance inf
+                d = np.sqrt(dx[:, None, :] ** 2 + dy[:, :, None] ** 2)
+            d[~self._present[i[:, :, None], j[:, None, :]]] = np.inf
+            dist[s : s + chunk], k = _lowest_tied(d.reshape(len(x), -1))
+            rows = np.arange(len(x))
+            cell[s : s + chunk] = i[rows, k // (2 * hj + 1)] * nlon + j[rows, k % (2 * hj + 1)]
+        return dist, cell
+
     def contains(self, points) -> np.ndarray:
-        dist, _ = self._tree.query(as_points(points))
+        dist, _ = self._nearest_cells(as_points(points))
         return dist <= SUPPORT_DIAGONALS * self.cell_diagonal
 
     def bounds(self):
+        """The box around the non-missing cells' centres, half a cell wide."""
+        ii, jj = np.nonzero(self._present)
+        centres = np.column_stack([self.lon_coords[jj], self.lat_coords[ii]])
         half = np.array([0.5 * self.dlon, 0.5 * self.dlat])
-        (xmin, ymin), (xmax, ymax) = self._tree.mins - half, self._tree.maxes + half
+        (xmin, ymin), (xmax, ymax) = centres.min(axis=0) - half, centres.max(axis=0) + half
         return float(xmin), float(ymin), float(xmax), float(ymax)
 
 
@@ -392,7 +445,8 @@ class GridField(GroundTruthField):
     grid: GridData
 
     def values(self, points) -> np.ndarray:
-        return self.grid._cell_values[_nearest(self.grid._tree, _points_inside(self.grid, points))]
+        _, cell = self.grid._nearest_cells(_points_inside(self.grid, points))
+        return self.grid.values.reshape(-1)[cell]
 
     def roi(self) -> RoIMask:
         return self.grid
@@ -429,7 +483,8 @@ class AnalyticField(GroundTruthField):
 @dataclass(frozen=True, eq=False)
 class SampledField(GroundTruthField):
     """Field fixed by values at a node set; nearest-node lookup, ties to the
-    lowest node index."""
+    lowest node index.  A query at a node is answered from a table of node
+    coordinates to the lowest index there; only the others are searched."""
 
     nodes: np.ndarray
     node_values: np.ndarray
@@ -446,10 +501,17 @@ class SampledField(GroundTruthField):
         vals.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "node_values", vals)
-        object.__setattr__(self, "_tree", cKDTree(nodes))
+        index: dict[tuple[float, float], int] = {}
+        for i, node in enumerate(map(tuple, nodes.tolist())):
+            index.setdefault(node, i)
+        object.__setattr__(self, "_index", index)
 
     def values(self, points) -> np.ndarray:
-        return self.node_values[_nearest(self._tree, _points_inside(self.region, points))]
+        pts = _points_inside(self.region, points)
+        near = np.fromiter((self._index.get(p, -1) for p in map(tuple, pts.tolist())), np.intp, len(pts))
+        if len(off := np.flatnonzero(near < 0)):
+            near[off] = _nearest(self.nodes, pts[off])
+        return self.node_values[near]
 
     def roi(self) -> RoIMask:
         return self.region

@@ -19,7 +19,8 @@ need several quantities from one log ask :func:`predictive_moments` for
 all of them at once.  A log that grows one reading at a time, as in a
 planning episode, is instead carried by the private
 ``_CarriedConditioning``: one kernel row and one Gram-factor row per
-reading update its means and variances (it holds no covariance).  A
+reading update its means and variances (it holds no covariance), and
+each location's kernel row is computed once.  A
 from-scratch factor with a degenerate pivot feeds its log through that
 code, so both skip the same readings.  ``_GivenTargets`` carries the
 candidates' variances given the targets' values too, with the same
@@ -39,7 +40,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, cholesky, get_lapack_funcs, solve_triangular
-from scipy.spatial.distance import cdist
 
 from .errors import InvalidInputError, NumericalDegeneracyError
 
@@ -47,6 +47,10 @@ from .errors import InvalidInputError, NumericalDegeneracyError
 #: when a factorization fails.  A log's pivot at or below the first of
 #: them, relative to the prior variance, adds no row.
 JITTER_LADDER = (1e-10, 1e-8, 1e-6)
+
+#: Rows of :func:`kernel_matrix`'s output filled per pass; its temporary
+#: holds this many rows at most.
+_KERNEL_BLOCK = 16
 
 
 def _floats(values, what: str) -> np.ndarray:
@@ -91,6 +95,16 @@ def as_point(location) -> np.ndarray:
     return pt
 
 
+def _finite(value) -> bool:
+    """Whether ``value`` is one finite real number; False, not numpy's
+    TypeError, for a string or None, and False for a complex number or a
+    sequence."""
+    try:
+        return np.ndim(value) == 0 and np.isrealobj(value) and bool(np.isfinite(value))
+    except (TypeError, ValueError):
+        return False
+
+
 def _integer_at_least(value, least: int) -> bool:
     """Whether ``value`` is a Python or NumPy integer, not a bool, and ``>= least``."""
     return not isinstance(value, bool) and isinstance(value, (int, np.integer)) and value >= least
@@ -117,11 +131,11 @@ class KernelSpec:
     jitter: float = 0.0
 
     def __post_init__(self):
-        if not (np.isfinite(self.signal_variance) and self.signal_variance > 0):
+        if not (_finite(self.signal_variance) and self.signal_variance > 0):
             raise InvalidInputError("signal_variance must be finite and > 0")
-        if not (np.isfinite(self.lengthscale) and self.lengthscale > 0):
+        if not (_finite(self.lengthscale) and self.lengthscale > 0):
             raise InvalidInputError("lengthscale must be finite and > 0")
-        if not (np.isfinite(self.jitter) and self.jitter >= 0):
+        if not (_finite(self.jitter) and self.jitter >= 0):
             raise InvalidInputError("jitter must be finite and >= 0")
 
 
@@ -132,7 +146,7 @@ class MeanSpec:
     constant: float = 0.0
 
     def __post_init__(self):
-        if not np.isfinite(self.constant):
+        if not _finite(self.constant):
             raise InvalidInputError("mean constant must be finite")
 
 
@@ -164,7 +178,7 @@ class MeasurementLog:
             )
         if not np.all(np.isfinite(vals)):
             raise InvalidInputError("measurement values must be finite")
-        if not (np.isfinite(self.noise_sd) and self.noise_sd >= 0):
+        if not (_finite(self.noise_sd) and self.noise_sd >= 0):
             raise InvalidInputError("noise_sd must be finite and >= 0")
         if self.noise_sd == 0 and len(vals) > 1:
             # Sorting by coordinates puts the readings at one location side by side.
@@ -247,8 +261,9 @@ def jittered_cholesky(matrix, base_jitter: float = 0.0):
     ladder ``1e-10, 1e-8, 1e-6`` (each floored by ``base_jitter``) until one
     attempt succeeds.  As with ``scipy.linalg.cholesky(lower=True)``, only
     the lower triangle is read; a non-finite entry anywhere raises
-    ValueError.  ``matrix`` is left unchanged: it is copied once, and every
-    rung factors that copy in place.
+    ValueError.  ``matrix`` is left unchanged: it is copied once, the copy's
+    strict upper triangle is made to mirror its lower one, and every rung
+    factors that copy in place.
 
     Returns
     -------
@@ -263,30 +278,32 @@ def jittered_cholesky(matrix, base_jitter: float = 0.0):
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    return _cholesky_in_place(np.array(a, order="F"), base_jitter)
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+    a = np.array(a, order="F")
+    for j in range(1, len(a)):
+        a[:j, j] = a[j, :j]
+    return _cholesky_in_place(a, base_jitter)
 
 
 def _cholesky_in_place(a: np.ndarray, base_jitter: float):
     """:func:`jittered_cholesky` of the square Fortran-ordered buffer ``a``,
+    which must be finite and exactly symmetric (a kernel matrix is both) and
     which it overwrites with the factor; no rung copies it.
 
     LAPACK ``potrf`` (the routine ``scipy.linalg.cholesky`` calls) reads
-    and writes only the lower triangle.  The strict upper triangle is made
-    to mirror it before the first rung, so that it and the diagonal saved
-    then restore the matrix after a failed rung; it is zeroed once a rung
+    and writes only the lower triangle.  The strict upper triangle, a
+    mirror of it, and the diagonal saved before the first rung restore the
+    matrix after a failed rung; the upper triangle is zeroed once a rung
     succeeds.  Each rung factors the bits of ``a + r * scale * I``.
     """
     n = len(a)
     if n == 0:
         return a, float(base_jitter)
-    if not np.isfinite(a).all():
-        raise ValueError("array must not contain infs or NaNs")
     scale = float(np.mean(np.diagonal(a)))
     if not np.isfinite(scale) or scale <= 0.0:
         scale = 1.0
     diag = np.diagonal(a).copy()
-    for j in range(1, n):
-        a[:j, j] = a[j, :j]
     (potrf,) = get_lapack_funcs(("potrf",), (a,))
     ladder = dict.fromkeys(
         (float(base_jitter), *(max(float(base_jitter), r) for r in JITTER_LADDER))
@@ -310,19 +327,32 @@ def _cholesky_in_place(a: np.ndarray, base_jitter: float):
 def kernel_matrix(spec: KernelSpec, X, Y) -> np.ndarray:
     """Cross-covariance matrix with entries ``k(x_i, y_j)``.
 
-    ``X`` and ``Y`` are ``(n, 2)`` float arrays that the caller has already
-    validated (for instance with :func:`as_points`); nothing is checked or
-    copied here.
+    ``X`` and ``Y`` are ``(n, 2)`` arrays of coordinate pairs (plain lists
+    too) that the caller has already validated (for instance with
+    :func:`as_points`); nothing is checked or copied here.
 
-    When ``X`` and ``Y`` hold identical coordinates the result is exactly
-    symmetric with diagonal ``spec.signal_variance``: ``cdist`` computes
-    ``(a - b)**2`` and ``(b - a)**2`` alike and gives 0 on the diagonal.
+    The squared distances are ``(x_i - x_j)^2 + (y_i - y_j)^2``, one
+    coordinate at a time from a column of ``X`` broadcast against ``Y``'s:
+    the bits scipy's ``cdist(X, Y, "sqeuclidean")`` gives.  So when
+    ``X`` and ``Y`` hold identical coordinates the result is exactly
+    symmetric with diagonal ``spec.signal_variance``.
 
-    The arithmetic runs in cdist's output buffer: the squared distances are
-    divided by ``-2 l^2``, exponentiated and scaled there, which rounds as
-    ``sf^2 * exp(-d2 / (2 l^2))`` does and allocates nothing else.
+    The arithmetic runs in the output buffer, beside one temporary of at
+    most ``_KERNEL_BLOCK`` rows: the squared distances are divided by
+    ``-2 l^2``, exponentiated and scaled there, which rounds as
+    ``sf^2 * exp(-d2 / (2 l^2))`` does.
     """
-    k = cdist(X, Y, "sqeuclidean")
+    X, Y = np.asarray(X, dtype=float), np.asarray(Y, dtype=float)
+    k = np.empty((len(X), len(Y)))
+    tmp = np.empty((min(len(X), _KERNEL_BLOCK), len(Y)))
+    for s in range(0, len(X), _KERNEL_BLOCK):
+        block = X[s : s + _KERNEL_BLOCK]
+        d2, dy2 = k[s : s + _KERNEL_BLOCK], tmp[: len(block)]
+        np.subtract(block[:, :1], Y[:, 0], out=d2)
+        d2 *= d2
+        np.subtract(block[:, 1:], Y[:, 1], out=dy2)
+        dy2 *= dy2
+        d2 += dy2
     k /= -2.0 * spec.lengthscale**2
     np.exp(k, out=k)
     k *= spec.signal_variance
@@ -399,9 +429,11 @@ class _CarriedRows:
         self.W = np.empty((capacity, len(P)))
         self.k = 0
 
-    def _row(self, i: int) -> np.ndarray:
-        """The kernel row ``k(P[i], P)``."""
-        return kernel_matrix(self.kernel, self.P[i : i + 1], self.P)[0]
+    def _push_first(self, n: int) -> None:
+        """Append ``P[:n]`` in turn as noise-free readings, their kernel
+        rows from one :func:`kernel_matrix` call."""
+        for i, row in enumerate(kernel_matrix(self.kernel, self.P[:n], self.P)):
+            self._push(i, row, 0.0, 0.0)
 
     def _push(self, i: int, row: np.ndarray, s2: float, jitter: float):
         """Append the row of a reading at ``P[i]``, whose kernel row is
@@ -439,19 +471,25 @@ class _CarriedConditioning(_CarriedRows):
     of points ``B`` is ``K(B, B) - W[:k, B]' W[:k, B]``).  A reading whose
     pivot is degenerate (a noise-free repeat, a near-duplicate) adds
     nothing given the readings before it, so it is skipped.  ``P`` is taken
-    as checked; ``capacity`` bounds the number of readings.
+    as checked; ``capacity`` bounds the number of readings.  The kernel row
+    of a point is computed at its first reading and kept in
+    ``kernel_rows``, one row per distinct point, at most ``capacity``.
     """
 
     def __init__(self, mean: MeanSpec, kernel: KernelSpec, noise_sd: float, P, capacity: int):
         self.mean, self.noise_sd = mean, noise_sd
         self.alpha = np.empty(capacity)
         self.mu = np.full(len(P), float(mean.constant))
+        self.kernel_rows, self.row_of = np.empty((capacity, len(P))), {}
         super().__init__(kernel, P, np.full(len(P), kernel.signal_variance), capacity)
 
     def add(self, i: int, z: float) -> np.ndarray:
         """Fold in reading ``z`` taken at ``P[i]``; return the kernel row
-        ``k(P[i], P)`` computed for it."""
-        row = self._row(i)
+        ``k(P[i], P)``, computed at the first reading there."""
+        if (r := self.row_of.get(i)) is None:
+            r = self.row_of[i] = len(self.row_of)
+            self.kernel_rows[r] = kernel_matrix(self.kernel, self.P[i : i + 1], self.P)[0]
+        row = self.kernel_rows[r]
         pushed = self._push(i, row, self.noise_sd**2, self.kernel.jitter)
         if pushed is not None:
             l, d, w = pushed
@@ -475,8 +513,7 @@ class _GivenTargets(_CarriedRows):
     def __init__(self, kernel: KernelSpec, noise_sd: float, targets, C, capacity: int):
         n, self.noise_sd = len(targets), noise_sd
         rows = _CarriedRows(kernel, _sorted_first(targets, C), np.full(n + len(C), kernel.signal_variance), n)
-        for i in range(n):
-            rows._push(i, rows._row(i), 0.0, 0.0)
+        rows._push_first(n)
         super().__init__(kernel, C, rows.var[n:], rows.k + capacity)
         self.W[: rows.k], self.k = rows.W[: rows.k, n:], rows.k
 
@@ -501,8 +538,7 @@ def _variance_pair(kernel: KernelSpec, log: MeasurementLog, targets, points):
     k = len(W)
     rows = _CarriedRows(kernel, P, var.copy(), k + n)
     rows.W[:k], rows.k = W, k
-    for i in range(n):
-        rows._push(i, rows._row(i), 0.0, 0.0)
+    rows._push_first(n)
     removed = rows.W[k : rows.k, n:]
     return _clamped(kernel, var[n:]), np.einsum("ij,ij->j", removed, removed)
 

@@ -32,6 +32,7 @@ from .gp import (
     _CarriedConditioning,
     _GivenTargets,
     _clamped,
+    _finite,
     _integer_at_least,
     _variance_pair,
 )
@@ -79,7 +80,7 @@ class ScenarioConfig:
             raise InvalidInputError("horizon must be an integer >= 1")
         if not (_integer_at_least(self.seed, 0) and _integer_at_least(self.trial_index, 0)):
             raise InvalidInputError("seed and trial_index must be integers >= 0")
-        if not (np.isfinite(self.noise_sd) and self.noise_sd >= 0):
+        if not (_finite(self.noise_sd) and self.noise_sd >= 0):
             raise InvalidInputError("noise_sd must be finite and >= 0")
         if not isinstance(self.kernel, KernelSpec) or not isinstance(self.mean, MeanSpec):
             raise InvalidInputError("kernel and mean must be KernelSpec and MeanSpec")

@@ -159,6 +159,58 @@ class TestGridLookup:
         g = GridData(lat0=0.0, lon0=0.0, dlat=1.0, dlon=1.0, values=np.arange(36.0).reshape(6, 6))
         np.testing.assert_array_equal(GridField(g).values(LATTICE_QUERIES), LATTICE_NEAREST)
 
+    def test_support_is_decided_by_the_nearest_of_tied_cells(self):
+        """Two cells tie (within 1e-12) at the support radius from a query,
+        the lower-index one rounding above it: the query is inside, by the
+        nearer cell, and takes the lower cell's value."""
+        values = np.array([[1.0], [np.nan], [np.nan], [np.nan], [2.0]])
+        g = GridData(lat0=-35.6, lon0=44.9, dlat=1.58, dlon=2.86, values=values)
+        query = np.array([[44.9 + 2 * 2.86, -35.6 + 2 * 1.58]])
+        radius = 2.0 * g.cell_diagonal
+        dist = np.sqrt(((query - [[44.9, -35.6], [44.9, -35.6 + 4 * 1.58]]) ** 2).sum(axis=1))
+        assert dist[1] <= radius < dist[0] <= dist[1] * (1.0 + 1e-12)
+        assert g.contains(query).tolist() == [True]
+        assert GridField(g).values(query).tolist() == [1.0]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_window_search_matches_a_kd_tree(self, seed):
+        """``contains``, ``values`` and ``bounds`` answer as a KD-tree over
+        the non-missing cell centres does: the nearest distance against the
+        support radius, and the lowest index in the ball of radius
+        ``d (1 + 1e-12)``.  The grids have missing cells, aspect ratios up
+        to 30:1 and centres jittered by 1e-7 cells; the queries sit on
+        lattice points and midpoints (ties), inside and outside the grid,
+        and at random."""
+        rng = np.random.default_rng(seed)
+        for _ in range(50):
+            nlat, nlon = rng.integers(1, 10, 2)
+            dlat = rng.uniform(0.1, 3.0)
+            dlon = dlat * np.exp(rng.uniform(-np.log(30), np.log(30)))
+            values = rng.normal(size=(nlat, nlon))
+            values[rng.random((nlat, nlon)) < rng.uniform(0.0, 0.8)] = np.nan
+            values[rng.integers(nlat), rng.integers(nlon)] = 1.0
+            lat0, lon0 = rng.uniform(-50, 50, 2)
+            jitter = rng.choice([0.0, 1e-7])
+            lat_c = lat0 + dlat * (np.arange(nlat) + jitter * rng.uniform(-1, 1, nlat))
+            lon_c = lon0 + dlon * (np.arange(nlon) + jitter * rng.uniform(-1, 1, nlon))
+            g = GridData(lat0=lat0, lon0=lon0, dlat=dlat, dlon=dlon, values=values, lat_coords=lat_c, lon_coords=lon_c)
+
+            ii, jj = np.nonzero(np.isfinite(values))
+            centres = np.column_stack([lon_c[jj], lat_c[ii]])
+            halves = np.column_stack([rng.integers(-2 * nlon - 6, 2 * nlon + 8, 300), rng.integers(-2 * nlat - 6, 2 * nlat + 8, 300)])
+            lattice = [lon0, lat0] + halves / 2.0 * [dlon, dlat]
+            scattered = rng.uniform([lon0 - 5 * dlon, lat0 - 5 * dlat], [lon0 + (nlon + 5) * dlon, lat0 + (nlat + 5) * dlat], (50, 2))
+            queries = np.vstack([lattice, scattered, centres])
+
+            tree = cKDTree(centres)
+            dist, _ = tree.query(queries)
+            inside = dist <= 2.0 * g.cell_diagonal
+            balls = tree.query_ball_point(queries[inside], r=dist[inside] * (1.0 + 1e-12))
+            np.testing.assert_array_equal(g.contains(queries), inside)
+            np.testing.assert_array_equal(GridField(g).values(queries[inside]), values[ii, jj][[min(b) for b in balls]])
+            half = [0.5 * dlon, 0.5 * dlat]
+            assert g.bounds() == (*(tree.mins - half).tolist(), *(tree.maxes + half).tolist())
+
     def test_mask_agrees_with_field_support(self):
         g = self.grid()
         fld = GridField(g)
@@ -308,8 +360,9 @@ class TestSampledField:
 
     @pytest.mark.parametrize("kind", ["uniform", "lattice", "near-duplicates", "one-node"])
     def test_nearest_matches_a_ball_query_on_every_row(self, kind):
-        """``_nearest`` equals the lowest index in the ball of radius
-        ``d (1 + 1e-12)`` around every query, the rule it narrows to tied rows."""
+        """The search ``_nearest`` and the field's lookup (a node table, and
+        the search for the other rows) both give the lowest index in a
+        KD-tree's ball of radius ``d (1 + 1e-12)`` around every query."""
         rng = np.random.default_rng(["uniform", "lattice", "near-duplicates", "one-node"].index(kind))
         if kind == "lattice":
             nodes = np.array([(x, y) for x in range(8) for y in range(8)], float)[rng.permutation(64)]
@@ -324,7 +377,10 @@ class TestSampledField:
         tree = cKDTree(nodes)
         dist, _ = tree.query(queries)
         balls = tree.query_ball_point(queries, r=dist * (1.0 + 1e-12))
-        np.testing.assert_array_equal(env._nearest(tree, queries), [min(ball) for ball in balls])
+        lowest = [min(ball) for ball in balls]
+        np.testing.assert_array_equal(env._nearest(nodes, queries), lowest)
+        fld = SampledField(nodes, np.arange(len(nodes), dtype=float), PolygonMask.rectangle(-1, -1, 11, 11))
+        np.testing.assert_array_equal(fld.values(queries), lowest)
 
     def test_outside_region_raises(self):
         mask = PolygonMask.rectangle(0, 0, 10, 10)

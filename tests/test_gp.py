@@ -246,6 +246,35 @@ class TestKernelMatrix:
         with pytest.raises(InvalidInputError):
             KernelSpec(signal_variance=1.0, lengthscale=-2.0)
 
+    def test_non_numeric_hyperparameters_raise_invalid_input(self):
+        """Not numpy's TypeError from ``np.isfinite``."""
+        for make in (
+            lambda: KernelSpec("a", 1.0),
+            lambda: KernelSpec(1.0, None),
+            lambda: KernelSpec(1.0, 1.0, "x"),
+            lambda: KernelSpec(1j, 1.0),
+            lambda: KernelSpec([1.0], 1.0),
+        ):
+            with pytest.raises(InvalidInputError):
+                make()
+
+    @pytest.mark.parametrize(
+        "X, Y",
+        [((200, 2), None), ((1, 2), (300, 2)), ((300, 2), (1, 2))],
+        ids=["square", "one-by-m", "m-by-one"],
+    )
+    def test_bits_of_cdist(self, X, Y):
+        """The squared distances are cdist's, bit for bit, also on plain
+        lists, so the kernel is ``sf^2 * exp(-cdist / (2 l^2))`` exactly
+        (m x n inputs: :meth:`test_bits_of_the_written_out_formula`)."""
+        rng = np.random.default_rng(13)
+        X = rng.uniform(-40, 40, X)
+        Y = X if Y is None else rng.uniform(-40, 40, Y)
+        k = KernelSpec(signal_variance=1.3, lengthscale=7.1)
+        expected = 1.3 * np.exp(-cdist(X, Y, "sqeuclidean") / (2.0 * 7.1**2))
+        np.testing.assert_array_equal(kernel_matrix(k, X, Y), expected)
+        np.testing.assert_array_equal(kernel_matrix(k, X.tolist(), Y.tolist()), expected)
+
 
 class TestJitteredCholesky:
     def test_singular_psd_matrix_is_rescued(self):
@@ -330,6 +359,13 @@ class TestJitteredCholesky:
             jittered_cholesky(M)
 
 
+class TestMeanSpec:
+    def test_non_numeric_constant_raises_invalid_input(self):
+        for bad in ("a", None, 1j):
+            with pytest.raises(InvalidInputError, match="mean constant"):
+                MeanSpec(bad)
+
+
 class TestMeasurementLog:
     def test_append_is_persistent(self):
         log0 = MeasurementLog.empty(noise_sd=0.5)
@@ -342,6 +378,11 @@ class TestMeasurementLog:
     def test_noise_must_be_nonnegative(self):
         with pytest.raises(InvalidInputError):
             MeasurementLog.empty(noise_sd=-0.1)
+
+    @pytest.mark.parametrize("bad", ["x", None])
+    def test_non_numeric_noise_raises_invalid_input(self, bad):
+        with pytest.raises(InvalidInputError, match="noise_sd"):
+            MeasurementLog([[0, 0]], [1.0], bad)
 
     def test_noise_free_readings_at_one_location_must_agree(self):
         """Without noise two different readings at one location contradict

@@ -465,23 +465,24 @@ class TestRunEpisode:
             np.testing.assert_array_equal(belief.cov, belief.cov.T)
 
     def test_one_kernel_row_per_reading(self, monkeypatch):
-        """A greedy episode computes one kernel row per target and one per
-        reading, shared by both carried states; a random episode one per
-        reading."""
-        rows = []
+        """A greedy episode computes the targets' kernel rows in one call,
+        and each episode one kernel row per distinct reading location,
+        shared by both carried states in a greedy one."""
+        calls = []
         kernel_matrix_ = gp_mod.kernel_matrix
 
         def counted(spec, X, Y):
-            if len(X) == 1:
-                rows.append(X[0])
+            calls.append(len(X))
             return kernel_matrix_(spec, X, Y)
 
         monkeypatch.setattr(gp_mod, "kernel_matrix", counted)
         for kind in PLANNER_KINDS:
-            rows.clear()
+            calls.clear()
             cfg = make_config(planner_kind=kind, horizon=9, n_targets=7)
-            run_episode(cfg, linear_field())
-            assert len(rows) == 7 * (kind == "greedy-edg") + 9
+            trace = run_episode(cfg, linear_field())
+            distinct = len({step.chosen_index for step in trace.steps})
+            assert distinct < 9
+            assert calls == [7] * (kind == "greedy-edg") + [1] * distinct
 
     def test_choices_stay_in_candidate_set(self):
         for kind in ("greedy-edg", "random"):
@@ -591,6 +592,11 @@ class TestRunEpisode:
         partial = err.value.partial_trace
         assert len(partial.steps) == 2
         assert partial.final_belief is not None
+
+    @pytest.mark.parametrize("bad", ["x", None])
+    def test_non_numeric_noise_raises_invalid_input(self, bad):
+        with pytest.raises(InvalidInputError, match="noise_sd"):
+            make_config(noise_sd=bad)
 
     def test_config_validation(self):
         with pytest.raises(InvalidInputError):

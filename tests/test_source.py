@@ -1,7 +1,10 @@
 """Static checks on the package source, standing in for a linter."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import senseplan
@@ -52,6 +55,20 @@ def test_imports_sit_at_module_top_level():
             if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top
         ]
     assert nested == []
+
+
+def test_cli_import_leaves_scipy_spatial_out():
+    """``import senseplan.cli`` in a fresh interpreter loads neither
+    ``scipy.spatial`` nor the ``scipy.special`` it would pull in."""
+    code = "import sys, senseplan.cli; print(sorted(m for m in ('scipy.spatial', 'scipy.special') if m in sys.modules))"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)},
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def private_definitions(tree: ast.Module) -> dict:
