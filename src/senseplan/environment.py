@@ -201,6 +201,12 @@ class GridData(RoIMask):
     def cell_diagonal(self) -> float:
         return float(np.hypot(self.dlat, self.dlon))
 
+    @property
+    def support_radius(self) -> float:
+        """Distance from a non-missing cell centre within which a point is
+        inside the region."""
+        return SUPPORT_DIAGONALS * self.cell_diagonal
+
     def _nearest_cells(self, pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Distance from each row of ``pts`` to its nearest non-missing cell
         centre in the lattice window (``inf`` where the window holds none),
@@ -210,7 +216,7 @@ class GridData(RoIMask):
         1`` columns either side of the query's nearest lattice index, for the
         support radius ``R``; the extra cell covers centres a little off the
         lattice.  Queries are searched a chunk at a time."""
-        radius = SUPPORT_DIAGONALS * self.cell_diagonal
+        radius = self.support_radius
         nlat, nlon = self.values.shape
         hi, hj = math.ceil(radius / self.dlat) + 1, math.ceil(radius / self.dlon) + 1
         dist, cell = np.empty(len(pts)), np.empty(len(pts), dtype=np.intp)
@@ -234,7 +240,7 @@ class GridData(RoIMask):
 
     def contains(self, points) -> np.ndarray:
         dist, _ = self._nearest_cells(as_points(points))
-        return dist <= SUPPORT_DIAGONALS * self.cell_diagonal
+        return dist <= self.support_radius
 
     def bounds(self):
         """The box around the non-missing cells' centres, half a cell wide."""
@@ -416,13 +422,20 @@ def analytic_defaults(name: str) -> dict:
     return dict(ANALYTIC_CATALOG[name].__kwdefaults__)
 
 
-def _points_inside(region: RoIMask, points) -> np.ndarray:
+def _points_inside(region: RoIMask, points, grid_cells: bool = False):
     """``points`` as an ``(m, 2)`` array; raises FieldDomainError naming the
-    first row outside ``region``."""
+    first row outside ``region``.  With ``grid_cells`` the region is a
+    :class:`GridData`, tested from one nearest-cell search, and the
+    row-major index of each row's nearest cell comes back as well."""
     pts = as_points(points)
-    if not (inside := region.contains(pts)).all():
+    if grid_cells:
+        dist, cells = region._nearest_cells(pts)
+        inside = dist <= region.support_radius
+    else:
+        inside = region.contains(pts)
+    if not inside.all():
         raise FieldDomainError(f"point {tuple(pts[np.argmin(inside)].tolist())} is outside the region of interest")
-    return pts
+    return (pts, cells) if grid_cells else pts
 
 
 class GroundTruthField:
@@ -445,8 +458,8 @@ class GridField(GroundTruthField):
     grid: GridData
 
     def values(self, points) -> np.ndarray:
-        _, cell = self.grid._nearest_cells(_points_inside(self.grid, points))
-        return self.grid.values.reshape(-1)[cell]
+        _, cells = _points_inside(self.grid, points, grid_cells=True)
+        return self.grid.values.reshape(-1)[cells]
 
     def roi(self) -> RoIMask:
         return self.grid
@@ -534,14 +547,6 @@ def field_value(fld: GroundTruthField, x) -> float:
     return float(fld.values(as_point(x)[None])[0])
 
 
-def noisy_reading(value: float, noise_sd: float, rng: np.random.Generator) -> float:
-    """``value + eps`` with ``eps ~ N(0, noise_sd^2)`` drawn from ``rng``;
-    zero noise draws nothing."""
-    if noise_sd == 0:
-        return value
-    return value + float(rng.normal(0.0, noise_sd))
-
-
 # ---------------------------------------------------------------------------
 # Scenario placement
 # ---------------------------------------------------------------------------
@@ -573,7 +578,12 @@ def place_scenario(
         # the accepted points do not depend on the batch size.
         size = (min(PLACEMENT_BATCH, MAX_PLACEMENT_ATTEMPTS - attempts), 2)
         draws = rng.uniform((xmin, ymin), (xmax, ymax), size=size)
-        found.update(dict.fromkeys(map(tuple, draws[mask.contains(draws)].tolist())))
+        accepted = draws[mask.contains(draws)]
+        # Rows go into ``found`` only as many at a time as are still needed.
+        while len(accepted) and len(found) < need:
+            take = need - len(found)
+            found.update(dict.fromkeys(map(tuple, accepted[:take].tolist())))
+            accepted = accepted[take:]
         if len(found) >= need:
             pts = as_points(list(found)[:need])
             return pts[:n_targets], as_points(np.vstack([pts[:n_shared], pts[n_targets:]]))

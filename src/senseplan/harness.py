@@ -324,27 +324,34 @@ def _one_blas_thread() -> list:
     return restore
 
 
-def _float_text(x: float) -> str:
-    text = float.__repr__(x)
-    if "n" in text:  # nan, inf or -inf
-        raise ValueError(text)
-    return text
+class _FloatText(dict):
+    """``float.__repr__`` of each float, computed once per run and shared by
+    run.json and series.csv, whose step values and one-trial means repeat.
+
+    Zero is not stored: ``0.0 == -0.0`` would make the two one key.
+    """
+
+    def __missing__(self, x: float) -> str:
+        text = float.__repr__(x)
+        if x:
+            self[x] = text
+        return text
 
 
-#: JSON text of each plain scalar type, keyed on the exact type.
+#: JSON text of each plain scalar type but float, keyed on the exact type.
 _SCALAR_TEXT = {
     str: encode_basestring_ascii,
     int: int.__repr__,
-    float: _float_text,
     bool: {True: "true", False: "false"}.__getitem__,
     type(None): lambda _: "null",
 }
 
 
-def _json_text(value, nl: str) -> str:
+def _json_text(value, nl: str, floats: _FloatText) -> str:
     """``value`` as ``json.dumps(value, indent=1)`` prints it, with each of
     its lines after the first starting with ``nl`` (a newline and the
-    indent of ``value``'s own level).
+    indent of ``value``'s own level); floats are printed through
+    ``floats``.
 
     Dicts with ``str`` keys, lists, tuples and the plain scalars are built
     here, one join per container; anything else is json's own text,
@@ -352,6 +359,11 @@ def _json_text(value, nl: str) -> str:
     The brackets go onto the first and last item before the join, so a
     container's text is not copied again after it.
     """
+    if type(value) is float:
+        text = floats[value]
+        if "n" in text:  # nan, inf or -inf
+            raise ValueError(text)
+        return text
     scalar = _SCALAR_TEXT.get(type(value))
     if scalar is not None:
         return scalar(value)
@@ -360,15 +372,19 @@ def _json_text(value, nl: str) -> str:
     if type(value) in (list, tuple):
         if not value:
             return "[]"
-        if set(map(type, value)) == {float}:
-            body = sep.join(map(float.__repr__, value))
+        types = set(map(type, value))
+        if types == {float}:
+            body = sep.join(map(floats.__getitem__, value))
             if "n" in body:
                 raise ValueError(body)
             return "[" + inner + body + nl + "]"
-        items = [_json_text(v, inner) for v in value]
+        if types == {dict} and len(value) > 1 and (rows := _uniform_rows(value, inner, floats)) is not None:
+            items = rows
+        else:
+            items = [_json_text(v, inner, floats) for v in value]
         brackets = "[]"
     elif type(value) is dict and set(map(type, value)) == {str}:
-        items = [encode_basestring_ascii(k) + ": " + _json_text(v, inner) for k, v in value.items()]
+        items = [encode_basestring_ascii(k) + ": " + _json_text(v, inner, floats) for k, v in value.items()]
         brackets = "{}"
     else:
         return json.dumps(value, indent=1, allow_nan=False).replace("\n", nl)
@@ -377,23 +393,56 @@ def _json_text(value, nl: str) -> str:
     return sep.join(items)
 
 
-def render_run_json(record) -> str:
+def _uniform_rows(rows: list, nl: str, floats: _FloatText):
+    """The text of each dict of ``rows``, each at the level whose lines start
+    with ``nl``, if every one has the same ``str`` keys in the same order;
+    otherwise None.
+
+    One ``%`` template holds the keys, and each key's column of values is
+    printed in one pass, a plain type at a time where the column has one.
+    """
+    keys = list(rows[0])
+    if not keys or set(map(type, keys)) != {str} or any(list(row) != keys for row in rows):
+        return None
+    inner = nl + " "
+    template = "{" + inner + ("," + inner).join(
+        encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys
+    ) + nl + "}"
+    columns = []
+    for key in keys:
+        column = [row[key] for row in rows]
+        types = set(map(type, column))
+        if types == {float}:
+            if not all(map(math.isfinite, column)):
+                raise ValueError("non-finite float")
+            columns.append(list(map(floats.__getitem__, column)))
+        elif len(types) == 1 and (scalar := _SCALAR_TEXT.get(types.pop())) is not None:
+            columns.append(list(map(scalar, column)))
+        else:
+            columns.append([_json_text(v, inner, floats) for v in column])
+    return [template % texts for texts in zip(*columns)]
+
+
+def render_run_json(record, floats: _FloatText | None = None) -> str:
     """``record`` as ``json.dumps(record, indent=1, allow_nan=False)``
-    prints it, byte for byte, built a container at a time.
+    prints it, byte for byte, built a container at a time; ``floats`` is
+    the run's float-text memo, a new one if not given.
 
     A record json cannot encode raises json's own error: NaN or an
     infinity raises ``ValueError``, an unknown type ``TypeError``.
     """
     try:
-        return _json_text(record, "\n")
+        return _json_text(record, "\n", _FloatText() if floats is None else floats)
     except (TypeError, ValueError, RecursionError):
         # Let json raise its own error, with its own message.
         return json.dumps(record, indent=1, allow_nan=False)
 
 
-def render_series_csv(record: dict) -> str:
+def render_series_csv(record: dict, floats: _FloatText | None = None) -> str:
     """Long-format per-step metric table, one value per row: a step's
-    float written with ``repr``, or ``nan`` where it is null."""
+    float written with ``repr``, or ``nan`` where it is null; ``floats``
+    is the run's float-text memo, a new one if not given."""
+    floats = _FloatText() if floats is None else floats
     fields = [(f",{metric},", METRIC_FIELDS[metric]) for metric in METRIC_NAMES]
     parts = ["trial,planner,step,metric,value\n"]
     for trace in record["traces"]:
@@ -402,7 +451,7 @@ def render_series_csv(record: dict) -> str:
             prefix = head + str(step["step"])
             for label, field in fields:
                 value = step[field]
-                parts += (prefix, label, "nan" if value is None else float.__repr__(value), "\n")
+                parts += (prefix, label, "nan" if value is None else floats[value], "\n")
     return "".join(parts)
 
 
@@ -412,8 +461,9 @@ def write_outputs(record: dict, out_dir) -> tuple[str, str]:
     Both texts are rendered before either file is opened, so a record that
     cannot be encoded raises and leaves the directory as it was.
     """
-    run_text = render_run_json(record) + "\n"
-    series_text = render_series_csv(record)
+    floats = _FloatText()
+    run_text = render_run_json(record, floats) + "\n"
+    series_text = render_series_csv(record, floats)
     os.makedirs(str(out_dir), exist_ok=True)
     run_path = os.path.join(str(out_dir), "run.json")
     series_path = os.path.join(str(out_dir), "series.csv")

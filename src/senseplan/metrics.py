@@ -12,7 +12,6 @@ The planner records each step's values as ``EpisodeStep`` fields (``error``,
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,16 +21,6 @@ from .gp import as_points
 
 #: Metric names that appear in aggregated series output, in column order.
 METRIC_NAMES = ("error-V", "variance-V", "error-I", "variance-I")
-
-
-def _norm(residual: np.ndarray) -> float:
-    """``sqrt(r @ r)``, a float vector's norm as ``np.linalg.norm`` takes it."""
-    return math.sqrt(residual @ residual)
-
-
-def _mean_variance(variances: np.ndarray) -> float:
-    """``sum / N`` of a nonempty float vector."""
-    return float(variances.sum() / variances.size)
 
 
 def intersection_indices(points_a, points_b) -> tuple[np.ndarray, np.ndarray]:

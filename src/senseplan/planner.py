@@ -3,8 +3,9 @@
 Each episode starts from the prior, then repeats for a fixed horizon:
 pick a candidate location (greedily by expected information gain, or
 uniformly at random), take one noisy reading there, fold it into the
-conditioning the episode carries over targets and candidates, and score
-the posterior over the target set.  A greedy episode also carries the
+conditioning the episode carries over targets and candidates, and keep
+the targets' posterior means and variances; every step is scored from
+them once the loop ends.  A greedy episode also carries the
 candidates' variances given the targets' values; the next decision
 scores each candidate from its two variances.  No step conditions on
 the whole log afresh.
@@ -36,9 +37,9 @@ from .gp import (
     _integer_at_least,
     _variance_pair,
 )
-from .environment import GroundTruthField, noisy_reading
+from .environment import GroundTruthField
 from .infogain import _explained_share
-from .metrics import _mean_variance, _norm, intersection_indices
+from .metrics import intersection_indices
 from .seeding import STREAM_NOISE, STREAM_PLANNER, substream
 
 #: Recognized planner kinds, in the order used for seed derivation.
@@ -156,65 +157,109 @@ def run_episode(config: ScenarioConfig, fld: GroundTruthField) -> EpisodeTrace:
 
     The truth over targets and candidates is read once, up front, so a
     point outside the field's region raises FieldDomainError before the
-    first step.  Numerical or planning failures later abort the episode;
-    the raised error carries the completed steps as ``exc.partial_trace``.
+    first step.  The episode's noise draws (none at zero noise) and the
+    random planner's picks are taken up front too, one call each; on
+    PCG64 they are the draws one call per step would make.  The loop only
+    decides, conditions and keeps each step's target means and variances;
+    the steps are scored after it, by :func:`_steps`.  Numerical or
+    planning failures abort the episode; the raised error carries the
+    completed steps as ``exc.partial_trace``.
     """
     planner_idx = PLANNER_KINDS.index(config.planner_kind)
     noise_rng = substream(config.seed, STREAM_NOISE, config.trial_index, planner_idx)
     planner_rng = substream(config.seed, STREAM_PLANNER, config.trial_index, planner_idx)
 
     greedy = config.planner_kind == "greedy-edg"
-    targets = config.targets
+    targets, H = config.targets, config.horizon
     n = len(targets)
     points = np.vstack([targets, config.candidates])
     truth_t, truth_c = np.split(fld.values(points), [n])
-    try:
-        shared_t, _ = intersection_indices(targets, config.candidates)
-    except InvalidInputError:
-        shared_t = None
+    truth_c = truth_c.tolist()
+    noise = noise_rng.normal(0.0, config.noise_sd, size=H).tolist() if config.noise_sd else None
+    picks = None if greedy else planner_rng.integers(len(config.candidates), size=H).tolist()
 
-    state = _CarriedConditioning(config.mean, config.kernel, config.noise_sd, points, config.horizon)
-    steps: list[EpisodeStep] = []
+    state = _CarriedConditioning(config.mean, config.kernel, config.noise_sd, points, H)
+    chosen, scores, readings = [], [], []
+    means, variances = np.empty((H, n)), np.empty((H, n))
     try:
         if greedy:
-            known = _GivenTargets(config.kernel, config.noise_sd, targets, config.candidates, config.horizon)
-        for k in range(1, config.horizon + 1):
+            known = _GivenTargets(config.kernel, config.noise_sd, targets, config.candidates, H)
+        for k in range(H):
             if greedy:
                 v = _clamped(config.kernel, state.var[n:])
                 idx, gains = _greedy_choice(config.kernel, config.noise_sd, v, v - known.var)
-                score = gains[idx]
+                scores.append(float(gains[idx]))
             else:
-                idx = int(planner_rng.integers(len(config.candidates)))
-                score = math.nan
-            reading = noisy_reading(truth_c[idx], config.noise_sd, noise_rng)
+                idx = picks[k]
+            reading = truth_c[idx] if noise is None else truth_c[idx] + noise[k]
             row = state.add(n + idx, reading)
             if greedy:
                 known.add(idx, row[n:])
-
-            residual, var_t = state.mu[:n] - truth_t, state.var[:n]
-            norm = _norm(residual)
-            err_i = var_i = math.nan
-            if shared_t is not None:
-                err_i = _norm(residual[shared_t]) / len(shared_t)
-                var_i = _mean_variance(var_t[shared_t])
-            steps.append(
-                EpisodeStep(
-                    index=k,
-                    chosen_index=idx,
-                    chosen=tuple(config.candidates[idx].tolist()),
-                    score=float(score),
-                    measurement=float(reading),
-                    error=norm / n,
-                    variance=_mean_variance(var_t),
-                    error_shared=err_i,
-                    variance_shared=var_i,
-                    rmse=norm / math.sqrt(n),
-                )
-            )
+            means[k], variances[k] = state.mu[:n], state.var[:n]
+            # Nothing below raises: a step is complete once its index is kept.
+            chosen.append(idx)
+            readings.append(reading)
     except SensorPlanError as exc:
-        exc.partial_trace = _trace(config, steps, state)
+        exc.partial_trace = _trace(config, _steps(config, truth_t, chosen, scores, readings, means, variances), state)
         raise
-    return _trace(config, steps, state)
+    return _trace(config, _steps(config, truth_t, chosen, scores, readings, means, variances), state)
+
+
+def _steps(config: ScenarioConfig, truth_t, chosen, scores, readings, means, variances) -> list:
+    """The :class:`EpisodeStep` of each of the ``K`` complete steps in
+    ``chosen``, scored from the target means and variances (the first ``K``
+    rows of ``means`` and ``variances``) after each.
+
+    Each row is scored as one step's vector would be: the norm is
+    ``sqrt(r @ r)`` of a contiguous row, a mean variance its row sum over
+    its length.  The shared targets' columns are copied contiguous first,
+    so their rows sum and dot as fresh vectors do.  ``scores`` is empty
+    for the random planner, whose steps score NaN.
+    """
+    n, K = len(truth_t), len(chosen)
+    residual, variances = means[:K] - truth_t, variances[:K]
+    norm = _row_norms(residual)
+    error_shared = variance_shared = [math.nan] * K
+    try:
+        shared_t, _ = intersection_indices(config.targets, config.candidates)
+    except InvalidInputError:
+        pass
+    else:
+        r_s = np.ascontiguousarray(residual[:, shared_t])
+        error_shared = (_row_norms(r_s) / len(shared_t)).tolist()
+        variance_shared = (np.ascontiguousarray(variances[:, shared_t]).sum(axis=1) / len(shared_t)).tolist()
+    cands = config.candidates.tolist()
+    return [
+        EpisodeStep(
+            index=k,
+            chosen_index=idx,
+            chosen=tuple(cands[idx]),
+            score=score,
+            measurement=reading,
+            error=err,
+            variance=var,
+            error_shared=err_i,
+            variance_shared=var_i,
+            rmse=rmse,
+        )
+        for k, idx, score, reading, err, var, err_i, var_i, rmse in zip(
+            range(1, K + 1),
+            chosen,
+            scores[:K] if scores else [math.nan] * K,
+            readings,
+            (norm / n).tolist(),
+            (variances.sum(axis=1) / n).tolist(),
+            error_shared,
+            variance_shared,
+            (norm / math.sqrt(n)).tolist(),
+        )
+    ]
+
+
+def _row_norms(R: np.ndarray) -> np.ndarray:
+    """``sqrt(r @ r)`` of each row ``r`` of a C-contiguous ``R``, a batch of
+    row-by-column products with the bits of one ``r @ r`` each."""
+    return np.sqrt((R[:, None, :] @ R[:, :, None])[:, 0, 0])
 
 
 def _trace(config: ScenarioConfig, steps: list, state: _CarriedConditioning) -> EpisodeTrace:

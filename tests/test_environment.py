@@ -172,6 +172,28 @@ class TestGridLookup:
         assert g.contains(query).tolist() == [True]
         assert GridField(g).values(query).tolist() == [1.0]
 
+    def test_one_search_per_query(self, monkeypatch):
+        """A field query runs the lattice-window search once, and decides
+        from its distances both the cells and whether every point is
+        inside, naming the first one outside as the region test would."""
+        g = self.grid()
+        calls = []
+        real = GridData._nearest_cells
+
+        def counted(grid, pts):
+            calls.append(len(pts))
+            return real(grid, pts)
+
+        monkeypatch.setattr(GridData, "_nearest_cells", counted)
+        fld = GridField(g)
+        assert fld.values([(1.0, 1.0), (2.0, 0.9)]).tolist() == [5.0, 6.0]
+        assert calls == [2]
+        outside = (0.0, -2 * float(np.hypot(1.0, 1.0)) - 1e-6)
+        with pytest.raises(FieldDomainError) as exc:
+            fld.values([(1.0, 1.0), outside, (5.0, 5.0)])
+        assert str(exc.value) == f"point {outside} is outside the region of interest"
+        assert calls == [2, 3]
+
     @pytest.mark.parametrize("seed", range(4))
     def test_window_search_matches_a_kd_tree(self, seed):
         """``contains``, ``values`` and ``bounds`` answer as a KD-tree over
@@ -387,23 +409,6 @@ class TestSampledField:
         fld = SampledField(np.array([[1.0, 1.0]]), np.array([5.0]), mask)
         with pytest.raises(FieldDomainError):
             field_value(fld, (11.0, 5.0))
-
-
-class TestMeasure:
-    """A reading is the true value plus one noise draw."""
-
-    def test_zero_noise_is_exact(self):
-        """Without noise the reading is the value and no draw is made."""
-        rng = np.random.default_rng(0)
-        state = rng.bit_generator.state
-        assert env.noisy_reading(5.0, 0.0, rng) == 5.0
-        assert rng.bit_generator.state == state
-
-    def test_noise_moments(self):
-        rng = np.random.default_rng(1)
-        draws = np.array([env.noisy_reading(5.0, 0.7, rng) for _ in range(20000)])
-        np.testing.assert_allclose(draws.mean(), 5.0, atol=0.02)
-        np.testing.assert_allclose(draws.std(), 0.7, atol=0.02)
 
 
 class TestPlacement:

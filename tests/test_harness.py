@@ -318,9 +318,30 @@ JSON_SCALARS = st.one_of(
     st.text(),
 )
 JSON_KEYS = st.one_of(st.text(), st.integers(), FINITE, st.booleans(), st.none())
+#: Keys json and a ``%`` template could print differently.
+ROW_KEYS = st.one_of(st.text(), st.sampled_from(["%", "%s", "a%%b", '"q"', "\\", "\u00e9", "\u2603", "\n"]))
+
+
+def same_key_rows(children):
+    """Lists of two or more dicts with one key order, each column drawn from
+    one plain scalar type or from ``children``."""
+    column = st.one_of(
+        st.just(st.none()), st.just(st.booleans()), st.just(st.integers()),
+        st.just(FINITE), st.just(st.text()), st.just(children),
+    )
+    return st.lists(st.tuples(ROW_KEYS, column), min_size=1, max_size=4, unique_by=lambda kv: kv[0]).flatmap(
+        lambda spec: st.lists(
+            st.tuples(*[values for _, values in spec]).map(lambda row: dict(zip([k for k, _ in spec], row))),
+            min_size=2,
+            max_size=4,
+        )
+    )
+
+
 JSON_TREES = st.recursive(
     JSON_SCALARS,
     lambda children: st.one_of(
+        same_key_rows(children),
         st.lists(children, max_size=5),
         st.lists(children, max_size=5).map(tuple),
         st.lists(FINITE, max_size=5),
@@ -368,6 +389,50 @@ class TestOutputText:
         expected = json_error(tree)
         with pytest.raises(type(expected)) as exc:
             render_run_json(tree)
+        assert str(exc.value) == str(expected)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [{"a": 1.5, "b": 2}, {"a": -0.25, "b": 3}],
+            [{"%": 1.0, "%s": "x", "a%%b": None}, {"%": 2.0, "%s": "y", "a%%b": None}],
+            [{'"q"': [1.0, [2.0, "\u00e9"]], "\u00e9\u2603": True}, {'"q"': [], "\u00e9\u2603": False}],
+            [{"k": {"in": [0.5]}, "j": (1, 2.0)}, {"k": {}, "j": ()}],
+            [{"v": 1.0}, {"v": 1}, {"v": None}, {"v": np.float64(2.5)}],
+            [{"a": 1, "b": 2}, {"b": 2, "a": 1}],
+            [{"a": 1}, {"a": 1, "b": 2}],
+            [{"a": 1}, {1: 1}],
+            [{}, {}],
+            [{"a": 1}, [1]],
+        ],
+        ids=["plain", "percent-keys", "quotes-non-ascii-nested", "nested", "mixed-column",
+             "key-order-differs", "keys-differ", "non-str-key", "empty-dicts", "not-all-dicts"],
+    )
+    def test_lists_of_rows_print_as_json_does(self, rows):
+        """Lists of dicts print as json prints them, whether their keys
+        match in order (one template) or not (one dict at a time)."""
+        for tree in (rows, {"rows": rows, "again": [rows]}):
+            assert render_run_json(tree) == json.dumps(tree, indent=1, allow_nan=False)
+
+    def test_signed_zeros_print_apart_through_one_memo(self):
+        """``0.0 == -0.0``, so the shared float memo must not keep either:
+        each prints its own sign, in a float list, a row column, a scalar
+        and series.csv, whichever comes first."""
+        tree = [0.0, -0.0, [-0.0, 0.0], [{"z": 0.0}, {"z": -0.0}], {"s": -0.0, "t": 0.0}]
+        floats = harness_mod._FloatText()
+        assert render_run_json(tree, floats) == json.dumps(tree, indent=1, allow_nan=False)
+        assert render_run_json(tree[::-1], floats) == json.dumps(tree[::-1], indent=1, allow_nan=False)
+        record = execute_run(parse_config_text(MINI))
+        record["traces"][0]["steps"][0]["error"] = -0.0
+        record["traces"][0]["steps"][1]["error"] = 0.0
+        assert render_series_csv(record, floats) == reference_series_csv(record)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_in_a_row_column_raises_as_json_does(self, bad):
+        rows = [{"a": 1.0, "b": "x"}, {"a": bad, "b": "y"}, {"a": 2.0, "b": "z"}]
+        expected = json_error(rows)
+        with pytest.raises(type(expected)) as exc:
+            render_run_json(rows)
         assert str(exc.value) == str(expected)
 
     def test_unencodable_record_leaves_outputs_untouched(self, tmp_path):

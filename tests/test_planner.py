@@ -29,7 +29,7 @@ from senseplan import (
     run_episode,
     sample_field,
 )
-from senseplan.seeding import STREAM_PLANNER, substream
+from senseplan.seeding import STREAM_NOISE, STREAM_PLANNER, substream
 
 MASK = PolygonMask.rectangle(0.0, 0.0, 10.0, 10.0)
 KERNEL = KernelSpec(signal_variance=4.0, lengthscale=2.0)
@@ -610,6 +610,92 @@ class TestRunEpisode:
                 make_config(**bad)
         cfg = make_config(seed=np.int64(3), trial_index=np.int64(2), horizon=np.int64(2))
         assert (type(cfg.seed), type(cfg.trial_index), type(cfg.horizon)) == (int, int, int)
+
+
+#: A scenario at A2's target count with 13 shared targets, so that both
+#: the full and the shared vectors are long enough for a blocked dot or sum
+#: to round differently from a strided one.
+BOOKKEEPING = dict(n_targets=61, n_candidates=20, n_shared=13, horizon=40, placement_seed=4)
+
+
+def substream_of(cfg, stream):
+    return substream(cfg.seed, stream, cfg.trial_index, PLANNER_KINDS.index(cfg.planner_kind))
+
+
+class TestStepBookkeeping:
+    """Each step's record, built after the loop from batched rows, holds the
+    bits of the per-step formulas; the up-front noise draws are the per-call
+    ones (``TestRandomSelect`` pins the random planner's picks)."""
+
+    @pytest.mark.parametrize(
+        "kind, noise_sd",
+        [("greedy-edg", 0.5), ("random", 0.5), ("greedy-edg", 0.0)],
+    )
+    def test_metrics_equal_the_per_step_formulas_bit_for_bit(self, kind, noise_sd):
+        """Replaying the logged readings through a fresh carried conditioning
+        and scoring each step's fresh contiguous vectors with ``sqrt(r @ r)``
+        and ``v.sum() / n`` gives every metric exactly."""
+        cfg = make_config(planner_kind=kind, noise_sd=noise_sd, **BOOKKEEPING)
+        fld = linear_field()
+        trace = run_episode(cfg, fld)
+        n = len(cfg.targets)
+        shared, _ = intersection_indices(cfg.targets, cfg.candidates)
+        m = len(shared)
+        truth = fld.values(cfg.targets)
+        points = np.vstack([cfg.targets, cfg.candidates])
+        state = gp_mod._CarriedConditioning(cfg.mean, cfg.kernel, cfg.noise_sd, points, cfg.horizon)
+        for step in trace.steps:
+            state.add(n + step.chosen_index, step.measurement)
+            r, v = state.mu[:n] - truth, state.var[:n].copy()
+            r_s, v_s = r[shared], v[shared]
+            norm = math.sqrt(r @ r)
+            assert step.error == norm / n
+            assert step.rmse == norm / math.sqrt(n)
+            assert step.variance == float(v.sum() / n)
+            assert step.error_shared == math.sqrt(r_s @ r_s) / m
+            assert step.variance_shared == float(v_s.sum() / m)
+
+    @pytest.mark.parametrize("kind", PLANNER_KINDS)
+    def test_measurements_are_truth_plus_the_noise_substream(self, kind):
+        """A step's reading is the truth at its candidate plus that step's
+        entry of ``normal(0, sd, size=H)`` from the episode's noise
+        substream, which are also the draws of one call per step."""
+        cfg = make_config(planner_kind=kind, **BOOKKEEPING)
+        fld = linear_field()
+        trace = run_episode(cfg, fld)
+        truth = fld.values(cfg.candidates)[[s.chosen_index for s in trace.steps]]
+        batched = substream_of(cfg, STREAM_NOISE).normal(0.0, cfg.noise_sd, size=cfg.horizon)
+        rng = substream_of(cfg, STREAM_NOISE)
+        per_call = [float(rng.normal(0.0, cfg.noise_sd)) for _ in range(cfg.horizon)]
+        assert [s.measurement for s in trace.steps] == (truth + batched).tolist()
+        assert batched.tolist() == per_call
+
+    @pytest.mark.parametrize("kind", PLANNER_KINDS)
+    def test_zero_noise_measurement_is_the_truth(self, kind):
+        cfg = make_config(planner_kind=kind, noise_sd=0.0, horizon=6)
+        fld = linear_field()
+        trace = run_episode(cfg, fld)
+        truth = fld.values(cfg.candidates)
+        assert [s.measurement for s in trace.steps] == [truth[s.chosen_index] for s in trace.steps]
+
+    def test_partial_trace_steps_are_the_full_run_steps(self, monkeypatch):
+        """An episode aborted at step 4 carries its first three steps with
+        the bits the uninterrupted episode gives them."""
+        cfg = make_config(planner_kind="greedy-edg", **BOOKKEEPING)
+        full = run_episode(cfg, linear_field()).steps[:3]
+        calls = {"n": 0}
+        real = planner_mod._explained_share
+
+        def flaky(*args, **kwargs):
+            share = real(*args, **kwargs)
+            calls["n"] += 1
+            return share if calls["n"] <= 3 else np.full_like(share, np.nan)
+
+        monkeypatch.setattr(planner_mod, "_explained_share", flaky)
+        with pytest.raises(PlanningError) as err:
+            run_episode(cfg, linear_field())
+        partial = err.value.partial_trace.steps
+        assert [vars(s) for s in partial] == [vars(s) for s in full]
 
 
 class TestPairedSeeding:

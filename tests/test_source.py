@@ -222,3 +222,21 @@ def test_public_functions_are_used_or_documented():
             if (module, node.name) not in imported and node.name not in own and not documented:
                 unused.append(f"{module}.{node.name}")
     assert unused == []
+
+
+def test_floats_are_formatted_only_by_the_memo():
+    """``harness.py`` formats a float with ``float.__repr__`` in one place,
+    the run's float-text memo, so run.json and series.csv print each
+    distinct float once."""
+    tree = ast.parse((PACKAGE_DIR / "harness.py").read_text())
+    memo = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "_FloatText")
+    calls = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr == "__repr__"
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "float"
+    ]
+    inside = {id(node) for node in ast.walk(memo)}
+    assert calls and [node.lineno for node in calls if id(node) not in inside] == []
