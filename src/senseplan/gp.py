@@ -3,7 +3,12 @@
 The prior is a constant mean plus an isotropic squared-exponential
 covariance.  All operations take explicit location sets and return dense
 means and covariances.  Linear systems are solved through Cholesky
-factorizations, never through explicit inverses.
+factorizations, never through explicit inverses.  Each factorization is
+LAPACK ``dpotrf`` and each triangular solve ``dtrtrs``, called from
+scipy's extension ``scipy.linalg._flapack``, which :func:`_load_flapack`
+loads from its file: the routines and bits of ``scipy.linalg.cholesky``
+and ``solve_triangular``, without importing ``scipy.linalg``.  No LAPACK
+routine is called on an empty array.
 
 One rule covers every conditioning on a log: a reading whose Cholesky
 pivot ``d^2`` is at or below ``JITTER_LADDER[0]`` of the prior variance
@@ -35,11 +40,13 @@ arrays as they are.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cholesky, get_lapack_funcs, solve_triangular
+import scipy
 
 from .errors import InvalidInputError, NumericalDegeneracyError
 
@@ -51,6 +58,31 @@ JITTER_LADDER = (1e-10, 1e-8, 1e-6)
 #: Rows of :func:`kernel_matrix`'s output filled per pass; its temporary
 #: holds this many rows at most.
 _KERNEL_BLOCK = 16
+
+
+def _load_flapack():
+    """scipy's LAPACK extension ``scipy.linalg._flapack``, loaded from its file.
+
+    It is the extension, and the OpenBLAS, that ``scipy.linalg.cholesky``
+    and ``solve_triangular`` call, so results keep their bits; importing
+    ``scipy.linalg`` instead would also load scipy's array-API layer, which
+    clones numpy's namespace (``numpy.f2py`` and ``numpy.testing`` with it).
+    The extension registers under its own name, so a later ``import
+    scipy.linalg`` reuses this module.  Raises ImportError naming the
+    directory searched if the extension is not there.
+    """
+    where = f"{scipy.__path__[0]}/linalg"
+    loader = (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES)
+    spec = importlib.machinery.FileFinder(where, loader).find_spec("scipy.linalg._flapack")
+    if spec is None:
+        raise ImportError(f"scipy's LAPACK extension _flapack not found in {where}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+#: The LAPACK routines every factorization and triangular solve calls.
+_FLAPACK = _load_flapack()
 
 
 def _floats(values, what: str) -> np.ndarray:
@@ -259,11 +291,12 @@ def jittered_cholesky(matrix, base_jitter: float = 0.0):
     Factorizes ``matrix + r * scale * I`` where ``scale`` is the mean
     diagonal entry and ``r`` runs through ``base_jitter`` followed by the
     ladder ``1e-10, 1e-8, 1e-6`` (each floored by ``base_jitter``) until one
-    attempt succeeds.  As with ``scipy.linalg.cholesky(lower=True)``, only
-    the lower triangle is read; a non-finite entry anywhere raises
-    ValueError.  ``matrix`` is left unchanged: it is copied once, the copy's
-    strict upper triangle is made to mirror its lower one, and every rung
-    factors that copy in place.
+    attempt succeeds.  Each attempt is LAPACK ``dpotrf`` from scipy's
+    extension (see :func:`_cholesky_in_place`), the call
+    ``scipy.linalg.cholesky(lower=True)`` makes, so only the lower triangle
+    is read; a non-finite entry anywhere raises ValueError.  ``matrix`` is
+    left unchanged: it is copied once, the copy's strict upper triangle is
+    made to mirror its lower one, and every rung factors that copy in place.
 
     Returns
     -------
@@ -291,11 +324,14 @@ def _cholesky_in_place(a: np.ndarray, base_jitter: float):
     which must be finite and exactly symmetric (a kernel matrix is both) and
     which it overwrites with the factor; no rung copies it.
 
-    LAPACK ``potrf`` (the routine ``scipy.linalg.cholesky`` calls) reads
-    and writes only the lower triangle.  The strict upper triangle, a
+    Each rung calls ``_FLAPACK.dpotrf(a, lower=1, clean=0,
+    overwrite_a=1)``, the double-precision LAPACK routine
+    ``scipy.linalg.cholesky`` calls, which reads and writes only the lower
+    triangle of the float64 buffer in place.  The strict upper triangle, a
     mirror of it, and the diagonal saved before the first rung restore the
     matrix after a failed rung; the upper triangle is zeroed once a rung
-    succeeds.  Each rung factors the bits of ``a + r * scale * I``.
+    succeeds.  Each rung factors the bits of ``a + r * scale * I``.  An
+    empty ``a`` is returned as it is, with no LAPACK call.
     """
     n = len(a)
     if n == 0:
@@ -304,7 +340,6 @@ def _cholesky_in_place(a: np.ndarray, base_jitter: float):
     if not np.isfinite(scale) or scale <= 0.0:
         scale = 1.0
     diag = np.diagonal(a).copy()
-    (potrf,) = get_lapack_funcs(("potrf",), (a,))
     ladder = dict.fromkeys(
         (float(base_jitter), *(max(float(base_jitter), r) for r in JITTER_LADDER))
     )
@@ -314,7 +349,7 @@ def _cholesky_in_place(a: np.ndarray, base_jitter: float):
                 a[j + 1 :, j] = a[j, j + 1 :]
         if rel:
             np.fill_diagonal(a, diag + rel * scale)
-        if potrf(a, lower=1, clean=0, overwrite_a=1)[1] == 0:
+        if _FLAPACK.dpotrf(a, lower=1, clean=0, overwrite_a=1)[1] == 0:
             for j in range(1, n):
                 a[:j, j] = 0.0
             return a, rel
@@ -322,6 +357,24 @@ def _cholesky_in_place(a: np.ndarray, base_jitter: float):
         f"covariance factorization failed up to relative jitter {rel:g}",
         jitter_attempted=rel,
     )
+
+
+def _solve_lower(L: np.ndarray, B) -> np.ndarray:
+    """``L^-1 B`` for a Fortran-ordered lower-triangular factor ``L`` (as
+    ``dpotrf`` and :func:`_cholesky_in_place` leave it) and a vector or
+    matrix ``B``: LAPACK ``dtrtrs``, the call and bits of
+    ``scipy.linalg.solve_triangular(L, B, lower=True)``, without its
+    finiteness check.  A zero-size ``B`` gives an empty array and no LAPACK
+    call.  Raises LinAlgError on a zero pivot of ``L``.
+    """
+    if np.size(B) == 0:
+        return np.empty(np.shape(B))
+    x, info = _FLAPACK.dtrtrs(L, B, lower=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"singular matrix: resolution failed at diagonal {info - 1}")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal trtrs")
+    return x
 
 
 def kernel_matrix(spec: KernelSpec, X, Y) -> np.ndarray:
@@ -398,22 +451,21 @@ def _condition(mean: MeanSpec, kernel: KernelSpec, Y, y, noise_sd: float, P):
     factor ``L`` and the raw (unclamped) means and variances at ``P``.  A
     Gram matrix that does not factor with every pivot above the
     threshold of ``_CarriedRows._push`` is fed in order through
-    :class:`_CarriedConditioning`, which skips the readings it should.
+    :class:`_CarriedConditioning`, which skips the readings it should.  An
+    empty log gives the prior, with no LAPACK call.
     """
     s2, sf2 = noise_sd**2, kernel.signal_variance
+    if len(y) == 0:
+        return np.empty((0, len(P))), mean.constant + np.zeros(len(P)), sf2 - np.zeros(len(P))
     G = kernel_matrix(kernel, Y, Y) + (s2 + kernel.jitter * (sf2 + s2)) * np.eye(len(y))
-    try:
-        L = cholesky(G, lower=True)
-        degenerate = np.any(np.diagonal(L) ** 2 <= JITTER_LADDER[0] * sf2)
-    except LinAlgError:
-        degenerate = True
-    if degenerate:
+    L, info = _FLAPACK.dpotrf(G, lower=1)
+    if info != 0 or np.any(np.diagonal(L) ** 2 <= JITTER_LADDER[0] * sf2):
         state = _CarriedConditioning(mean, kernel, noise_sd, np.vstack([P, Y]), len(y))
         for i, z in enumerate(y):
             state.add(len(P) + i, z)
         return state.W[: state.k, : len(P)], state.mu[: len(P)], state.var[: len(P)]
-    W = solve_triangular(L, kernel_matrix(kernel, Y, P), lower=True)
-    mu = mean.constant + solve_triangular(L, y - mean.constant, lower=True) @ W
+    W = _solve_lower(L, kernel_matrix(kernel, Y, P))
+    mu = mean.constant + _solve_lower(L, y - mean.constant) @ W
     return W, mu, sf2 - np.einsum("ij,ij->j", W, W)
 
 

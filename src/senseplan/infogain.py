@@ -35,7 +35,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import InvalidInputError, NumericalDegeneracyError
 from .gp import (
@@ -45,6 +44,7 @@ from .gp import (
     MeanSpec,
     MeasurementLog,
     _integer_at_least,
+    _solve_lower,
     _variance_pair,
     as_point,
     as_points,
@@ -119,7 +119,7 @@ def kl_gaussian(post: GaussianBelief, pre: GaussianBelief) -> float:
     if not np.array_equal(post.query, pre.query):
         raise InvalidInputError("beliefs must be over the same query locations")
     L, spread = _covariance_part(pre.cov, post.cov - pre.cov)
-    w = solve_triangular(L, post.mean - pre.mean, lower=True)
+    w = _solve_lower(L, post.mean - pre.mean)
     return spread + 0.5 * float(w @ w)
 
 
@@ -128,8 +128,8 @@ def _covariance_part(Q: np.ndarray, delta: np.ndarray) -> tuple[np.ndarray, floa
     sum(lam - log1p(lam))`` of the KL divergence to ``Q`` from a covariance
     ``Q + delta`` (see :func:`kl_gaussian`)."""
     L, _ = jittered_cholesky(Q)
-    half = solve_triangular(L, delta, lower=True)
-    lam = np.maximum(np.linalg.eigvalsh(solve_triangular(L, half.T, lower=True)), -1.0)
+    half = _solve_lower(L, delta)
+    lam = np.maximum(np.linalg.eigvalsh(_solve_lower(L, half.T)), -1.0)
     with np.errstate(divide="ignore"):
         return L, 0.5 * float(np.sum(lam - np.log1p(lam)))
 
@@ -218,7 +218,7 @@ def edg_quadrature(
         return 0.0
     g = cov[:n, n] / d2
     L, spread = _covariance_part(cov[:n, :n], -d2 * np.outer(g, g))
-    u = solve_triangular(L, g, lower=True)
+    u = _solve_lower(L, g)
     t, w = quad.nodes()
     return float(w @ (spread + (var[n] + s2) * t**2 * (u @ u))) / math.sqrt(math.pi)
 

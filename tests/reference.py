@@ -20,7 +20,10 @@ of which the package's short form computes.
 
 :func:`ladder_cholesky` and :func:`prior_draw` are the jitter ladder and
 the gp-sample draw as plain scipy calls, one fresh matrix per rung, for
-checking the in-place factorization bit for bit.
+checking the in-place factorization bit for bit.  :func:`scipy_condition`
+is the from-scratch conditioning through ``scipy.linalg``'s checked
+wrappers, for checking the package's direct LAPACK calls bit for bit;
+:func:`same_bits` compares two results of either route.
 
 :func:`render_series_csv` writes ``series.csv`` one value at a time, each
 converted by ``float`` and written with ``repr``, for checking the
@@ -36,11 +39,11 @@ from configparser import ConfigParser
 
 import numpy as np
 from mpmath import mp
-from scipy.linalg import LinAlgError, cho_solve, cholesky
+from scipy.linalg import LinAlgError, cho_solve, cholesky, solve_triangular
 from scipy.spatial.distance import cdist
 
 from senseplan import NumericalDegeneracyError, edg_exact, posterior
-from senseplan.gp import JITTER_LADDER, jittered_cholesky
+from senseplan.gp import JITTER_LADDER, _CarriedConditioning, jittered_cholesky, kernel_matrix
 from senseplan.harness import METRIC_FIELDS
 from senseplan.metrics import METRIC_NAMES
 
@@ -156,6 +159,40 @@ def prior_draw(mean, kernel, pts, seed):
     K = kernel.signal_variance * np.exp(-cdist(pts, pts, "sqeuclidean") / (2.0 * kernel.lengthscale**2))
     L, _ = ladder_cholesky(K, base_jitter=kernel.jitter)
     return mean.constant + L @ np.random.default_rng(seed).standard_normal(len(pts))
+
+
+def scipy_condition(mean, kernel, Y, y, noise_sd, P):
+    """``gp._condition`` with ``scipy.linalg.cholesky`` and
+    ``solve_triangular`` in place of the direct ``dpotrf`` and ``dtrtrs``
+    calls; scipy's wrappers check finiteness and return early on empty
+    arrays, so an empty log needs no branch of its own."""
+    s2, sf2 = noise_sd**2, kernel.signal_variance
+    G = kernel_matrix(kernel, Y, Y) + (s2 + kernel.jitter * (sf2 + s2)) * np.eye(len(y))
+    try:
+        L = cholesky(G, lower=True)
+        degenerate = np.any(np.diagonal(L) ** 2 <= JITTER_LADDER[0] * sf2)
+    except LinAlgError:
+        degenerate = True
+    if degenerate:
+        state = _CarriedConditioning(mean, kernel, noise_sd, np.vstack([P, Y]), len(y))
+        for i, z in enumerate(y):
+            state.add(len(P) + i, z)
+        return state.W[: state.k, : len(P)], state.mu[: len(P)], state.var[: len(P)]
+    W = solve_triangular(L, kernel_matrix(kernel, Y, P), lower=True)
+    mu = mean.constant + solve_triangular(L, y - mean.constant, lower=True) @ W
+    return W, mu, sf2 - np.einsum("ij,ij->j", W, W)
+
+
+def same_bits(x, y) -> bool:
+    """Whether ``x`` and ``y`` have the same structure (dicts, tuples and
+    lists) and the same dtype, shape and bytes at every leaf, so NaN and
+    signed zero count too."""
+    if isinstance(x, dict):
+        return isinstance(y, dict) and x.keys() == y.keys() and all(same_bits(x[k], y[k]) for k in x)
+    if isinstance(x, (tuple, list)):
+        return type(x) is type(y) and len(x) == len(y) and all(map(same_bits, x, y))
+    a, b = np.asarray(x), np.asarray(y)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def render_series_csv(record: dict) -> str:

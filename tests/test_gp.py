@@ -5,12 +5,16 @@ textbook formulas with an explicit matrix inverse.  The library itself
 never forms an inverse, so agreement is a real cross-check.
 """
 
+import importlib.machinery
+import re
 import tracemalloc
 from collections.abc import MutableMapping, MutableSequence, MutableSet
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from reference import ladder_cholesky, prior_draw
+import scipy.linalg
+from reference import ladder_cholesky, prior_draw, same_bits, scipy_condition
 from scipy.spatial.distance import cdist
 
 import senseplan.gp as gp_mod
@@ -666,6 +670,68 @@ class TestPriorSampling:
         K = kernel_matrix(kernel, grid, grid)
         np.testing.assert_allclose(draws.mean(axis=0), [1.0, 1.0, 1.0], atol=0.1)
         np.testing.assert_allclose(np.cov(draws.T), K, atol=0.15)
+
+
+class TestLapackCalls:
+    """The factorizations and triangular solves call scipy's LAPACK
+    extension directly and give the bits of ``scipy.linalg``'s wrappers."""
+
+    @pytest.mark.parametrize("n", [1, 7, 116])
+    @pytest.mark.parametrize("rhs", ["vector", "C-ordered matrix", "F-ordered matrix"])
+    def test_solve_lower_bits_of_solve_triangular(self, n, rhs):
+        rng = np.random.default_rng(n)
+        A = rng.standard_normal((n, n))
+        L = scipy.linalg.cholesky(A @ A.T + n * np.eye(n), lower=True)
+        B = {
+            "vector": rng.standard_normal(n),
+            "C-ordered matrix": rng.standard_normal((n, 5)),
+            "F-ordered matrix": np.asfortranarray(rng.standard_normal((n, 5))),
+        }[rhs]
+        before = B.copy()
+        assert same_bits(gp_mod._solve_lower(L, B), scipy.linalg.solve_triangular(L, B, lower=True))
+        assert same_bits(B, before)
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 4), (3, 0)])
+    def test_zero_size_right_side_gives_an_empty_array(self, capfd, shape):
+        L = np.asfortranarray(np.eye(shape[0]))
+        B = np.empty(shape)
+        assert same_bits(gp_mod._solve_lower(L, B), scipy.linalg.solve_triangular(L, B, lower=True))
+        assert capfd.readouterr() == ("", "")
+
+    def test_condition_factor_bits_of_scipy_cholesky(self, monkeypatch):
+        """``_condition`` factors its Gram matrix as
+        ``scipy.linalg.cholesky(lower=True)`` does, and returns what the
+        conditioning through ``scipy.linalg`` returns."""
+        mean, kernel, log, query = random_instance(np.random.default_rng(7), n_obs=12, n_query=30)
+        args = (mean, kernel, log.locations, log.values, log.noise_sd, query)
+        flapack, factored = gp_mod._FLAPACK, []
+
+        def dpotrf(G, **kwargs):
+            L, info = flapack.dpotrf(G, **kwargs)
+            factored.append((G, L))
+            return L, info
+
+        monkeypatch.setattr(gp_mod, "_FLAPACK", SimpleNamespace(dpotrf=dpotrf, dtrtrs=flapack.dtrtrs))
+        conditioned = gp_mod._condition(*args)
+        [(G, L)] = factored
+        assert same_bits(L, scipy.linalg.cholesky(G, lower=True))
+        assert same_bits(conditioned, scipy_condition(*args))
+
+    def test_zero_pivot_raises_linalg_error(self):
+        L = np.asfortranarray(np.tril(np.ones((3, 3))))
+        L[1, 1] = 0.0
+        assert scipy.linalg.LinAlgError is np.linalg.LinAlgError
+        for solve in (gp_mod._solve_lower, lambda L, b: scipy.linalg.solve_triangular(L, b, lower=True)):
+            with pytest.raises(scipy.linalg.LinAlgError):
+                solve(L, np.ones(3))
+
+    def test_scipy_linalg_reuses_the_extension(self):
+        assert scipy.linalg.lapack._flapack is gp_mod._FLAPACK
+
+    def test_missing_extension_raises_import_error(self, monkeypatch):
+        monkeypatch.setattr(importlib.machinery.FileFinder, "find_spec", lambda self, name, target=None: None)
+        with pytest.raises(ImportError, match=re.escape(f"{scipy.__path__[0]}/linalg")):
+            gp_mod._load_flapack()
 
 
 def test_module_holds_no_mutable_state():

@@ -5,9 +5,11 @@ import json
 import math
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,10 +17,10 @@ import senseplan.gp as gp_mod
 import senseplan.harness as harness_mod
 import senseplan.infogain as infogain_mod
 import senseplan.planner as planner_mod
-from senseplan import edg_exact, edg_unnormalized_form
+from senseplan import edg_exact, edg_quadrature, edg_unnormalized_form, posterior
 from senseplan.cli import main
 from senseplan.config import parse_config_text
-from senseplan.gp import MeasurementLog
+from senseplan.gp import MeasurementLog, predictive_moments
 from senseplan.harness import (
     _OPENBLAS_SET_THREADS,
     _loaded_openblas,
@@ -32,7 +34,7 @@ from senseplan.harness import (
     write_outputs,
 )
 
-from reference import ini_text, render_series_csv as reference_series_csv
+from reference import ini_text, render_series_csv as reference_series_csv, same_bits, scipy_condition
 
 MINI = """
 [scenario]
@@ -563,6 +565,40 @@ class TestScore:
         table = score_table(cfg, log)
         assert len(calls) == 1
         np.testing.assert_allclose([row["edg_unnormalized"] for row in table["rows"]], expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("entry", ["predictive_moments", "posterior", "_variance_pair", "edg_quadrature", "score_table"])
+    def test_empty_log_gives_the_scipy_bits_and_prints_nothing(self, monkeypatch, capfd, entry):
+        """An empty log is conditioned on with no LAPACK call of size 0
+        (which LAPACK may report on stdout), prints nothing, and gives the
+        bits of the conditioning through ``scipy.linalg``'s wrappers."""
+        cfg = parse_config_text(MINI)
+        log = MeasurementLog.empty(cfg.noise_sd)
+        mean, kernel = harness_mod._specs(cfg)
+        targets, candidates = harness_mod.trial_placement(cfg, harness_mod.build_mask(cfg), 0)
+        points = np.vstack([targets, candidates])
+        call = {
+            "predictive_moments": lambda: predictive_moments(mean, kernel, log, points),
+            "posterior": lambda: vars(posterior(mean, kernel, log, points)),
+            "_variance_pair": lambda: gp_mod._variance_pair(kernel, log, targets, candidates),
+            "edg_quadrature": lambda: edg_quadrature(mean, kernel, log, candidates[0], targets),
+            "score_table": lambda: score_table(cfg, log),
+        }[entry]
+        flapack = gp_mod._FLAPACK
+
+        def sized(routine):
+            def checked(*arrays, **kwargs):
+                assert all(np.size(a) for a in arrays), "LAPACK called with an empty array"
+                return routine(*arrays, **kwargs)
+
+            return checked
+
+        with monkeypatch.context() as m:
+            m.setattr(gp_mod, "_FLAPACK", SimpleNamespace(dpotrf=sized(flapack.dpotrf), dtrtrs=sized(flapack.dtrtrs)))
+            direct = call()
+        assert capfd.readouterr() == ("", "")
+        monkeypatch.setattr(gp_mod, "_condition", scipy_condition)
+        monkeypatch.setattr(infogain_mod, "_solve_lower", lambda L, B: scipy.linalg.solve_triangular(L, B, lower=True))
+        assert same_bits(direct, call())
 
     def test_out_of_roi_log_rejected(self):
         cfg = parse_config_text(MINI)

@@ -71,6 +71,24 @@ def test_cli_import_leaves_scipy_spatial_out():
     assert out.stdout.strip() == "[]"
 
 
+def test_cli_import_loads_only_scipys_lapack_extension():
+    """``import senseplan.cli`` in a fresh interpreter loads scipy's LAPACK
+    extension but not ``scipy.linalg``, nor the numpy modules scipy's
+    array-API layer would pull in with it."""
+    code = (
+        "import sys, senseplan.cli; print(sorted(m for m in ('scipy.linalg', 'scipy.linalg._flapack', "
+        "'scipy.spatial', 'scipy.special', 'numpy.f2py', 'numpy.testing') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE_DIR.parent)},
+    )
+    assert out.stdout.strip() == "['scipy.linalg._flapack']"
+
+
 def private_definitions(tree: ast.Module) -> dict:
     """Module-level ``_``-prefixed functions and constants, by name, with
     the node that defines each."""
