@@ -58,7 +58,6 @@ from .metrics import (
 )
 from .planner import (
     PLANNER_KINDS,
-    EpisodeStep,
     EpisodeTrace,
     ScenarioConfig,
     greedy_select,
@@ -73,7 +72,6 @@ __all__ = [
     "ConfigError",
     "DataError",
     "EDGResult",
-    "EpisodeStep",
     "EpisodeTrace",
     "FieldDomainError",
     "GaussianBelief",

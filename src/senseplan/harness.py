@@ -36,7 +36,7 @@ from .environment import (
     sample_field,
 )
 from .errors import ConfigError, DataError, NumericalDegeneracyError, SensorPlanError
-from .gp import KernelSpec, MeanSpec, MeasurementLog, _cholesky_in_place, _variance_pair, as_points, kernel_matrix
+from .gp import KernelSpec, MeanSpec, MeasurementLog, _variance_pair, as_points
 from .infogain import _explained_share, _unnormalized, edg_quadrature
 from .metrics import METRIC_NAMES, aggregate_series
 from .planner import EpisodeTrace, ScenarioConfig, _greedy_choice, run_episode
@@ -47,7 +47,7 @@ from .seeding import (
     substream_seed,
 )
 
-#: Map from aggregated metric name to the EpisodeStep attribute behind it;
+#: Map from aggregated metric name to the step key behind it in run.json;
 #: series.csv writes the METRIC_NAMES among them.
 METRIC_FIELDS = {
     "error-V": "error",
@@ -136,31 +136,11 @@ def _unique_points(*arrays) -> np.ndarray:
     return np.array(list(seen))
 
 
-def _jf(x: float):
-    """JSON-safe float: NaN becomes null."""
-    x = float(x)
-    return None if math.isnan(x) else x
-
-
 def _trace_to_dict(trace: EpisodeTrace, trial: int, planner: str) -> dict:
     rec = {
         "trial": trial,
         "planner": planner,
-        "steps": [
-            {
-                "step": s.index,
-                "chosen_index": s.chosen_index,
-                "chosen": [s.chosen[0], s.chosen[1]],
-                "score": _jf(s.score),
-                "measurement": s.measurement,
-                "error": s.error,
-                "variance": s.variance,
-                "error_shared": _jf(s.error_shared),
-                "variance_shared": _jf(s.variance_shared),
-                "rmse": s.rmse,
-            }
-            for s in trace.steps
-        ],
+        "steps": list(trace.steps),
         "targets": trace.config.targets.tolist(),
         "candidates": trace.config.candidates.tolist(),
     }
@@ -240,7 +220,7 @@ def execute_run(cfg: RunConfig, workers: int = 1) -> dict:
     aggregates = {kind: {} for kind in cfg.planner_kinds}
     for kind in cfg.planner_kinds:
         for name, field in METRIC_FIELDS.items():
-            # A null (NaN) field reads as NaN in the float array.
+            # A null (None) value reads as NaN in the float array.
             per_trial = [[step[field] for step in res["traces"][kind]["steps"]] for res in results]
             series = aggregate_series(name, per_trial)
             aggregates[kind][name] = {
@@ -558,7 +538,8 @@ def validate_run_config(cfg: RunConfig) -> tuple[list[str], list[str]]:
     """Semantic checks beyond parsing.
 
     Returns (config_issues, data_issues); both empty means the
-    configuration is runnable.
+    configuration is runnable.  A gp-sample config is probed by drawing
+    trial 0's field as the run does; the other field kinds factor nothing.
     """
     config_issues: list[str] = []
     data_issues: list[str] = []
@@ -576,8 +557,6 @@ def validate_run_config(cfg: RunConfig) -> tuple[list[str], list[str]]:
         config_issues.append(str(exc))
         return config_issues, data_issues
 
-    _, kernel = _specs(cfg)
-
     if cfg.placement_kind == "explicit":
         for name, pts in (("target", cfg.explicit_targets), ("candidate", cfg.explicit_candidates)):
             for i in np.flatnonzero(~mask.contains(pts)):
@@ -591,9 +570,9 @@ def validate_run_config(cfg: RunConfig) -> tuple[list[str], list[str]]:
         config_issues.append(f"placement probe failed: {exc}")
         return config_issues, data_issues
 
-    pts = _unique_points(targets, candidates)
-    try:
-        _cholesky_in_place(kernel_matrix(kernel, pts, pts).T, kernel.jitter)
-    except NumericalDegeneracyError as exc:
-        config_issues.append(f"kernel matrix on configured points is not usable: {exc}")
+    if cfg.field_kind == "gp-sample":
+        try:
+            trial_field(cfg, mask, 0, targets, candidates)
+        except NumericalDegeneracyError as exc:
+            config_issues.append(f"kernel matrix on configured points is not usable: {exc}")
     return config_issues, data_issues

@@ -6,8 +6,9 @@ variance ``tr(Sigma) / N``.  Both are reported over the full target set
 (suffix ``-V``) and over the targets shared with the candidate set
 (suffix ``-I``).  Root-mean-square error is kept as an auxiliary
 diagnostic because its normalization (sqrt(N) rather than N) differs.
-The planner records each step's values as ``EpisodeStep`` fields (``error``,
-``variance``, their ``_shared`` forms, ``rmse``); this module aggregates them.
+The planner records each step's values under the keys of run.json's step
+objects (``error``, ``variance``, their ``_shared`` forms, ``rmse``); this
+module aggregates them.
 """
 
 from __future__ import annotations

@@ -5,10 +5,10 @@ pick a candidate location (greedily by expected information gain, or
 uniformly at random), take one noisy reading there, fold it into the
 conditioning the episode carries over targets and candidates, and keep
 the targets' posterior means and variances; every step is scored from
-them once the loop ends.  A greedy episode also carries the
-candidates' variances given the targets' values; the next decision
-scores each candidate from its two variances.  No step conditions on
-the whole log afresh.
+them once the loop ends, into the step object that run.json prints.  A
+greedy episode also carries the candidates' variances given the
+targets' values; the next decision scores each candidate from its two
+variances.  No step conditions on the whole log afresh.
 Episodes are deterministic given the scenario seed; noise and planner
 randomness come from separate substreams so paired comparisons stay
 paired.
@@ -94,27 +94,12 @@ class ScenarioConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class EpisodeStep:
-    """Record of one measurement and the belief scored right after it."""
-
-    index: int
-    chosen_index: int
-    chosen: tuple[float, float]
-    score: float
-    measurement: float
-    error: float
-    variance: float
-    error_shared: float
-    variance_shared: float
-    rmse: float
-
-
-@dataclass(frozen=True, eq=False)
 class EpisodeTrace:
-    """Steps of one episode plus the belief after the final measurement."""
+    """Steps of one episode, each the step object run.json prints, plus the
+    belief after the final measurement."""
 
     config: ScenarioConfig
-    steps: tuple[EpisodeStep, ...]
+    steps: tuple[dict, ...]
     final_belief: Optional[GaussianBelief] = field(default=None, repr=False)
 
 
@@ -138,17 +123,12 @@ def _greedy_choice(kernel: KernelSpec, noise_sd: float, var, explained) -> tuple
     return int(np.flatnonzero(gains >= (1.0 - TIE_RTOL) * gains.max())[0]), gains
 
 
-def _greedy_on_log(kernel: KernelSpec, log: MeasurementLog, candidates, targets):
-    """:func:`_greedy_choice` on one conditioning of ``log`` and the targets."""
-    return _greedy_choice(kernel, log.noise_sd, *_variance_pair(kernel, log, targets, candidates))
-
-
 def greedy_select(kernel: KernelSpec, log: MeasurementLog, candidates, targets) -> tuple[np.ndarray, float]:
     """Location of the highest-gain candidate, and its score."""
     cands, pts = as_points(candidates), as_points(targets)
     if len(cands) == 0 or len(pts) == 0:
         raise InvalidInputError("candidates and targets must be nonempty")
-    idx, gains = _greedy_on_log(kernel, log, cands, pts)
+    idx, gains = _greedy_choice(kernel, log.noise_sd, *_variance_pair(kernel, log, pts, cands))
     return cands[idx], float(gains[idx])
 
 
@@ -206,20 +186,21 @@ def run_episode(config: ScenarioConfig, fld: GroundTruthField) -> EpisodeTrace:
 
 
 def _steps(config: ScenarioConfig, truth_t, chosen, scores, readings, means, variances) -> list:
-    """The :class:`EpisodeStep` of each of the ``K`` complete steps in
-    ``chosen``, scored from the target means and variances (the first ``K``
-    rows of ``means`` and ``variances``) after each.
+    """The step object run.json prints for each of the ``K`` complete steps
+    in ``chosen``, scored from the target means and variances (the first
+    ``K`` rows of ``means`` and ``variances``) after each.
 
     Each row is scored as one step's vector would be: the norm is
     ``sqrt(r @ r)`` of a contiguous row, a mean variance its row sum over
     its length.  The shared targets' columns are copied contiguous first,
-    so their rows sum and dot as fresh vectors do.  ``scores`` is empty
-    for the random planner, whose steps score NaN.
+    so their rows sum and dot as fresh vectors do.  A column that has no
+    value is None throughout: ``score`` for the random planner (``scores``
+    is empty), the ``_shared`` ones when no target is a candidate.
     """
     n, K = len(truth_t), len(chosen)
     residual, variances = means[:K] - truth_t, variances[:K]
     norm = _row_norms(residual)
-    error_shared = variance_shared = [math.nan] * K
+    error_shared = variance_shared = [None] * K
     try:
         shared_t, _ = intersection_indices(config.targets, config.candidates)
     except InvalidInputError:
@@ -228,24 +209,24 @@ def _steps(config: ScenarioConfig, truth_t, chosen, scores, readings, means, var
         r_s = np.ascontiguousarray(residual[:, shared_t])
         error_shared = (_row_norms(r_s) / len(shared_t)).tolist()
         variance_shared = (np.ascontiguousarray(variances[:, shared_t]).sum(axis=1) / len(shared_t)).tolist()
-    cands = config.candidates.tolist()
     return [
-        EpisodeStep(
-            index=k,
-            chosen_index=idx,
-            chosen=tuple(cands[idx]),
-            score=score,
-            measurement=reading,
-            error=err,
-            variance=var,
-            error_shared=err_i,
-            variance_shared=var_i,
-            rmse=rmse,
-        )
-        for k, idx, score, reading, err, var, err_i, var_i, rmse in zip(
+        {
+            "step": k,
+            "chosen_index": idx,
+            "chosen": xy,
+            "score": score,
+            "measurement": reading,
+            "error": err,
+            "variance": var,
+            "error_shared": err_i,
+            "variance_shared": var_i,
+            "rmse": rmse,
+        }
+        for k, idx, xy, score, reading, err, var, err_i, var_i, rmse in zip(
             range(1, K + 1),
             chosen,
-            scores[:K] if scores else [math.nan] * K,
+            config.candidates[chosen].tolist(),
+            scores[:K] if scores else [None] * K,
             readings,
             (norm / n).tolist(),
             (variances.sum(axis=1) / n).tolist(),

@@ -31,6 +31,10 @@ package's one-pass renderer byte for byte.
 
 :func:`ini_text` writes an echoed configuration back as INI text with the
 standard library's ``ConfigParser``.
+
+:func:`greedy_on_log` is the greedy rule's pick and gain vector for a
+fixed log, as ``greedy_select`` computes them, for the tests that read
+every candidate's gain.
 """
 
 import io
@@ -43,9 +47,10 @@ from scipy.linalg import LinAlgError, cho_solve, cholesky, solve_triangular
 from scipy.spatial.distance import cdist
 
 from senseplan import NumericalDegeneracyError, edg_exact, posterior
-from senseplan.gp import JITTER_LADDER, _CarriedConditioning, jittered_cholesky, kernel_matrix
+from senseplan.gp import JITTER_LADDER, _CarriedConditioning, _variance_pair, jittered_cholesky, kernel_matrix
 from senseplan.harness import METRIC_FIELDS
 from senseplan.metrics import METRIC_NAMES
+from senseplan.planner import _greedy_choice
 
 DPS = 40
 
@@ -216,3 +221,9 @@ def ini_text(sections: dict) -> str:
     out = io.StringIO()
     parser.write(out)
     return out.getvalue()
+
+
+def greedy_on_log(kernel, log, candidates, targets):
+    """Index of the greedy pick and every candidate's gain, from one
+    conditioning of ``log`` and the targets."""
+    return _greedy_choice(kernel, log.noise_sd, *_variance_pair(kernel, log, targets, candidates))

@@ -252,7 +252,7 @@ def test_a4_monotonicity_suite():
                 seed=500 + trial,
             )
             trace = run_episode(cfg, fld)
-            vs = [s.variance for s in trace.steps]
+            vs = [s["variance"] for s in trace.steps]
             variance_ok &= all(b <= a + 1e-10 for a, b in zip(vs, vs[1:]))
 
             prior_cov = kernel_matrix(kernel, targets, targets)

@@ -17,7 +17,15 @@ import senseplan.gp as gp_mod
 import senseplan.harness as harness_mod
 import senseplan.infogain as infogain_mod
 import senseplan.planner as planner_mod
-from senseplan import edg_exact, edg_quadrature, edg_unnormalized_form, posterior
+from senseplan import (
+    NumericalDegeneracyError,
+    ScenarioConfig,
+    edg_exact,
+    edg_quadrature,
+    edg_unnormalized_form,
+    posterior,
+    run_episode,
+)
 from senseplan.cli import main
 from senseplan.config import parse_config_text
 from senseplan.gp import MeasurementLog, predictive_moments
@@ -175,6 +183,66 @@ def test_validate_factors_the_kernel_matrix_in_place():
         tracemalloc.stop()
     assert issues == ([], [])
     assert peak <= 1.25 * 8 * (61 + 600 - 5) ** 2
+
+
+def test_validate_factors_nothing_for_an_analytic_field():
+    """An analytic run factors no kernel matrix, and neither does its
+    validation: 3,061 nodes validate in under 10 MB, where factoring
+    their kernel matrix held 75 MB."""
+    text = MINI.replace("horizon = 5", "horizon = 10").replace("n_targets = 5", "n_targets = 61")
+    text = text.replace("n_candidates = 4", "n_candidates = 3000").replace("n_shared = 2", "n_shared = 5")
+    cfg = parse_config_text(text)
+    tracemalloc.start()
+    try:
+        issues = validate_run_config(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert issues == ([], [])
+    assert peak < 10e6
+
+
+def test_validate_reports_a_failed_field_draw(tmp_path, capsys, monkeypatch):
+    """validate probes a gp-sample config by drawing trial 0's field, and
+    reports a draw that cannot factor its kernel matrix; an analytic
+    config draws nothing."""
+
+    def degenerate(*args):
+        raise NumericalDegeneracyError("no jitter rung factored")
+
+    monkeypatch.setattr(harness_mod, "sample_field", degenerate)
+    assert main(["validate", "--config", write_config(tmp_path, WIDE_GP_SAMPLE)]) == 2
+    out = capsys.readouterr().out
+    assert out == "invalid: kernel matrix on configured points is not usable: no jitter rung factored\n"
+    assert main(["validate", "--config", write_config(tmp_path)]) == 0
+
+
+def test_run_record_holds_the_episode_steps():
+    """Each trace's steps in the run record are the steps ``run_episode``
+    returns for the scenario and field ``run_trial`` builds, for both
+    planners, and run.json still prints the record as ``json.dumps`` does."""
+    text = WIDE_GP_SAMPLE.replace("horizon = 2\ntrials = 2", "horizon = 60\ntrials = 1")
+    cfg = parse_config_text(text.replace("n_candidates = 100", "n_candidates = 60"))
+    record = execute_run(cfg)
+    mask = harness_mod.build_mask(cfg)
+    targets, candidates = harness_mod.trial_placement(cfg, mask, 0)
+    fld = harness_mod.trial_field(cfg, mask, 0, targets, candidates)
+    mean, kernel = harness_mod._specs(cfg)
+    assert [t["planner"] for t in record["traces"]] == ["greedy-edg", "random"]
+    for trace in record["traces"]:
+        scenario = ScenarioConfig(
+            targets=targets,
+            candidates=candidates,
+            noise_sd=cfg.noise_sd,
+            horizon=cfg.horizon,
+            kernel=kernel,
+            mean=mean,
+            planner_kind=trace["planner"],
+            seed=cfg.seed,
+            trial_index=0,
+        )
+        assert trace["steps"] == list(run_episode(scenario, fld).steps)
+    assert render_run_json(record) == json.dumps(record, indent=1, allow_nan=False)
 
 
 def test_unique_points_keep_the_first_of_each_location():

@@ -31,6 +31,8 @@ from senseplan import (
 )
 from senseplan.seeding import STREAM_NOISE, STREAM_PLANNER, substream
 
+from reference import greedy_on_log
+
 MASK = PolygonMask.rectangle(0.0, 0.0, 10.0, 10.0)
 KERNEL = KernelSpec(signal_variance=4.0, lengthscale=2.0)
 MEAN = MeanSpec(constant=0.0)
@@ -61,7 +63,9 @@ def make_config(**kw):
 
 
 def step_metrics(step):
-    return (step.error, step.variance, step.error_shared, step.variance_shared, step.rmse)
+    """A step's five metrics, with NaN where run.json prints null."""
+    keys = ("error", "variance", "error_shared", "variance_shared", "rmse")
+    return tuple(math.nan if step[key] is None else step[key] for key in keys)
 
 
 def written_out_metrics(belief, truth, shared):
@@ -85,7 +89,7 @@ def fresh_metrics(cfg, fld, steps):
     ``steps``."""
     truth = fld.values(cfg.targets)
     shared, _ = intersection_indices(cfg.targets, cfg.candidates)
-    log = MeasurementLog([s.chosen for s in steps], [s.measurement for s in steps], cfg.noise_sd)
+    log = MeasurementLog([s["chosen"] for s in steps], [s["measurement"] for s in steps], cfg.noise_sd)
     return written_out_metrics(posterior(cfg.mean, cfg.kernel, log, cfg.targets), truth, shared)
 
 
@@ -143,7 +147,7 @@ class TestGreedySelect:
             targets = rng.uniform(0, 10, (8, 2))
             on_targets = targets[rng.permutation(8)[:3]]
             cands = np.vstack([rng.uniform(0, 10, (2, 2)), on_targets])
-            idx, gains = planner_mod._greedy_on_log(KERNEL, log, cands, targets)
+            idx, gains = greedy_on_log(KERNEL, log, cands, targets)
             assert idx == 2
             np.testing.assert_allclose(gains[2:], expected, rtol=1e-12)
 
@@ -159,7 +163,7 @@ class TestGreedySelect:
             k = int(rng.integers(0, 6))
             noise = rng.uniform(0.1, 1.0)
             log = MeasurementLog(rng.uniform(0, 10, (k, 2)), rng.normal(0, 1, k), noise)
-            _, gains = planner_mod._greedy_on_log(kernel, log, cands, targets)
+            _, gains = greedy_on_log(kernel, log, cands, targets)
             ref = [edg_exact(kernel, log, c, targets).value for c in cands]
             np.testing.assert_allclose(gains, ref, rtol=1e-8, atol=1e-12)
 
@@ -217,7 +221,7 @@ class TestZeroNoiseScores:
             values = rng.normal(0, 1, 4)
             # Noise-free repeats read the value of the first visit.
             log = MeasurementLog(cands[visits], [values[list(visits).index(i)] for i in visits], 0.0)
-            _, gains = planner_mod._greedy_on_log(self.KERNEL, log, cands, targets)
+            _, gains = greedy_on_log(self.KERNEL, log, cands, targets)
             assert np.all(np.isfinite(gains)) and np.all(gains >= 0)
 
     def test_repeat_scores_about_zero(self):
@@ -230,7 +234,7 @@ class TestZeroNoiseScores:
         longer = MeasurementLog(np.vstack([pts, self.LOG.locations]), np.append(np.arange(3.0), self.LOG.values), 0.0)
         cand = np.array([1.0, 1.0])
         for log in (self.LOG, longer):
-            _, gains = planner_mod._greedy_on_log(self.KERNEL, log, cand[None], self.TARGETS)
+            _, gains = greedy_on_log(self.KERNEL, log, cand[None], self.TARGETS)
             exact = edg_exact(self.KERNEL, log, cand, self.TARGETS).value
             quad = edg_quadrature(MEAN, self.KERNEL, log, cand, self.TARGETS)
             for gain in (gains[0], exact, quad):
@@ -238,7 +242,7 @@ class TestZeroNoiseScores:
 
     def test_unmeasured_target_outranks_every_other_candidate(self):
         cands = np.array([[2.0, 2.0], [1.0, 1.0], [8.0, 1.0], [4.5, 4.5]])
-        idx, gains = planner_mod._greedy_on_log(self.KERNEL, self.LOG, cands, self.TARGETS)
+        idx, gains = greedy_on_log(self.KERNEL, self.LOG, cands, self.TARGETS)
         assert idx == 2 and np.all(np.isfinite(gains))
         assert gains[2] > max(gains[0], gains[1])
 
@@ -252,7 +256,7 @@ class TestZeroNoiseScores:
             return 4.0 - k @ np.linalg.solve(kernel_matrix(self.KERNEL, points, points), k)
 
         expected = 0.5 * math.log(cond_var([[1.0, 1.0]]) / cond_var(self.TARGETS))
-        _, gains = planner_mod._greedy_on_log(self.KERNEL, self.LOG, np.array([[2.0, 2.0]]), self.TARGETS)
+        _, gains = greedy_on_log(self.KERNEL, self.LOG, np.array([[2.0, 2.0]]), self.TARGETS)
         np.testing.assert_allclose(gains[0], expected, rtol=1e-6)
 
     def test_all_targets_measured_scores_finite(self):
@@ -296,7 +300,7 @@ class TestRandomSelect:
     def test_singleton(self):
         """With one candidate, every step measures it."""
         cfg = make_config(planner_kind="random", n_candidates=1, n_shared=0, horizon=3)
-        assert [s.chosen_index for s in run_episode(cfg, linear_field()).steps] == [0, 0, 0]
+        assert [s["chosen_index"] for s in run_episode(cfg, linear_field()).steps] == [0, 0, 0]
 
     def test_reproducible_sequence(self):
         """The chosen indices are the planner substream's uniform draws over
@@ -305,8 +309,8 @@ class TestRandomSelect:
         trace = run_episode(cfg, linear_field())
         rng = substream(cfg.seed, STREAM_PLANNER, cfg.trial_index, PLANNER_KINDS.index("random"))
         expected = [int(rng.integers(len(cfg.candidates))) for _ in range(cfg.horizon)]
-        assert [s.chosen_index for s in trace.steps] == expected
-        assert [s.chosen for s in trace.steps] == [tuple(cfg.candidates[i]) for i in expected]
+        assert [s["chosen_index"] for s in trace.steps] == expected
+        assert [s["chosen"] for s in trace.steps] == [cfg.candidates[i].tolist() for i in expected]
 
 
 class TestRunEpisode:
@@ -329,8 +333,8 @@ class TestRunEpisode:
         trace = run_episode(cfg, linear_field())
         assert len(trace.steps) == 1
         step = trace.steps[0]
-        assert step.chosen == (2.0, 2.0)
-        log = MeasurementLog.empty(cfg.noise_sd).append(step.chosen, step.measurement)
+        assert step["chosen"] == [2.0, 2.0]
+        log = MeasurementLog.empty(cfg.noise_sd).append(step["chosen"], step["measurement"])
         belief = posterior(MEAN, KERNEL, log, cfg.targets)
         np.testing.assert_array_equal(trace.final_belief.mean, belief.mean)
         np.testing.assert_array_equal(trace.final_belief.cov, belief.cov)
@@ -368,7 +372,7 @@ class TestRunEpisode:
         the whole log skips the repeats as well."""
         cfg = make_config(planner_kind="random", n_candidates=1, n_shared=1, horizon=3, noise_sd=noise_sd)
         trace = run_episode(cfg, linear_field())
-        whole = MeasurementLog([s.chosen for s in trace.steps], [s.measurement for s in trace.steps], noise_sd)
+        whole = MeasurementLog([s["chosen"] for s in trace.steps], [s["measurement"] for s in trace.steps], noise_sd)
         for log in (MeasurementLog(whole.locations[:1], whole.values[:1], noise_sd), whole):
             belief = posterior(MEAN, KERNEL, log, cfg.targets)
             np.testing.assert_array_equal(trace.final_belief.mean, belief.mean)
@@ -419,7 +423,7 @@ class TestRunEpisode:
                 shared, _ = intersection_indices(cfg.targets, cfg.candidates)
                 log = MeasurementLog.empty(cfg.noise_sd)
                 for step in trace.steps:
-                    log = log.append(step.chosen, step.measurement)
+                    log = log.append(step["chosen"], step["measurement"])
                     expected = written_out_metrics(posterior(MEAN, KERNEL, log, cfg.targets), truth, shared)
                     np.testing.assert_allclose(step_metrics(step), expected, rtol=1e-12)
 
@@ -431,7 +435,7 @@ class TestRunEpisode:
         trace = run_episode(cfg, fld)
         for step in trace.steps[49::50]:
             np.testing.assert_allclose(
-                step_metrics(step), fresh_metrics(cfg, fld, trace.steps[: step.index]), rtol=1e-12
+                step_metrics(step), fresh_metrics(cfg, fld, trace.steps[: step["step"]]), rtol=1e-12
             )
 
     def test_baseline_jitter_matches_fresh_posterior(self):
@@ -444,7 +448,7 @@ class TestRunEpisode:
             trace = run_episode(cfg, fld)
             for step in trace.steps:
                 np.testing.assert_allclose(
-                    step_metrics(step), fresh_metrics(cfg, fld, trace.steps[: step.index]), rtol=1e-12
+                    step_metrics(step), fresh_metrics(cfg, fld, trace.steps[: step["step"]]), rtol=1e-12
                 )
 
     def test_final_belief_agrees_with_the_last_step(self):
@@ -457,9 +461,9 @@ class TestRunEpisode:
             trace = run_episode(cfg, fld)
             last, belief = trace.steps[-1], trace.final_belief
             n = len(cfg.targets)
-            assert last.variance == np.diag(belief.cov).sum() / n
-            assert last.error == np.linalg.norm(belief.mean - fld.values(cfg.targets)) / n
-            log = MeasurementLog([s.chosen for s in trace.steps], [s.measurement for s in trace.steps], cfg.noise_sd)
+            assert last["variance"] == np.diag(belief.cov).sum() / n
+            assert last["error"] == np.linalg.norm(belief.mean - fld.values(cfg.targets)) / n
+            log = MeasurementLog([s["chosen"] for s in trace.steps], [s["measurement"] for s in trace.steps], cfg.noise_sd)
             fresh = posterior(cfg.mean, cfg.kernel, log, cfg.targets)
             assert np.max(np.abs(belief.cov - fresh.cov)) <= 1e-10 * np.max(np.abs(fresh.cov))
             np.testing.assert_array_equal(belief.cov, belief.cov.T)
@@ -480,7 +484,7 @@ class TestRunEpisode:
             calls.clear()
             cfg = make_config(planner_kind=kind, horizon=9, n_targets=7)
             trace = run_episode(cfg, linear_field())
-            distinct = len({step.chosen_index for step in trace.steps})
+            distinct = len({step["chosen_index"] for step in trace.steps})
             assert distinct < 9
             assert calls == [7] * (kind == "greedy-edg") + [1] * distinct
 
@@ -488,8 +492,8 @@ class TestRunEpisode:
         for kind in ("greedy-edg", "random"):
             cfg = make_config(planner_kind=kind, horizon=6)
             trace = run_episode(cfg, linear_field())
-            cand_keys = {tuple(c) for c in cfg.candidates}
-            assert all(s.chosen in cand_keys for s in trace.steps)
+            cand_keys = cfg.candidates.tolist()
+            assert all(s["chosen"] in cand_keys for s in trace.steps)
 
     def test_greedy_argmax_is_replayable(self):
         """Re-scoring all candidates on the log prefix reproduces every
@@ -499,9 +503,9 @@ class TestRunEpisode:
         log = MeasurementLog.empty(cfg.noise_sd)
         for step in trace.steps:
             loc, score = greedy_select(KERNEL, log, cfg.candidates, cfg.targets)
-            assert tuple(loc) == step.chosen
-            np.testing.assert_allclose(score, step.score, rtol=1e-12)
-            log = log.append(step.chosen, step.measurement)
+            assert loc.tolist() == step["chosen"]
+            np.testing.assert_allclose(score, step["score"], rtol=1e-12)
+            log = log.append(step["chosen"], step["measurement"])
 
     def test_deterministic_bit_for_bit(self):
         for kind in ("greedy-edg", "random"):
@@ -509,28 +513,22 @@ class TestRunEpisode:
             fld = linear_field()
             a = run_episode(cfg, fld)
             b = run_episode(cfg, fld)
-            for sa, sb in zip(a.steps, b.steps):
-                assert sa == sb or (
-                    sa.chosen == sb.chosen
-                    and sa.measurement == sb.measurement
-                    and sa.error == sb.error
-                    and sa.variance == sb.variance
-                )
+            assert a.steps == b.steps
 
     def test_variance_non_increasing(self):
         for kind in ("greedy-edg", "random"):
             cfg = make_config(planner_kind=kind, horizon=8)
             trace = run_episode(cfg, linear_field())
-            vs = [s.variance for s in trace.steps]
+            vs = [s["variance"] for s in trace.steps]
             assert all(b <= a + 1e-10 for a, b in zip(vs, vs[1:]))
 
     def test_random_score_is_nan_and_noise_streams_differ(self):
         cfg_r = make_config(planner_kind="random")
         trace_r = run_episode(cfg_r, linear_field())
-        assert all(math.isnan(s.score) for s in trace_r.steps)
+        assert all(s["score"] is None for s in trace_r.steps)
         cfg_g = make_config(planner_kind="greedy-edg")
         trace_g = run_episode(cfg_g, linear_field())
-        assert all(not math.isnan(s.score) for s in trace_g.steps)
+        assert all(s["score"] is not None and not math.isnan(s["score"]) for s in trace_g.steps)
 
     def test_random_sequence_ignores_field_values(self):
         """Two very different fields, same seed: the random planner visits
@@ -540,7 +538,7 @@ class TestRunEpisode:
         f2 = AnalyticField("linear", {"a": -20.0, "b": 3.0, "c": 100.0}, MASK)
         t1 = run_episode(cfg, f1)
         t2 = run_episode(cfg, f2)
-        assert [s.chosen for s in t1.steps] == [s.chosen for s in t2.steps]
+        assert [s["chosen"] for s in t1.steps] == [s["chosen"] for s in t2.steps]
 
     def test_noise_free_coverage_drives_error_to_zero(self):
         """sigma = 0 and candidates equal to targets: once the greedy has
@@ -561,18 +559,18 @@ class TestRunEpisode:
             seed=3,
         )
         trace = run_episode(cfg, linear_field())
-        covered = {s.chosen for s in trace.steps}
+        covered = {tuple(s["chosen"]) for s in trace.steps}
         assert covered == {tuple(t) for t in targets}
-        assert trace.steps[-1].error < 1e-6
+        assert trace.steps[-1]["error"] < 1e-6
 
     def test_shared_metrics_nan_without_intersection(self):
         targets = np.array([[1.0, 1.0], [2.0, 2.0]])
         cands = np.array([[3.0, 3.0], [4.0, 4.0]])
         cfg = make_config(targets=targets, candidates=cands, horizon=2)
         trace = run_episode(cfg, linear_field())
-        assert all(math.isnan(s.error_shared) for s in trace.steps)
-        assert all(math.isnan(s.variance_shared) for s in trace.steps)
-        assert all(np.isfinite(s.error) for s in trace.steps)
+        assert all(s["error_shared"] is None for s in trace.steps)
+        assert all(s["variance_shared"] is None for s in trace.steps)
+        assert all(np.isfinite(s["error"]) for s in trace.steps)
 
     def test_partial_trace_attached_on_mid_episode_failure(self, monkeypatch):
         """If scoring degenerates at step 3, the raised error carries the
@@ -612,6 +610,37 @@ class TestRunEpisode:
         assert (type(cfg.seed), type(cfg.trial_index), type(cfg.horizon)) == (int, int, int)
 
 
+@pytest.mark.parametrize("noise_sd", [0.0, 0.5])
+def test_greedy_plan_is_open_loop(noise_sd):
+    """A GP's posterior variances do not depend on the values read, so the
+    greedy plan does not either: one placement under gp-sample and analytic
+    fields, field seeds, noise seeds and prior means picks the same
+    candidate with a bit-identical score at every step, while the readings
+    differ."""
+    targets, candidates = place_scenario(MASK, 8, 10, 3, seed=12)
+    nodes = np.vstack([targets, candidates])
+    fields = [linear_field(), AnalyticField("sinusoid", {"a": 3.0, "b": 0.8, "c": 0.6, "d": 10.0}, MASK)]
+    fields += [sample_field(MeanSpec(constant), KERNEL, nodes, seed, MASK) for constant, seed in ((0.0, 1), (2.5, 2))]
+    plans, readings = set(), set()
+    for fld in fields:
+        for seed, trial_index in ((7, 0), (8, 3)):
+            for constant in (0.0, -2.5):
+                cfg = make_config(
+                    targets=targets,
+                    candidates=candidates,
+                    noise_sd=noise_sd,
+                    horizon=14,
+                    mean=MeanSpec(constant),
+                    seed=seed,
+                    trial_index=trial_index,
+                )
+                steps = run_episode(cfg, fld).steps
+                plans.add(tuple((s["chosen_index"], s["score"].hex()) for s in steps))
+                readings.add(tuple(s["measurement"] for s in steps))
+    assert len(plans) == 1
+    assert len(readings) == len(fields) * (1 if noise_sd == 0 else 2)
+
+
 #: A scenario at A2's target count with 13 shared targets, so that both
 #: the full and the shared vectors are long enough for a blocked dot or sum
 #: to round differently from a strided one.
@@ -645,15 +674,15 @@ class TestStepBookkeeping:
         points = np.vstack([cfg.targets, cfg.candidates])
         state = gp_mod._CarriedConditioning(cfg.mean, cfg.kernel, cfg.noise_sd, points, cfg.horizon)
         for step in trace.steps:
-            state.add(n + step.chosen_index, step.measurement)
+            state.add(n + step["chosen_index"], step["measurement"])
             r, v = state.mu[:n] - truth, state.var[:n].copy()
             r_s, v_s = r[shared], v[shared]
             norm = math.sqrt(r @ r)
-            assert step.error == norm / n
-            assert step.rmse == norm / math.sqrt(n)
-            assert step.variance == float(v.sum() / n)
-            assert step.error_shared == math.sqrt(r_s @ r_s) / m
-            assert step.variance_shared == float(v_s.sum() / m)
+            assert step["error"] == norm / n
+            assert step["rmse"] == norm / math.sqrt(n)
+            assert step["variance"] == float(v.sum() / n)
+            assert step["error_shared"] == math.sqrt(r_s @ r_s) / m
+            assert step["variance_shared"] == float(v_s.sum() / m)
 
     @pytest.mark.parametrize("kind", PLANNER_KINDS)
     def test_measurements_are_truth_plus_the_noise_substream(self, kind):
@@ -663,11 +692,11 @@ class TestStepBookkeeping:
         cfg = make_config(planner_kind=kind, **BOOKKEEPING)
         fld = linear_field()
         trace = run_episode(cfg, fld)
-        truth = fld.values(cfg.candidates)[[s.chosen_index for s in trace.steps]]
+        truth = fld.values(cfg.candidates)[[s["chosen_index"] for s in trace.steps]]
         batched = substream_of(cfg, STREAM_NOISE).normal(0.0, cfg.noise_sd, size=cfg.horizon)
         rng = substream_of(cfg, STREAM_NOISE)
         per_call = [float(rng.normal(0.0, cfg.noise_sd)) for _ in range(cfg.horizon)]
-        assert [s.measurement for s in trace.steps] == (truth + batched).tolist()
+        assert [s["measurement"] for s in trace.steps] == (truth + batched).tolist()
         assert batched.tolist() == per_call
 
     @pytest.mark.parametrize("kind", PLANNER_KINDS)
@@ -676,7 +705,7 @@ class TestStepBookkeeping:
         fld = linear_field()
         trace = run_episode(cfg, fld)
         truth = fld.values(cfg.candidates)
-        assert [s.measurement for s in trace.steps] == [truth[s.chosen_index] for s in trace.steps]
+        assert [s["measurement"] for s in trace.steps] == [truth[s["chosen_index"]] for s in trace.steps]
 
     def test_partial_trace_steps_are_the_full_run_steps(self, monkeypatch):
         """An episode aborted at step 4 carries its first three steps with
@@ -695,7 +724,7 @@ class TestStepBookkeeping:
         with pytest.raises(PlanningError) as err:
             run_episode(cfg, linear_field())
         partial = err.value.partial_trace.steps
-        assert [vars(s) for s in partial] == [vars(s) for s in full]
+        assert partial == full
 
 
 class TestPairedSeeding:
@@ -716,8 +745,8 @@ class TestPairedSeeding:
         )
         g = run_episode(ScenarioConfig(planner_kind="greedy-edg", **base), fld)
         r = run_episode(ScenarioConfig(planner_kind="random", **base), fld)
-        assert g.steps[0].chosen == r.steps[0].chosen
-        assert g.steps[0].measurement != r.steps[0].measurement
+        assert g.steps[0]["chosen"] == r.steps[0]["chosen"]
+        assert g.steps[0]["measurement"] != r.steps[0]["measurement"]
 
     def test_trial_index_shifts_noise(self):
         cfg0 = make_config(horizon=2)
@@ -725,7 +754,7 @@ class TestPairedSeeding:
         fld = linear_field()
         t0 = run_episode(cfg0, fld)
         t1 = run_episode(cfg1, fld)
-        assert [s.measurement for s in t0.steps] != [s.measurement for s in t1.steps]
+        assert [s["measurement"] for s in t0.steps] != [s["measurement"] for s in t1.steps]
 
 
 def test_sample_field_works_as_ground_truth():
@@ -745,4 +774,4 @@ def test_sample_field_works_as_ground_truth():
         seed=1,
     )
     trace = run_episode(cfg, fld)
-    assert trace.steps[-1].error < 1e-5
+    assert trace.steps[-1]["error"] < 1e-5

@@ -12,12 +12,11 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import senseplan.planner as planner_mod
 from senseplan import KernelSpec, MeanSpec, MeasurementLog
 from senseplan.gp import predictive_moments
 from senseplan.planner import TIE_RTOL
 
-from reference import edg_reference
+from reference import edg_reference, greedy_on_log
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=1500)
 MEAN = MeanSpec(1.0)
@@ -55,7 +54,7 @@ def problems(draw, noise=NOISE, distinct_targets=False):
 @given(problems())
 def test_gains_are_finite_and_nonnegative(problem):
     kernel, log, candidates, targets = problem
-    _, gains = planner_mod._greedy_on_log(kernel, log, candidates, targets)
+    _, gains = greedy_on_log(kernel, log, candidates, targets)
     assert np.all(np.isfinite(gains)) and np.all(gains >= 0.0)
 
 
@@ -65,12 +64,12 @@ def test_gains_follow_candidates_and_ignore_target_order(problem, random):
     """With noise and distinct targets, permuting the candidates permutes
     the gains and permuting the targets leaves them as they are."""
     kernel, log, candidates, targets = problem
-    _, gains = planner_mod._greedy_on_log(kernel, log, candidates, targets)
+    _, gains = greedy_on_log(kernel, log, candidates, targets)
     order = random.sample(range(len(candidates)), len(candidates))
-    _, permuted = planner_mod._greedy_on_log(kernel, log, candidates[order], targets)
+    _, permuted = greedy_on_log(kernel, log, candidates[order], targets)
     np.testing.assert_allclose(permuted, gains[order], rtol=1e-9, atol=1e-12)
     shuffled = targets[random.sample(range(len(targets)), len(targets))]
-    _, same = planner_mod._greedy_on_log(kernel, log, candidates, shuffled)
+    _, same = greedy_on_log(kernel, log, candidates, shuffled)
     np.testing.assert_allclose(same, gains, rtol=1e-9, atol=1e-12)
 
 
@@ -84,10 +83,10 @@ def test_nearly_coincident_targets_in_any_order():
     targets = np.array([(0.0, 0.5), (0.0, 1.0), (0.0, 1e-6), (1.0, 0.0), (0.0, 0.0)])
     candidates = np.array([(0.0, 0.0), (44.125, 0.0)])
     ref = np.array([float(edg_reference(kernel, log, c, targets)) for c in candidates])
-    _, gains = planner_mod._greedy_on_log(kernel, log, candidates, targets)
+    _, gains = greedy_on_log(kernel, log, candidates, targets)
     np.testing.assert_allclose(gains, ref, rtol=1e-10)
     for order in itertools.permutations(range(len(targets))):
-        _, permuted = planner_mod._greedy_on_log(kernel, log, candidates, targets[list(order)])
+        _, permuted = greedy_on_log(kernel, log, candidates, targets[list(order)])
         np.testing.assert_allclose(permuted, gains, rtol=TIE_RTOL, atol=0)
 
 
