@@ -265,6 +265,24 @@ def _infer_spacing(coords: np.ndarray, axis_name: str, path: str) -> float:
     return d
 
 
+def _lattice_axis(coords, axis_name: str, path: str):
+    """One axis of a grid from its rows' coordinates: the first coordinate,
+    the cell size, each lattice slot's coordinate (the file's where it has
+    one), which slots the file has, and each coordinate's slot."""
+    present = np.array(sorted(set(coords)))
+    step = _infer_spacing(present, axis_name, path)
+    start = float(present[0])
+    lattice = start + step * np.arange(int(round((present[-1] - start) / step)) + 1)
+    has = np.zeros(len(lattice), dtype=bool)
+    slot = {}
+    for c in present:
+        i = int(round((c - start) / step))
+        lattice[i] = c
+        has[i] = True
+        slot[c] = i
+    return start, step, lattice, has, slot
+
+
 def _csv_rows(path, header: tuple[str, ...], what: str):
     """``(line number, fields)`` of each nonblank data row of a CSV file that
     starts with ``header``; ``what`` names the file if it cannot be opened."""
@@ -319,33 +337,10 @@ def load_grid_csv(path) -> GridData:
     if not rows:
         raise DataError(f"{path}: no data rows")
 
-    lats = np.array(sorted({r[0] for r in rows}))
-    lons = np.array(sorted({r[1] for r in rows}))
-    dlat = _infer_spacing(lats, "latitude", path)
-    dlon = _infer_spacing(lons, "longitude", path)
-    lat0, lon0 = float(lats[0]), float(lons[0])
-    nlat = int(round((lats[-1] - lat0) / dlat)) + 1
-    nlon = int(round((lons[-1] - lon0) / dlon)) + 1
-
-    lat_coords = lat0 + dlat * np.arange(nlat)
-    lon_coords = lon0 + dlon * np.arange(nlon)
-    lat_present = np.zeros(nlat, dtype=bool)
-    lon_present = np.zeros(nlon, dtype=bool)
-    lat_slot = {}
-    for c in lats:
-        i = int(round((c - lat0) / dlat))
-        lat_coords[i] = c
-        lat_present[i] = True
-        lat_slot[c] = i
-    lon_slot = {}
-    for c in lons:
-        j = int(round((c - lon0) / dlon))
-        lon_coords[j] = c
-        lon_present[j] = True
-        lon_slot[c] = j
-
-    values = np.full((nlat, nlon), np.nan)
-    filled = np.zeros((nlat, nlon), dtype=bool)
+    lat0, dlat, lat_coords, lat_present, lat_slot = _lattice_axis([r[0] for r in rows], "latitude", path)
+    lon0, dlon, lon_coords, lon_present, lon_slot = _lattice_axis([r[1] for r in rows], "longitude", path)
+    values = np.full((len(lat_coords), len(lon_coords)), np.nan)
+    filled = np.zeros(values.shape, dtype=bool)
     for lat, lon, val in rows:
         i, j = lat_slot[lat], lon_slot[lon]
         if filled[i, j]:
@@ -392,24 +387,28 @@ def save_grid_csv(grid: GridData, path) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _eval_linear(x: float, y: float, *, a=0.0, b=0.0, c=0.0) -> float:
+def _eval_linear(x: np.ndarray, y: np.ndarray, *, a=0.0, b=0.0, c=0.0) -> np.ndarray:
     return a * x + b * y + c
 
 
-def _eval_sinusoid(x: float, y: float, *, a=1.0, b=1.0, c=1.0, d=0.0) -> float:
+def _eval_sinusoid(x: np.ndarray, y: np.ndarray, *, a=1.0, b=1.0, c=1.0, d=0.0) -> np.ndarray:
     return a * np.sin(b * x) * np.cos(c * y) + d
 
 
-def _eval_gauss_bumps(x: float, y: float, *, offset=0.0, bumps=()) -> float:
+def _eval_gauss_bumps(x: np.ndarray, y: np.ndarray, *, offset=0.0, bumps=()):
     total = float(offset)
     for amp, cx, cy, width in bumps:
-        r2 = (x - cx) ** 2 + (y - cy) ** 2
-        total += amp * np.exp(-r2 / (2.0 * width**2))
+        # float_power calls C pow() per entry, as a scalar's ``** 2`` does;
+        # an array's ``** 2`` multiplies, which can round the last bit apart.
+        r2 = np.float_power(x - cx, 2) + np.float_power(y - cy, 2)
+        total = total + amp * np.exp(-r2 / (2.0 * width**2))
     return total
 
 
 #: Named analytic test fields: smooth functions with known structure.  Each
-#: takes its parameters as keyword arguments with defaults.
+#: takes the coordinate columns ``x`` and ``y`` of its points, and its
+#: parameters as keyword arguments with defaults; it returns the values, or
+#: one scalar for them all (gauss-bumps without bumps).
 ANALYTIC_CATALOG = {
     "linear": _eval_linear,
     "sinusoid": _eval_sinusoid,
@@ -486,8 +485,9 @@ class AnalyticField(GroundTruthField):
         object.__setattr__(self, "params", {**params, **self.params})
 
     def values(self, points) -> np.ndarray:
-        evaluate = ANALYTIC_CATALOG[self.name]
-        return np.array([evaluate(x, y, **self.params) for x, y in _points_inside(self.region, points)])
+        pts = _points_inside(self.region, points)
+        # np.full broadcasts a scalar as it is: adding zeros would turn -0.0 into 0.0.
+        return np.full(len(pts), ANALYTIC_CATALOG[self.name](pts[:, 0], pts[:, 1], **self.params), dtype=float)
 
     def roi(self) -> RoIMask:
         return self.region

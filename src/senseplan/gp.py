@@ -27,9 +27,12 @@ planning episode, is instead carried by the private
 reading update its means and variances (it holds no covariance), and
 each location's kernel row is computed once.  A
 from-scratch factor with a degenerate pivot feeds its log through that
-code, so both skip the same readings.  ``_GivenTargets`` carries the
-candidates' variances given the targets' values too, with the same
-row-append code and the candidates' part of the same kernel row.
+code, so both skip the same readings.  The targets' values enter as
+noise-free rows appended by ``_targets_after``, after a log's rows
+(:func:`_variance_pair`) or before an episode's: a planning episode
+carries the candidates' variances given them in a ``_CarriedRows`` of
+the candidates' columns, with the same row-append code and the
+candidates' part of the same kernel row.
 
 Location arrays are checked once, where they enter a public entry point
 (:func:`posterior`, :func:`predictive_moments`, :func:`sample_prior_field`
@@ -473,19 +476,16 @@ class _CarriedRows:
     """Rows ``W = L^-1 K(Y, P)`` of the Gram factor of a growing log of
     readings at points of ``P``, and the variances ``var`` they leave at
     ``P``.  A reading appends one row (GPML Alg. 2.1 a row at a time):
-    ``O(k |P|)`` for the ``k``-th reading, not ``O(k^3 + k^2 |P|)``.
+    ``O(k |P|)`` for the ``k``-th reading, not ``O(k^3 + k^2 |P|)``.  The
+    rows start as a copy of ``W0``, rows already appended that left
+    ``var``; ``capacity`` bounds the rows appended after them.
     """
 
-    def __init__(self, kernel: KernelSpec, P, var: np.ndarray, capacity: int):
+    def __init__(self, kernel: KernelSpec, P, var: np.ndarray, capacity: int, W0=()):
         self.kernel, self.P, self.var = kernel, P, var
-        self.W = np.empty((capacity, len(P)))
-        self.k = 0
-
-    def _push_first(self, n: int) -> None:
-        """Append ``P[:n]`` in turn as noise-free readings, their kernel
-        rows from one :func:`kernel_matrix` call."""
-        for i, row in enumerate(kernel_matrix(self.kernel, self.P[:n], self.P)):
-            self._push(i, row, 0.0, 0.0)
+        self.k = len(W0)
+        self.W = np.empty((self.k + capacity, len(P)))
+        self.W[: self.k] = np.reshape(W0, (self.k, len(P)))
 
     def _push(self, i: int, row: np.ndarray, s2: float, jitter: float):
         """Append the row of a reading at ``P[i]``, whose kernel row is
@@ -551,27 +551,20 @@ class _CarriedConditioning(_CarriedRows):
         return row
 
 
-class _GivenTargets(_CarriedRows):
-    """Noise-free variances ``var`` at the candidates ``C`` given the
-    targets' values and a growing log of readings at points of ``C``.
-
-    The targets enter first, sorted, as noise-free readings over ``[targets;
-    C]``; after them only the candidates' columns are kept.  A target or
-    reading whose pivot is degenerate adds nothing given the rows before it
-    (a duplicate target; noise-free, a reading at a target or a repeat), so
-    its row is skipped.  ``capacity`` bounds the readings.
+def _targets_after(kernel: KernelSpec, P, n: int, W0=(), var=None) -> _CarriedRows:
+    """Rows that start from a log's rows ``W0`` over ``P`` and the variances
+    ``var`` they left (by default no rows and the prior's variances), then
+    append ``P[:n]``, the targets sorted by :func:`_sorted_first`, in turn
+    as noise-free readings, their kernel rows from one :func:`kernel_matrix`
+    call.  A target whose pivot is degenerate (a duplicate target; with zero
+    noise, a target at a reading) adds no row.  ``var`` is updated in place.
     """
-
-    def __init__(self, kernel: KernelSpec, noise_sd: float, targets, C, capacity: int):
-        n, self.noise_sd = len(targets), noise_sd
-        rows = _CarriedRows(kernel, _sorted_first(targets, C), np.full(n + len(C), kernel.signal_variance), n)
-        rows._push_first(n)
-        super().__init__(kernel, C, rows.var[n:], rows.k + capacity)
-        self.W[: rows.k], self.k = rows.W[: rows.k, n:], rows.k
-
-    def add(self, j: int, row: np.ndarray) -> None:
-        """Fold in a reading at ``C[j]``, given its kernel row ``k(C[j], C)``."""
-        self._push(j, row, self.noise_sd**2, self.kernel.jitter)
+    if var is None:
+        var = np.full(len(P), kernel.signal_variance)
+    rows = _CarriedRows(kernel, P, var, n, W0)
+    for i, row in enumerate(kernel_matrix(kernel, P[:n], P)):
+        rows._push(i, row, 0.0, 0.0)
+    return rows
 
 
 def _variance_pair(kernel: KernelSpec, log: MeasurementLog, targets, points):
@@ -580,18 +573,16 @@ def _variance_pair(kernel: KernelSpec, log: MeasurementLog, targets, points):
     targets' values as well would remove.
 
     The log is conditioned on once, from scratch; each target then appends
-    a noise-free row, as in :class:`_GivenTargets`.  The removed part sums
-    the targets' rows rather than differencing two variances of the prior's
-    size, so it stays accurate where it is tiny.  Arrays are taken as checked.
+    a noise-free row after the log's, by :func:`_targets_after`.  The
+    removed part sums the targets' rows (a degenerate target has none)
+    rather than differencing two variances of the prior's size, so it stays
+    accurate where it is tiny.  Arrays are taken as checked.
     """
     n = len(targets)
     P = _sorted_first(targets, points)
     W, _, var = _condition(MeanSpec(), kernel, log.locations, log.values, log.noise_sd, P)
-    k = len(W)
-    rows = _CarriedRows(kernel, P, var.copy(), k + n)
-    rows.W[:k], rows.k = W, k
-    rows._push_first(n)
-    removed = rows.W[k : rows.k, n:]
+    rows = _targets_after(kernel, P, n, W, var.copy())
+    removed = rows.W[len(W) : rows.k, n:]
     return _clamped(kernel, var[n:]), np.einsum("ij,ij->j", removed, removed)
 
 

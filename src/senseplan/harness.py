@@ -4,8 +4,8 @@ A run executes ``trials`` independent scenarios.  Within a trial every
 configured planner sees the same ground-truth field and the same
 target/candidate placement but draws independent measurement noise, so
 per-trial comparisons are paired.  Trials may run in parallel; results
-are collected, sorted by trial index, and written once by the parent
-process, which keeps the output bytes independent of the worker count.
+are collected in trial order and written once by the parent process,
+which keeps the output bytes independent of the worker count.
 """
 
 from __future__ import annotations
@@ -172,7 +172,6 @@ def run_trial(cfg: RunConfig, trial: int) -> dict:
         )
         traces[kind] = run_episode(scenario, fld)
     return {
-        "trial": trial,
         "traces": {k: _trace_to_dict(t, trial, k) for k, t in traces.items()},
         "seconds": time.perf_counter() - t0,
     }
@@ -215,7 +214,6 @@ def execute_run(cfg: RunConfig, workers: int = 1) -> dict:
         # The pool starts every worker at once, so start no more than trials.
         with ProcessPoolExecutor(max_workers=min(workers, cfg.trials), initializer=_one_blas_thread) as pool:
             results = list(pool.map(functools.partial(run_trial, cfg), trials))
-    results.sort(key=lambda r: r["trial"])
 
     aggregates = {kind: {} for kind in cfg.planner_kinds}
     for kind in cfg.planner_kinds:

@@ -31,10 +31,12 @@ from .gp import (
     as_points,
     kernel_matrix,
     _CarriedConditioning,
-    _GivenTargets,
+    _CarriedRows,
     _clamped,
     _finite,
     _integer_at_least,
+    _sorted_first,
+    _targets_after,
     _variance_pair,
 )
 from .environment import GroundTruthField
@@ -163,7 +165,9 @@ def run_episode(config: ScenarioConfig, fld: GroundTruthField) -> EpisodeTrace:
     means, variances = np.empty((H, n)), np.empty((H, n))
     try:
         if greedy:
-            known = _GivenTargets(config.kernel, config.noise_sd, targets, config.candidates, H)
+            # The candidates' variances given the targets' values, then the readings.
+            given = _targets_after(config.kernel, _sorted_first(targets, config.candidates), n)
+            known = _CarriedRows(config.kernel, config.candidates, given.var[n:], H, given.W[: given.k, n:])
         for k in range(H):
             if greedy:
                 v = _clamped(config.kernel, state.var[n:])
@@ -174,7 +178,7 @@ def run_episode(config: ScenarioConfig, fld: GroundTruthField) -> EpisodeTrace:
             reading = truth_c[idx] if noise is None else truth_c[idx] + noise[k]
             row = state.add(n + idx, reading)
             if greedy:
-                known.add(idx, row[n:])
+                known._push(idx, row[n:], config.noise_sd**2, config.kernel.jitter)
             means[k], variances[k] = state.mu[:n], state.var[:n]
             # Nothing below raises: a step is complete once its index is kept.
             chosen.append(idx)

@@ -324,6 +324,27 @@ class TestAnalyticFields:
             field_value(fld, (8.0, 8.0)), 1.0 - 1.0 + 3.0 * np.exp(-72 / 2), atol=1e-15
         )
 
+    @pytest.mark.parametrize(
+        "name, params",
+        [
+            ("linear", {"a": 1.5, "b": -0.3, "c": 2.0}),
+            ("linear", {}),
+            ("sinusoid", {"a": 2.0, "b": 1.3, "c": 0.7, "d": 7.0}),
+            ("gauss-bumps", {"offset": 1.0, "bumps": ((3.0, 2.0, 2.0, 1.0), (-1.0, -4.0, 5.0, 2.5))}),
+            ("gauss-bumps", {"offset": -0.0, "bumps": ()}),
+        ],
+    )
+    def test_values_are_the_per_point_values(self, name, params):
+        """One evaluation over the coordinate columns gives, bit for bit
+        and signs of zero included, the catalog function at each point."""
+        mask = PolygonMask.rectangle(-10, -10, 10, 10)
+        fld = AnalyticField(name, params, mask)
+        pts = np.vstack([np.random.default_rng(7).uniform(-10, 10, (20000, 2)), [[0.0, -0.0], [-0.0, 0.0]]])
+        evaluate = env.ANALYTIC_CATALOG[name]
+        expected = np.array([evaluate(x, y, **fld.params) for x, y in pts])
+        got = fld.values(pts)
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
     def test_outside_mask_raises(self):
         mask = PolygonMask.rectangle(0, 0, 1, 1)
         fld = AnalyticField("linear", {"a": 1.0}, mask)

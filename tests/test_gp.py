@@ -550,6 +550,14 @@ def dense_given_targets(kernel, log, targets, points):
     return kernel.signal_variance - np.einsum("ij,ij->j", K, np.linalg.inv(G) @ K)
 
 
+def given_targets(kernel, targets, cands, capacity):
+    """The candidates' rows given the targets' values, built as a greedy
+    episode builds them, with room for ``capacity`` readings."""
+    n = len(targets)
+    given = gp_mod._targets_after(kernel, gp_mod._sorted_first(targets, cands), n)
+    return gp_mod._CarriedRows(kernel, cands, given.var[n:], capacity, given.W[: given.k, n:])
+
+
 class TestVariancesGivenTargets:
     """The variances the greedy score rests on: given the log, and given
     the log and the targets' values."""
@@ -566,18 +574,18 @@ class TestVariancesGivenTargets:
             np.testing.assert_allclose(var - removed, dense_given_targets(kernel, log, targets, points), atol=atol)
 
     def test_carried_state_matches_variance_pair(self):
-        """Readings folded into ``_GivenTargets`` one at a time, each with
+        """Readings appended one at a time after the targets' rows, each with
         its kernel row over the candidates, leave the variances the one-shot
         pair gives for the same log.  The state keeps only the candidates'
-        columns."""
+        columns, as an episode's does."""
         rng = np.random.default_rng(44)
         for _ in range(20):
             _, kernel, log, targets = random_instance(rng)
             cands = np.vstack([log.locations, rng.uniform(0, 8, (4, 2))])
-            known = gp_mod._GivenTargets(kernel, log.noise_sd, targets, cands, len(log))
+            known = given_targets(kernel, targets, cands, len(log))
             assert known.W.shape[1] == len(cands) == len(known.var)
             for i in range(len(log)):
-                known.add(i, kernel_matrix(kernel, cands[i : i + 1], cands)[0])
+                known._push(i, kernel_matrix(kernel, cands[i : i + 1], cands)[0], log.noise_sd**2, kernel.jitter)
             var, removed = gp_mod._variance_pair(kernel, log, targets, cands)
             np.testing.assert_allclose(known.var, var - removed, atol=1e-10 * kernel.signal_variance)
 
@@ -587,10 +595,10 @@ class TestVariancesGivenTargets:
         kernel = KernelSpec(signal_variance=2.0, lengthscale=1.0)
         targets = np.array([[0.0, 0.0], [3.0, 0.0], [0.0, 0.0]])
         cands = np.array([[0.0, 0.0], [1.0, 1.0]])
-        known = gp_mod._GivenTargets(kernel, 0.0, targets, cands, 1)
+        known = given_targets(kernel, targets, cands, 1)
         assert known.k == 2
         before = known.var.copy()
-        known.add(0, kernel_matrix(kernel, cands[:1], cands)[0])
+        known._push(0, kernel_matrix(kernel, cands[:1], cands)[0], 0.0, kernel.jitter)
         assert known.k == 2
         np.testing.assert_array_equal(known.var, before)
 

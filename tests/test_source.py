@@ -89,23 +89,24 @@ def test_cli_import_loads_only_scipys_lapack_extension():
     assert out.stdout.strip() == "['scipy.linalg._flapack']"
 
 
-def private_definitions(tree: ast.Module) -> dict:
-    """Module-level ``_``-prefixed functions and constants, by name, with
-    the node that defines each."""
-    defined = {}
+def private_definitions(tree: ast.Module) -> list:
+    """Private (``_``-prefixed, not dunder) module-level functions, classes
+    and constants, and private methods of module-level classes: for each,
+    its qualified name, its name and the node that defines it."""
+    defined = []
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            defined[node.name] = node
+        if isinstance(node, ast.ClassDef):
+            defined += [
+                (f"{node.name}.{method.name}", method.name, method)
+                for method in node.body
+                if isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef))
+            ]
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.append((node.name, node.name, node))
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            for target in targets:
-                if isinstance(target, ast.Name):
-                    defined[target.id] = node
-    return {
-        name: node
-        for name, node in defined.items()
-        if name.startswith("_") and not name.startswith("__")
-    }
+            defined += [(t.id, t.id, node) for t in targets if isinstance(t, ast.Name)]
+    return [d for d in defined if d[1].startswith("_") and not d[1].startswith("__")]
 
 
 def references(tree: ast.AST, skip=None) -> set:
@@ -125,19 +126,18 @@ def references(tree: ast.AST, skip=None) -> set:
 
 
 def test_private_helpers_are_used():
-    """Every private module-level function or constant in the package is
-    read somewhere in the package outside its own definition, so a path
-    that a new one replaced does not linger."""
+    """Every private module-level function, class or constant in the
+    package, and every private method of a module-level class, is read
+    somewhere in the package outside its own definition, so a path, a
+    carrier or a method that a new one replaced does not linger."""
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    read = {module: references(tree) for module, tree in trees.items()}
     unused = []
     for module, tree in trees.items():
-        for name, node in private_definitions(tree).items():
-            used = any(
-                name in references(other, skip=node if other is tree else None)
-                for other in trees.values()
-            )
-            if not used:
-                unused.append(f"{module}: {name}")
+        elsewhere = set().union(*(names for other, names in read.items() if other != module))
+        for qualified, name, node in private_definitions(tree):
+            if name not in elsewhere and name not in references(tree, skip=node):
+                unused.append(f"{module}: {qualified}")
     assert unused == []
 
 
