@@ -101,6 +101,28 @@ class RoIMask:
         raise NotImplementedError
 
 
+def _collinear(d: np.ndarray) -> bool:
+    """``np.linalg.matrix_rank(d) < 2`` for the ``(m, 2)`` offsets ``d`` of
+    a polygon's vertices from its first, without the SVD where the answer
+    is clear.
+
+    With ``d_k`` the longest row, ``s1 * s2 >= |d_k x d_i|`` for every row
+    ``i`` (Cauchy-Binet) and ``s1**2 <= sum |d|^2``, so the singular values
+    satisfy ``s2 / s1 >= max_i |d_k x d_i| / sum |d|^2``.  ``matrix_rank``
+    calls ``d`` rank 1 where ``s2 <= max(m, 2) * eps * s1``; a bound above
+    ``64 m eps`` clears that threshold and the SVD's own round-off.  Only
+    nearly collinear sets, and sets so small that the bound underflows,
+    reach the SVD.
+    """
+    sq = (d * d).sum(axis=1)
+    dk = d[np.argmax(sq)]
+    cross = np.abs(dk[0] * d[:, 1] - dk[1] * d[:, 0]).max()
+    margin = 64 * len(d) * np.finfo(float).eps * sq.sum()
+    if cross > margin > np.finfo(float).tiny:
+        return False
+    return bool(np.linalg.matrix_rank(d) < 2)
+
+
 @dataclass(frozen=True, eq=False)
 class PolygonMask(RoIMask):
     """Planar polygon membership by the even-odd (ray casting) rule."""
@@ -111,7 +133,7 @@ class PolygonMask(RoIMask):
         verts = as_points(self.vertices)
         if len(verts) < 3:
             raise InvalidInputError("polygon needs at least 3 vertices")
-        if np.linalg.matrix_rank(verts[1:] - verts[0]) < 2:
+        if _collinear(verts[1:] - verts[0]):
             raise InvalidInputError("polygon vertices are collinear, so it contains no point")
         object.__setattr__(self, "vertices", verts)
 

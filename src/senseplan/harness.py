@@ -10,6 +10,7 @@ which keeps the output bytes independent of the worker count.
 
 from __future__ import annotations
 
+import concurrent.futures
 import ctypes
 import functools
 import hashlib
@@ -17,7 +18,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -212,7 +212,11 @@ def execute_run(cfg: RunConfig, workers: int = 1) -> dict:
         results = [run_trial(cfg, t) for t in trials]
     else:
         # The pool starts every worker at once, so start no more than trials.
-        with ProcessPoolExecutor(max_workers=min(workers, cfg.trials), initializer=_one_blas_thread) as pool:
+        # concurrent.futures loads its process module (and multiprocessing)
+        # on this first attribute access, so a serial run never loads them.
+        with concurrent.futures.ProcessPoolExecutor(
+            max_workers=min(workers, cfg.trials), initializer=_one_blas_thread
+        ) as pool:
             results = list(pool.map(functools.partial(run_trial, cfg), trials))
 
     aggregates = {kind: {} for kind in cfg.planner_kinds}

@@ -273,6 +273,68 @@ class TestPolygonMask:
         with pytest.raises(InvalidInputError, match="collinear"):
             PolygonMask(np.array([[1.0, 2.0]] * 4))
 
+    def test_ordinary_polygons_skip_the_svd(self, monkeypatch):
+        """A rectangle and the U shape are clearly planar, so building them
+        never calls ``np.linalg.matrix_rank``."""
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("matrix_rank called")
+
+        monkeypatch.setattr(np.linalg, "matrix_rank", no_svd)
+        PolygonMask.rectangle(0, 0, 10, 10)
+        PolygonMask(np.array([(0, 0), (4, 0), (4, 3), (3, 3), (3, 1), (1, 1), (1, 3), (0, 3)], float))
+
+    def test_collinear_decision_is_matrix_ranks(self, monkeypatch):
+        """``PolygonMask`` accepts a vertex set exactly where
+        ``matrix_rank(v[1:] - v[0])`` is 2: on collinear and coincident
+        points, thin slivers, offsets of 1e8, tiny triangles and random
+        sets, some of them within a few ulps of the rank threshold."""
+        matrix_rank = np.linalg.matrix_rank
+        rank_calls = []
+
+        def counted_rank(d):
+            rank_calls.append(len(d))
+            return matrix_rank(d)
+
+        monkeypatch.setattr(np.linalg, "matrix_rank", counted_rank)
+
+        def accepted(v):
+            try:
+                PolygonMask(v)
+            except InvalidInputError:
+                return False
+            return True
+
+        sets = [
+            np.array([[0.0, 0.0], [5.0, 5.0], [10.0, 10.0]]),
+            1e8 + np.outer(np.arange(6.0), [3.0, -2.0]),
+            np.array([[1.0, 2.0]] * 4),
+            np.array([[1.0, 2.0], [1.0, 2.0], [3.0, 4.0]]),
+            np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1e-13]]),
+            np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1e-16]]),
+            np.array([[0.0, 0.0], [10.0, 10.0], [5.0, 5.0 + 1e-13]]),
+            1e8 + np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
+            1e8 + np.array([[0.0, 0.0], [1e-9, 0.0], [0.0, 1e-9]]),
+            np.array([[0.0, 0.0], [1e-9, 0.0], [0.0, 1e-9]]),
+        ]
+        rng = np.random.default_rng(28)
+        eps = np.finfo(float).eps
+        for _ in range(300):
+            m = int(rng.integers(3, 10))
+            offset = rng.normal(size=2) * 10.0 ** rng.uniform(-3, 9)
+            scale = 10.0 ** rng.uniform(-9, 6)
+            line = np.outer(rng.normal(size=m), rng.normal(size=2))
+            sliver = eps * 10.0 ** rng.uniform(-1, 3) * np.outer(rng.normal(size=m), rng.normal(size=2))
+            sets += [
+                offset + scale * rng.normal(size=(m, 2)),
+                offset + scale * line,
+                offset + scale * (line + sliver),
+            ]
+        decisions = [accepted(v) for v in sets]
+        assert decisions == [matrix_rank(v[1:] - v[0]) == 2 for v in sets]
+        assert 0 < sum(decisions) < len(sets)
+        assert 0 < len(rank_calls) < len(sets)
+
     def test_batch_matches_per_point_even_odd(self):
         """One batch query agrees with the even-odd rule applied a point at
         a time, on a concave polygon's vertices, on points lying on its

@@ -1,10 +1,10 @@
 """End-to-end run driver, output files, score tables, validate command."""
 
+import concurrent.futures
 import ctypes
 import json
 import math
 import tracemalloc
-from concurrent.futures import ProcessPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
@@ -114,7 +114,7 @@ def test_pool_workers_use_one_blas_thread():
     """The pool initializer leaves each OpenBLAS in a worker at one
     thread and does not touch the parent's threading."""
     before = openblas_thread_counts()
-    with ProcessPoolExecutor(max_workers=1, initializer=_one_blas_thread) as pool:
+    with concurrent.futures.ProcessPoolExecutor(max_workers=1, initializer=_one_blas_thread) as pool:
         in_worker = pool.submit(openblas_thread_counts).result()
     assert in_worker == {path: 1 for path in before}
     assert openblas_thread_counts() == before
@@ -296,7 +296,7 @@ class TestExecuteRun:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(harness_mod, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         cfg = parse_config_text(MINI)
         record = execute_run(cfg, workers=64)
         assert sizes == [cfg.trials] == [2]

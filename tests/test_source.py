@@ -71,13 +71,41 @@ def test_cli_import_leaves_scipy_spatial_out():
     assert out.stdout.strip() == "[]"
 
 
+SERIAL_RUN = """
+[scenario]
+horizon = 3
+trials = 2
+planner = both
+[kernel]
+signal_variance = 4.0
+lengthscale = 2.0
+[field]
+kind = analytic
+name = linear
+a = 1.0
+[roi]
+kind = rectangle
+rect = 0, 0, 10, 10
+[placement]
+kind = sample
+n_targets = 3
+n_candidates = 4
+n_shared = 0
+"""
+
+
 def test_cli_import_loads_only_scipys_lapack_extension():
-    """``import senseplan.cli`` in a fresh interpreter loads scipy's LAPACK
-    extension but not ``scipy.linalg``, nor the numpy modules scipy's
-    array-API layer would pull in with it."""
+    """``import senseplan.cli`` and a serial run on a rectangle, in a fresh
+    interpreter, load scipy's LAPACK extension but not ``scipy.linalg``,
+    nor the numpy modules scipy's array-API layer would pull in with it,
+    nor the process-pool machinery only a pooled run uses."""
     code = (
-        "import sys, senseplan.cli; print(sorted(m for m in ('scipy.linalg', 'scipy.linalg._flapack', "
-        "'scipy.spatial', 'scipy.special', 'numpy.f2py', 'numpy.testing') if m in sys.modules))"
+        "import sys, senseplan.cli\n"
+        "from senseplan.config import parse_config_text\n"
+        "from senseplan.harness import execute_run\n"
+        f"execute_run(parse_config_text({SERIAL_RUN!r}), workers=1)\n"
+        "print(sorted(m for m in ('scipy.linalg', 'scipy.linalg._flapack', 'scipy.spatial', 'scipy.special', "
+        "'numpy.f2py', 'numpy.testing', 'concurrent.futures.process', 'multiprocessing') if m in sys.modules))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code],
