@@ -355,7 +355,7 @@ def load_config(path, overrides: Optional[dict] = None) -> RunConfig:
     try:
         with open(str(path)) as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return parse_config_text(text, source=str(path), overrides=overrides)
 

@@ -41,7 +41,7 @@ from .errors import (
     InvalidInputError,
     PlacementError,
 )
-from .gp import KernelSpec, MeanSpec, as_point, as_points, sample_prior_field
+from .gp import KernelSpec, MeanSpec, _finite, as_point, as_points, sample_prior_field
 
 #: Queries farther than this many cell diagonals from every non-missing
 #: cell are treated as outside the data support.
@@ -165,6 +165,20 @@ class PolygonMask(RoIMask):
 # ---------------------------------------------------------------------------
 
 
+def _axis(coords, start: float, step: float, n: int, name: str) -> np.ndarray:
+    """A copy of ``coords`` as ``n`` finite floats, or the lattice
+    ``start + step * arange(n)`` where ``coords`` is None."""
+    if coords is None:
+        return start + step * np.arange(n)
+    try:
+        axis = np.array(coords, dtype=float)
+    except (TypeError, ValueError):
+        axis = None
+    if axis is None or axis.shape != (n,) or not np.all(np.isfinite(axis)):
+        raise InvalidInputError(f"{name} must be {n} finite numbers, one per lattice line")
+    return axis
+
+
 @dataclass(frozen=True, eq=False)
 class GridData(RoIMask):
     """Values on a regular lat/lon lattice; NaN cells are outside the RoI.
@@ -190,6 +204,8 @@ class GridData(RoIMask):
     lon_coords: Optional[np.ndarray] = field(default=None, repr=False)
 
     def __post_init__(self):
+        if not all(map(_finite, (self.lat0, self.lon0, self.dlat, self.dlon))):
+            raise InvalidInputError("grid origin and cell sizes must be finite numbers")
         if not (self.dlat > 0 and self.dlon > 0):
             raise InvalidInputError("grid cell sizes must be positive")
         vals = np.asarray(self.values, dtype=float)
@@ -198,12 +214,8 @@ class GridData(RoIMask):
         if not np.any(np.isfinite(vals)):
             raise InvalidInputError("grid must contain at least one non-missing cell")
         nlat, nlon = vals.shape
-        lat_c = self.lat_coords
-        lon_c = self.lon_coords
-        if lat_c is None:
-            lat_c = self.lat0 + self.dlat * np.arange(nlat)
-        if lon_c is None:
-            lon_c = self.lon0 + self.dlon * np.arange(nlon)
+        lat_c = _axis(self.lat_coords, self.lat0, self.dlat, nlat, "lat_coords")
+        lon_c = _axis(self.lon_coords, self.lon0, self.dlon, nlon, "lon_coords")
         lat_p = self.lat_present
         lon_p = self.lon_present
         lat_p = np.ones(nlat, dtype=bool) if lat_p is None else np.asarray(lat_p, dtype=bool)
@@ -215,8 +227,8 @@ class GridData(RoIMask):
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "lat_present", lat_p.copy())
         object.__setattr__(self, "lon_present", lon_p.copy())
-        object.__setattr__(self, "lat_coords", np.asarray(lat_c, dtype=float).copy())
-        object.__setattr__(self, "lon_coords", np.asarray(lon_c, dtype=float).copy())
+        object.__setattr__(self, "lat_coords", lat_c)
+        object.__setattr__(self, "lon_coords", lon_c)
         object.__setattr__(self, "_present", np.isfinite(vals))
 
     @property
@@ -307,22 +319,27 @@ def _lattice_axis(coords, axis_name: str, path: str):
 
 def _csv_rows(path, header: tuple[str, ...], what: str):
     """``(line number, fields)`` of each nonblank data row of a CSV file that
-    starts with ``header``; ``what`` names the file if it cannot be opened."""
+    starts with ``header``; ``what`` names the file if it cannot be opened
+    or decoded."""
     try:
         fh = open(str(path), newline="")
     except OSError as exc:
         raise DataError(f"{path}: cannot open {what} ({exc})") from exc
     with fh:
         reader = csv.reader(fh)
-        first = next(reader, None)
-        if first is None or [h.strip() for h in first] != list(header):
-            raise DataError(f"{path}:1: expected header '{','.join(header)}'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != len(header):
-                raise DataError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-            yield lineno, row
+        try:
+            first = next(reader, None)
+            if first is None or [h.strip() for h in first] != list(header):
+                raise DataError(f"{path}:1: expected header '{','.join(header)}'")
+            for lineno, row in enumerate(reader, start=2):
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if len(row) != len(header):
+                    raise DataError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
+                yield lineno, row
+        except UnicodeDecodeError as exc:
+            # Raised by the reads behind the rows, not by open().
+            raise DataError(f"{path}: cannot decode {what} ({exc})") from exc
 
 
 def load_grid_csv(path) -> GridData:

@@ -110,6 +110,63 @@ class TestGridCSV:
         with pytest.raises(DataError, match="cannot open"):
             load_grid_csv(tmp_path / "nope.csv")
 
+    def test_undecodable_row_names_the_file(self, tmp_path):
+        """A byte that is not UTF-8 past the first read's buffer is a data
+        error naming the file, raised while the rows are read."""
+        p = tmp_path / "bad.csv"
+        rows = "".join(f"{i * 0.5},0.0,{i}.0\n" for i in range(2000))
+        p.write_bytes(b"lat,lon,value\n" + rows.encode() + b"1000.0,0.0,\xff\n")
+        assert p.stat().st_size > 16384
+        with pytest.raises(DataError, match=f"^{p}: cannot decode grid CSV"):
+            load_grid_csv(p)
+
+
+class TestGridDataInputs:
+    VALUES = np.zeros((3, 3))
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"lat_coords": [0.0, 1.0]},
+            {"lon_coords": [0.0, 1.0, 2.0, 3.0]},
+            {"lat_coords": np.arange(3.0)[:, None]},
+            {"lon_coords": np.zeros((3, 3))},
+            {"lat_coords": [0.0, np.nan, 2.0]},
+            {"lon_coords": [0.0, 1.0, np.inf]},
+            {"lat_coords": ["a", "b", "c"]},
+            {"lon_coords": [0j, 1j, 2j]},
+            {"dlat": "1"},
+            {"dlon": None},
+            {"dlat": np.inf},
+            {"dlon": np.nan},
+            {"lat0": np.nan},
+            {"lon0": -np.inf},
+            {"lat0": None},
+            {"lon0": [0.0]},
+        ],
+    )
+    def test_bad_inputs_raise_when_built(self, changes):
+        """Coordinates of the wrong shape or not finite, and an origin or
+        cell size that is not one finite number, are rejected by the
+        constructor, not by the first query."""
+        kwargs = dict(lat0=0.0, lon0=0.0, dlat=1.0, dlon=1.0, values=self.VALUES) | changes
+        with pytest.raises(InvalidInputError):
+            GridData(**kwargs)
+
+    @pytest.mark.parametrize("changes", [{"dlat": 0.0}, {"dlon": -1.0}])
+    def test_non_positive_cell_sizes_keep_their_message(self, changes):
+        kwargs = dict(lat0=0.0, lon0=0.0, dlat=1.0, dlon=1.0, values=self.VALUES) | changes
+        with pytest.raises(InvalidInputError, match="^grid cell sizes must be positive$"):
+            GridData(**kwargs)
+
+    def test_given_coordinates_are_copied(self):
+        lat = np.array([0.0, 1.0, 2.5])
+        g = GridData(lat0=0.0, lon0=0.0, dlat=1.0, dlon=1.0, values=self.VALUES, lat_coords=lat, lon_coords=(5, 6, 7))
+        lat[0] = 9.0
+        assert g.lat_coords.tolist() == [0.0, 1.0, 2.5]
+        assert g.lon_coords.tolist() == [5.0, 6.0, 7.0]
+        assert g.contains([(5.0, 0.0)]).tolist() == [True]
+
 
 #: Queries on the unit lattice over 0..5 x 0..5, numbered row-major with x
 #: fastest, mixing tied rows (first four, last) with untied ones, and the

@@ -474,13 +474,26 @@ class TestOutputText:
             [{"a": 1}, {1: 1}],
             [{}, {}],
             [{"a": 1}, [1]],
+            [1, -2, 10**20, 0],
+            ["a", "\u00e9", "", '"q"', "%s"],
+            [True, False, True],
+            [None, None],
+            [1, "a", True, None, 2.5],
+            [{"a": 1.5, "b": [2.0, "x"]}],
+            [{"p": {"x": 1.0, "y": "a"}, "n": 1}, {"p": {"x": -0.0, "y": "b"}, "n": 2}],
+            [{"r": [{"x": 1.0, "y": None}, {"x": 2.0, "y": None}]}, {"r": [{"x": 3.0, "y": True}, {"x": 4.0, "y": 5}]}],
+            [{"v": 1.0, "w": None}, {"v": None, "w": 2.0}, {"v": 0.5, "w": None}],
         ],
         ids=["plain", "percent-keys", "quotes-non-ascii-nested", "nested", "mixed-column",
-             "key-order-differs", "keys-differ", "non-str-key", "empty-dicts", "not-all-dicts"],
+             "key-order-differs", "keys-differ", "non-str-key", "empty-dicts", "not-all-dicts",
+             "ints", "strings", "bools", "nulls", "mixed-scalars", "one-dict",
+             "column-of-rows", "column-of-row-lists", "floats-and-nulls-column"],
     )
     def test_lists_of_rows_print_as_json_does(self, rows):
-        """Lists of dicts print as json prints them, whether their keys
-        match in order (one template) or not (one dict at a time)."""
+        """Lists print as json prints them: dicts whether their keys match
+        in order (one template, whose columns may be rows again or mix
+        floats with nulls) or not (one dict at a time), one dict alone,
+        and items of one plain type or of several."""
         for tree in (rows, {"rows": rows, "again": [rows]}):
             assert render_run_json(tree) == json.dumps(tree, indent=1, allow_nan=False)
 
@@ -502,6 +515,15 @@ class TestOutputText:
         rows = [{"a": 1.0, "b": "x"}, {"a": bad, "b": "y"}, {"a": 2.0, "b": "z"}]
         expected = json_error(rows)
         with pytest.raises(type(expected)) as exc:
+            render_run_json(rows)
+        assert str(exc.value) == str(expected)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_in_a_nested_column_raises_as_json_does(self, bad):
+        rows = [{"p": {"x": 1.0, "y": 0}, "n": 1}, {"p": {"x": bad, "y": 1}, "n": 2}]
+        expected = json_error(rows)
+        assert isinstance(expected, ValueError)
+        with pytest.raises(ValueError) as exc:
             render_run_json(rows)
         assert str(exc.value) == str(expected)
 
@@ -850,6 +872,27 @@ class TestCLI:
     def test_unparseable_config_exits_2(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, "[scenario]\nhorizon = many\n[field]\nkind = gp-sample\n")
         assert main(["validate", "--config", cfg_path]) == 2
+
+    def test_undecodable_config_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "bad.ini"
+        cfg_path.write_bytes(MINI.replace("[scenario]", "# caf\u00e9\n[scenario]").encode("latin-1"))
+        assert main(["validate", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read config file {cfg_path}: ")
+
+    def test_undecodable_grid_csv_exits_3(self, tmp_path, capsys):
+        grid_path = tmp_path / "grid.csv"
+        grid_path.write_bytes(b"lat,lon,value\n0,0,1.0\n0,1,\xff\n")
+        text = f"[scenario]\nhorizon = 2\n[field]\nkind = grid\ngrid_csv = {grid_path}\n[placement]\nkind = sample\nn_targets = 2\nn_candidates = 2\nn_shared = 0\n"
+        assert main(["validate", "--config", write_config(tmp_path, text)]) == 3
+        assert capsys.readouterr().out.startswith(f"invalid: {grid_path}: cannot decode grid CSV (")
+
+    def test_undecodable_log_exits_3(self, tmp_path, capsys):
+        log_path = tmp_path / "log.csv"
+        log_path.write_bytes(b"x,y,value\n5.0,5.0,\xff\n")
+        assert main(["score", "--config", write_config(tmp_path), "--log", str(log_path)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {log_path}: cannot decode")
 
 
 class TestGridRuns:
