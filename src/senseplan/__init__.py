@@ -28,7 +28,6 @@ from .gp import (
 )
 from .infogain import (
     EDGResult,
-    QuadratureSpec,
     UnnormalizedFormResult,
     edg_exact,
     edg_quadrature,
@@ -52,7 +51,6 @@ from .environment import (
 )
 from .metrics import (
     METRIC_NAMES,
-    MetricSeries,
     aggregate_series,
     intersection_indices,
 )
@@ -83,13 +81,11 @@ __all__ = [
     "METRIC_NAMES",
     "MeanSpec",
     "MeasurementLog",
-    "MetricSeries",
     "NumericalDegeneracyError",
     "PLANNER_KINDS",
     "PlacementError",
     "PlanningError",
     "PolygonMask",
-    "QuadratureSpec",
     "RoIMask",
     "SampledField",
     "ScenarioConfig",

@@ -481,10 +481,7 @@ class GroundTruthField:
 
     def values(self, points) -> np.ndarray:
         """True value at each row of ``points``; raises FieldDomainError if
-        any row lies outside :meth:`roi`."""
-        raise NotImplementedError
-
-    def roi(self) -> RoIMask:
+        any row lies outside the field's region."""
         raise NotImplementedError
 
 
@@ -498,9 +495,6 @@ class GridField(GroundTruthField):
     def values(self, points) -> np.ndarray:
         _, cells = _points_inside(self.grid, points, grid_cells=True)
         return self.grid.values.reshape(-1)[cells]
-
-    def roi(self) -> RoIMask:
-        return self.grid
 
 
 @dataclass(frozen=True, eq=False)
@@ -527,9 +521,6 @@ class AnalyticField(GroundTruthField):
         pts = _points_inside(self.region, points)
         # np.full broadcasts a scalar as it is: adding zeros would turn -0.0 into 0.0.
         return np.full(len(pts), ANALYTIC_CATALOG[self.name](pts[:, 0], pts[:, 1], **self.params), dtype=float)
-
-    def roi(self) -> RoIMask:
-        return self.region
 
 
 @dataclass(frozen=True, eq=False)
@@ -564,9 +555,6 @@ class SampledField(GroundTruthField):
         if len(off := np.flatnonzero(near < 0)):
             near[off] = _nearest(self.nodes, pts[off])
         return self.node_values[near]
-
-    def roi(self) -> RoIMask:
-        return self.region
 
 
 def sample_field(

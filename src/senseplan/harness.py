@@ -219,16 +219,14 @@ def execute_run(cfg: RunConfig, workers: int = 1) -> dict:
         ) as pool:
             results = list(pool.map(functools.partial(run_trial, cfg), trials))
 
-    aggregates = {kind: {} for kind in cfg.planner_kinds}
-    for kind in cfg.planner_kinds:
-        for name, field in METRIC_FIELDS.items():
-            # A null (None) value reads as NaN in the float array.
-            per_trial = [[step[field] for step in res["traces"][kind]["steps"]] for res in results]
-            series = aggregate_series(name, per_trial)
-            aggregates[kind][name] = {
-                "mean": [None if v != v else v for v in series.mean.tolist()],
-                "sd": [None if v != v else v for v in series.sd.tolist()],
-            }
+    # A null (None) value reads as NaN in the float array.
+    aggregates = {
+        kind: {
+            name: aggregate_series([[step[field] for step in res["traces"][kind]["steps"]] for res in results])
+            for name, field in METRIC_FIELDS.items()
+        }
+        for kind in cfg.planner_kinds
+    }
 
     record = {
         "artifact": {"name": "senseplan", "version": __version__},

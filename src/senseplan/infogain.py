@@ -31,6 +31,7 @@ evaluate it.  The routes, cross-checked in the tests:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -43,7 +44,6 @@ from .gp import (
     KernelSpec,
     MeanSpec,
     MeasurementLog,
-    _integer_at_least,
     _solve_lower,
     _variance_pair,
     as_point,
@@ -66,23 +66,6 @@ class EDGResult:
     value: float
     structural_term: float
     mean_shift_term: float
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Gauss-Hermite rule used by the quadrature oracle."""
-
-    node_count: int = 64
-
-    def __post_init__(self):
-        count = self.node_count
-        if not _integer_at_least(count, 1):
-            raise InvalidInputError("node_count must be an integer >= 1")
-        object.__setattr__(self, "node_count", int(count))
-
-    def nodes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Physicists' nodes and weights; the raw weights sum to sqrt(pi)."""
-        return np.polynomial.hermite.hermgauss(self.node_count)
 
 
 @dataclass(frozen=True)
@@ -182,20 +165,14 @@ def edg_exact(kernel: KernelSpec, log: MeasurementLog, candidate, targets) -> ED
     return _exact(kernel, log, candidate, targets)[1]
 
 
-def edg_quadrature(
-    mean: MeanSpec,
-    kernel: KernelSpec,
-    log: MeasurementLog,
-    candidate,
-    targets,
-    quad: QuadratureSpec = QuadratureSpec(),
-) -> float:
+def edg_quadrature(mean: MeanSpec, kernel: KernelSpec, log: MeasurementLog, candidate, targets) -> float:
     """Expected discrimination gain by Gauss-Hermite quadrature over the reading.
 
     Integrates ``KL(post-belief(z) || pre-belief)`` against the predictive
-    density of the reading, ``z = mu_z + sqrt(2 var_z) t``.  One conditioning
-    gives both beliefs: with ``d^2`` the reading's Cholesky pivot and ``g``
-    its gain on the targets, the post covariance ``Q - d^2 g g'`` does not
+    density of the reading, ``z = mu_z + sqrt(2 var_z) t``, over the 64
+    nodes ``t`` of :func:`_hermite_rule`.  One conditioning gives both
+    beliefs: with ``d^2`` the reading's Cholesky pivot and ``g`` its gain
+    on the targets, the post covariance ``Q - d^2 g g'`` does not
     depend on ``z`` and the post mean moves by ``g (z - mu_z)``, so the
     covariance part of :func:`kl_gaussian` is computed once and each node
     adds its mean part.  A pivot at or below ``JITTER_LADDER[0]`` of the
@@ -219,8 +196,19 @@ def edg_quadrature(
     g = cov[:n, n] / d2
     L, spread = _covariance_part(cov[:n, :n], -d2 * np.outer(g, g))
     u = _solve_lower(L, g)
-    t, w = quad.nodes()
+    t, w = _hermite_rule()
     return float(w @ (spread + (var[n] + s2) * t**2 * (u @ u))) / math.sqrt(math.pi)
+
+
+@functools.cache
+def _hermite_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The oracle's 64-node Gauss-Hermite rule, read-only: the physicists'
+    nodes and weights, the raw weights summing to sqrt(pi).  Built on first
+    use, so importing the package does not load ``numpy.polynomial``."""
+    rule = np.polynomial.hermite.hermgauss(64)
+    for part in rule:
+        part.flags.writeable = False
+    return rule
 
 
 def edg_unnormalized_form(kernel: KernelSpec, log: MeasurementLog, candidate, targets) -> UnnormalizedFormResult:

@@ -13,8 +13,6 @@ module aggregates them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InvalidInputError
@@ -48,27 +46,9 @@ def intersection_indices(points_a, points_b) -> tuple[np.ndarray, np.ndarray]:
     return np.array(idx_a, dtype=int), np.array(idx_b, dtype=int)
 
 
-@dataclass(frozen=True, eq=False)
-class MetricSeries:
-    """Per-step mean and sample standard deviation of one metric."""
-
-    name: str
-    mean: np.ndarray
-    sd: np.ndarray
-
-    def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=float).reshape(-1)
-        sd = np.asarray(self.sd, dtype=float).reshape(-1)
-        if mean.shape != sd.shape or mean.size == 0:
-            raise InvalidInputError("mean and sd must be equal-length nonempty vectors")
-        mean.flags.writeable = False
-        sd.flags.writeable = False
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "sd", sd)
-
-
-def aggregate_series(name: str, per_trial) -> MetricSeries:
-    """Collapse a (trials, steps) array to per-step mean and sd.
+def aggregate_series(per_trial) -> dict:
+    """Collapse a (trials, steps) array to the per-step ``{"mean": [...],
+    "sd": [...]}`` lists that run.json prints, None where a value is NaN.
 
     The standard deviation uses ddof=1 across trials; a single trial
     yields sd 0.0 rather than NaN.
@@ -83,4 +63,7 @@ def aggregate_series(name: str, per_trial) -> MetricSeries:
         sd = arr.std(axis=0, ddof=1)
     else:
         sd = np.zeros(arr.shape[1])
-    return MetricSeries(name=name, mean=mean, sd=sd)
+    return {
+        "mean": [None if v != v else v for v in mean.tolist()],
+        "sd": [None if v != v else v for v in sd.tolist()],
+    }

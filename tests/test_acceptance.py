@@ -27,7 +27,6 @@ from senseplan import (
     MeanSpec,
     MeasurementLog,
     PolygonMask,
-    QuadratureSpec,
     ScenarioConfig,
     edg_exact,
     edg_quadrature,
@@ -73,11 +72,10 @@ def test_a1_closed_form_matches_quadrature_oracle():
     rng = np.random.default_rng(202601)
     t0 = time.perf_counter()
     worst = 0.0
-    quad = QuadratureSpec(64)
     for _ in range(200):
         mean, kernel, log, cand, targets = random_edg_instance(rng)
         exact = edg_exact(kernel, log, cand, targets).value
-        oracle = edg_quadrature(mean, kernel, log, cand, targets, quad)
+        oracle = edg_quadrature(mean, kernel, log, cand, targets)
         denom = max(abs(oracle), 1e-12)
         worst = max(worst, abs(exact - oracle) / denom)
     elapsed = time.perf_counter() - t0
@@ -98,7 +96,7 @@ def test_a1_instances_match_extended_precision_reference():
         mean, kernel, log, cand, targets = instances[i]
         ref = edg_reference(kernel, log, cand, targets)
         exact = edg_exact(kernel, log, cand, targets).value
-        quad = edg_quadrature(mean, kernel, log, cand, targets, QuadratureSpec(64))
+        quad = edg_quadrature(mean, kernel, log, cand, targets)
         assert abs(exact - ref) <= 1e-8 * ref, (i, exact, ref)
         assert abs(quad - ref) <= 1e-8 * ref, (i, quad, ref)
 

@@ -18,7 +18,6 @@ from senseplan import (
     KernelSpec,
     MeanSpec,
     MeasurementLog,
-    QuadratureSpec,
     edg_exact,
     edg_quadrature,
     edg_unnormalized_form,
@@ -40,6 +39,12 @@ def random_gaussian_pair(rng, dim):
     P = GaussianBelief(query=query, mean=mu_p, cov=cov_p)
     Q = GaussianBelief(query=query, mean=mu_q, cov=cov_q)
     return P, Q
+
+
+def use_rule(monkeypatch, node_count):
+    """Make ``edg_quadrature`` integrate with a ``node_count``-node rule
+    in place of its own 64-node one."""
+    monkeypatch.setattr(infogain_mod, "_hermite_rule", lambda: np.polynomial.hermite.hermgauss(node_count))
 
 
 def random_scenario(rng, n_obs=None, n_targets=None):
@@ -221,16 +226,21 @@ class TestEDGExact:
 
 class TestEDGQuadrature:
     def test_weights_are_normalized(self):
-        _, w = QuadratureSpec(32).nodes()
+        """The oracle's one rule has 64 nodes, its raw weights sum to
+        sqrt(pi), and a caller cannot write to it."""
+        t, w = infogain_mod._hermite_rule()
+        assert len(t) == len(w) == 64
+        assert not (t.flags.writeable or w.flags.writeable)
         np.testing.assert_allclose(w.sum(), math.sqrt(math.pi), rtol=1e-12)
 
-    def test_node_count_does_not_matter(self):
+    def test_node_count_does_not_matter(self, monkeypatch):
         """The integrand is quadratic in the reading, so even a four-node
         rule is already exact."""
         rng = np.random.default_rng(13)
         mean, kernel, log, cand, targets = random_scenario(rng, n_obs=5)
-        small = edg_quadrature(mean, kernel, log, cand, targets, QuadratureSpec(4))
-        large = edg_quadrature(mean, kernel, log, cand, targets, QuadratureSpec(64))
+        large = edg_quadrature(mean, kernel, log, cand, targets)
+        use_rule(monkeypatch, 4)
+        small = edg_quadrature(mean, kernel, log, cand, targets)
         np.testing.assert_allclose(small, large, rtol=1e-10)
 
     def test_one_conditioning_and_one_factorization(self, monkeypatch):
@@ -246,15 +256,15 @@ class TestEDGQuadrature:
 
         monkeypatch.setattr(MeasurementLog, "__post_init__", no_new_log)
         for node_count in (4, 9, 64):
-            quad = QuadratureSpec(node_count)
-            assert edg_quadrature(mean, kernel, log, cand, targets, quad) > 0
+            use_rule(monkeypatch, node_count)
+            assert edg_quadrature(mean, kernel, log, cand, targets) > 0
             assert [args[2] for args in calls["predictive_moments"]] == [log]
             assert len(calls["jittered_cholesky"]) == 1
             for recorded in calls.values():
                 recorded.clear()
         assert not hasattr(infogain_mod, "posterior")
 
-    def test_matches_the_definition_node_by_node(self):
+    def test_matches_the_definition_node_by_node(self, monkeypatch):
         """Against the definition evaluated from the public API, with the
         log extended and conditioned afresh at each node (a noise-free
         repeat takes the logged value), over noise 0, 0.1 and 1, kernel
@@ -262,15 +272,15 @@ class TestEDGQuadrature:
         A noise-free repeat under jitter has no reading to pin the node to;
         there the value integrates a jitter-sized spread, finite and >= 0."""
         rng = np.random.default_rng(23)
-        quad = QuadratureSpec(8)
-        t, w = quad.nodes()
+        use_rule(monkeypatch, 8)
+        t, w = infogain_mod._hermite_rule()
         for i in range(108):
             noise, jitter = (0.0, 0.1, 1.0)[i % 3], (0.0, 1e-8, 1e-6)[i // 3 % 3]
             mean, kernel, log, cand, targets = random_scenario(rng, n_obs=int(rng.integers(1, 8)))
             kernel = KernelSpec(kernel.signal_variance, kernel.lengthscale, jitter)
             log = MeasurementLog(log.locations, log.values, noise)
             cand = (cand, log.locations[0], targets[0])[i // 9 % 3]
-            value = edg_quadrature(mean, kernel, log, cand, targets, quad)
+            value = edg_quadrature(mean, kernel, log, cand, targets)
             logged = log.values[np.all(log.locations == cand, axis=1)] if noise == 0 else []
             if len(logged) and jitter:
                 assert math.isfinite(value) and value >= 0
@@ -284,14 +294,6 @@ class TestEDGQuadrature:
             kl = [kl_gaussian(posterior(mean, kernel, log.append(cand, z), targets), pre) for z in nodes]
             ref = float(w @ kl) / math.sqrt(math.pi)
             assert abs(value - ref) <= 1e-10 * abs(ref) + 1e-12, (i, value, ref)
-
-    def test_node_count_validated(self):
-        """The node count is an integer >= 1; a float, a string or a bool is
-        rejected, not rounded or parsed."""
-        for count in (0, 2.7, "64", True):
-            with pytest.raises(InvalidInputError):
-                QuadratureSpec(count)
-        assert QuadratureSpec(np.int64(3)).node_count == 3
 
 
 class TestUnnormalizedForm:

@@ -1,11 +1,12 @@
 """Error and variance summaries over target sets."""
 
+import math
+
 import numpy as np
 import pytest
 
 from senseplan import (
     InvalidInputError,
-    MetricSeries,
     aggregate_series,
     intersection_indices,
 )
@@ -35,16 +36,16 @@ class TestIntersection:
 class TestAggregation:
     def test_mean_and_sample_sd(self):
         per_trial = np.array([[1.0, 2.0], [3.0, 6.0]])
-        series = aggregate_series("error-V", per_trial)
-        np.testing.assert_array_equal(series.mean, [2.0, 4.0])
-        np.testing.assert_allclose(series.sd, np.std(per_trial, axis=0, ddof=1))
+        series = aggregate_series(per_trial)
+        assert series["mean"] == [2.0, 4.0]
+        np.testing.assert_allclose(series["sd"], np.std(per_trial, axis=0, ddof=1))
 
     def test_single_trial_sd_is_zero(self):
-        series = aggregate_series("variance-V", np.array([[5.0, 4.0, 3.0]]))
-        np.testing.assert_array_equal(series.sd, [0.0, 0.0, 0.0])
-        assert not np.any(np.isnan(series.sd))
+        series = aggregate_series(np.array([[5.0, 4.0, 3.0]]))
+        assert series["sd"] == [0.0, 0.0, 0.0]
 
-    def test_series_arrays_read_only(self):
-        series = MetricSeries("error-V", np.array([1.0]), np.array([0.0]))
-        assert not series.mean.flags.writeable
-        assert not series.sd.flags.writeable
+    def test_nan_prints_as_none(self):
+        """A step with no value in some trial (NaN, as run.json's null reads)
+        has no mean and no sd; a single trial's sd stays 0.0 beside it."""
+        assert aggregate_series([[1.0, None], [3.0, 5.0]]) == {"mean": [2.0, None], "sd": [math.sqrt(2.0), None]}
+        assert aggregate_series([[1.0, None]]) == {"mean": [1.0, None], "sd": [0.0, 0.0]}

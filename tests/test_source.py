@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import senseplan
@@ -236,12 +237,21 @@ def test_all_names_every_reexport():
     assert sorted(senseplan.__all__) == sorted([*imported, "__version__"])
 
 
+def attribute_reads(tree: ast.AST) -> Counter:
+    """How many times each attribute name is read in ``tree``."""
+    return Counter(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load))
+
+
 def test_public_functions_are_used_or_documented():
     """Every public module-level function is imported by another package
     module (``__init__``'s re-exports do not count), read by name in its
-    own module, or named in README as `` `name(`` or `` `name` ``, so a
-    function nothing calls does not linger as API.  Imports are matched,
-    not attribute names, which other classes' fields may share."""
+    own module, or named in README as `` `name(`` or `` `name` ``; every
+    public method or property of a module-level class is read as an
+    attribute somewhere in the package outside its own definition, or
+    named in README as `` `name(`` or ``.name(``.  So a function or method
+    nothing calls does not linger as API.  Functions are matched by
+    import, not by attribute name, which other classes' fields may share.
+    README's ``[roi]`` section names no method: it is neither form."""
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE_DIR.glob("*.py"))}
     imported = {
         (node.module, alias.name)
@@ -251,10 +261,20 @@ def test_public_functions_are_used_or_documented():
         if isinstance(node, ast.ImportFrom) and node.level == 1
         for alias in node.names
     }
+    read = sum(map(attribute_reads, trees.values()), Counter())
     readme = README.read_text()
     unused = []
     for module, tree in trees.items():
         for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                unused += [
+                    f"{module}.{node.name}.{method.name}"
+                    for method in node.body
+                    if isinstance(method, ast.FunctionDef)
+                    and not method.name.startswith("_")
+                    and read[method.name] == attribute_reads(method)[method.name]
+                    and not re.search(rf"[`.]{method.name}\(", readme)
+                ]
             if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
                 continue
             own = {
