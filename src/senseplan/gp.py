@@ -22,14 +22,15 @@ shared freely across threads.  Nothing is cached between their calls:
 each conditioning builds and factors its own Gram matrix, so callers that
 need several quantities from one log ask :func:`predictive_moments` for
 all of them at once.  A log that grows one reading at a time, as in a
-planning episode, is instead carried by the private
-``_CarriedConditioning``: one kernel row and one Gram-factor row per
-reading update its means and variances (it holds no covariance), and
-each location's kernel row is computed once.  A
-from-scratch factor with a degenerate pivot feeds its log through that
-code, so both skip the same readings.  The targets' values enter as
-noise-free rows appended by ``_targets_after``, after a log's rows
-(:func:`_variance_pair`) or before an episode's: a planning episode
+planning episode, is instead carried by the private ``_CarriedRows``:
+one Gram-factor row per reading, from its kernel row, updates the
+variances (it holds no covariance and no means).  Variances do not
+depend on the values read, so the means are replayed once from the kept
+rows and their pivots, after the last reading (``_CarriedRows._means``).
+A from-scratch factor with a degenerate pivot appends its log's rows
+the same way, so both skip the same readings.  The targets' values
+enter as noise-free rows appended by ``_targets_after``, after a log's
+rows (:func:`_variance_pair`) or before an episode's: a planning episode
 carries the candidates' variances given them in a ``_CarriedRows`` of
 the candidates' columns, with the same row-append code and the
 candidates' part of the same kernel row.
@@ -453,9 +454,11 @@ def _condition(mean: MeanSpec, kernel: KernelSpec, Y, y, noise_sd: float, P):
     Returns ``(W, mu, var)``: the rows ``W = L^-1 K(Y, P)`` of the Gram
     factor ``L`` and the raw (unclamped) means and variances at ``P``.  A
     Gram matrix that does not factor with every pivot above the
-    threshold of ``_CarriedRows._push`` is fed in order through
-    :class:`_CarriedConditioning`, which skips the readings it should.  An
-    empty log gives the prior, with no LAPACK call.
+    threshold of ``_CarriedRows._push`` instead has the readings' rows
+    appended in order (their kernel rows from one :func:`kernel_matrix`
+    call), which skips the readings it should, and the means replayed
+    from them by ``_CarriedRows._means``.  An empty log gives the prior,
+    with no LAPACK call.
     """
     s2, sf2 = noise_sd**2, kernel.signal_variance
     if len(y) == 0:
@@ -463,10 +466,10 @@ def _condition(mean: MeanSpec, kernel: KernelSpec, Y, y, noise_sd: float, P):
     G = kernel_matrix(kernel, Y, Y) + (s2 + kernel.jitter * (sf2 + s2)) * np.eye(len(y))
     L, info = _FLAPACK.dpotrf(G, lower=1)
     if info != 0 or np.any(np.diagonal(L) ** 2 <= JITTER_LADDER[0] * sf2):
-        state = _CarriedConditioning(mean, kernel, noise_sd, np.vstack([P, Y]), len(y))
-        for i, z in enumerate(y):
-            state.add(len(P) + i, z)
-        return state.W[: state.k, : len(P)], state.mu[: len(P)], state.var[: len(P)]
+        rows = _CarriedRows(kernel, np.vstack([P, Y]), len(y))
+        for i, row in enumerate(kernel_matrix(kernel, Y, rows.P), len(P)):
+            rows._push(i, row, s2, kernel.jitter)
+        return rows.W[: rows.k, : len(P)], rows._means(mean.constant, y, len(P))[0][-1], rows.var[: len(P)]
     W = _solve_lower(L, kernel_matrix(kernel, Y, P))
     mu = mean.constant + _solve_lower(L, y - mean.constant) @ W
     return W, mu, sf2 - np.einsum("ij,ij->j", W, W)
@@ -478,12 +481,14 @@ class _CarriedRows:
     ``P``.  A reading appends one row (GPML Alg. 2.1 a row at a time):
     ``O(k |P|)`` for the ``k``-th reading, not ``O(k^3 + k^2 |P|)``.  The
     rows start as a copy of ``W0``, rows already appended that left
-    ``var``; ``capacity`` bounds the rows appended after them.
+    ``var`` (by default no rows and the prior's variances); ``capacity``
+    bounds the rows appended after them.
     """
 
-    def __init__(self, kernel: KernelSpec, P, var: np.ndarray, capacity: int, W0=()):
-        self.kernel, self.P, self.var = kernel, P, var
-        self.k = len(W0)
+    def __init__(self, kernel: KernelSpec, P, capacity: int, W0=(), var=None):
+        self.kernel, self.P = kernel, P
+        self.var = np.full(len(P), float(kernel.signal_variance)) if var is None else var
+        self.k, self.pushed = len(W0), []
         self.W = np.empty((self.k + capacity, len(P)))
         self.W[: self.k] = np.reshape(W0, (self.k, len(P)))
 
@@ -491,64 +496,52 @@ class _CarriedRows:
         """Append the row of a reading at ``P[i]``, whose kernel row is
         ``row``, under relative jitter ``jitter``: with ``l = W[:k, i]``,
         ``d^2 = row[i] + s2 + jitter (sf^2 + s2) - l'l`` and
-        ``w = (row - l'W[:k]) / d``, then ``var -= w^2``; return
-        ``(l, d, w)``.  Where ``d^2`` falls to ``JITTER_LADDER[0]`` of the
-        prior variance or below, append nothing and return None."""
+        ``w = (row - l'W[:k]) / d``, then ``var -= w^2``.  Where ``d^2``
+        falls to ``JITTER_LADDER[0]`` of the prior variance or below, append
+        nothing.  Either way ``(i, d)``, with None for ``d`` where no row was
+        appended, goes to ``pushed`` for :meth:`_means`."""
         k, sf2 = self.k, self.kernel.signal_variance
         l = self.W[:k, i]
         d2 = row[i] + s2 + jitter * (sf2 + s2) - l @ l
-        if d2 <= JITTER_LADDER[0] * sf2:
-            return None
-        d = math.sqrt(d2)
-        # Scale w by 1/d (callers divide by d), as _condition's matrix and
-        # vector triangular solves round, so that the first reading gives the
-        # bits of a fresh conditioning.
-        w = (row - l @ self.W[:k]) * (1.0 / d)
-        self.W[k] = w
-        self.var -= w * w
-        self.k = k + 1
-        return l, d, w
+        d = math.sqrt(d2) if d2 > JITTER_LADDER[0] * sf2 else None
+        self.pushed.append((i, d))
+        if d is not None:
+            # Scale w by 1/d (_means divides by d), as _condition's matrix and
+            # vector triangular solves round, so that the first reading gives
+            # the bits of a fresh conditioning.
+            w = (row - l @ self.W[:k]) * (1.0 / d)
+            self.W[k] = w
+            self.var -= w * w
+            self.k = k + 1
+
+    def _means(self, m: float, z, n: int):
+        """Raw means at ``P[:n]`` under prior mean ``m``, given the readings
+        ``z`` of the pushes in turn, the rows having started empty.
+
+        Returns ``(means, after)``: row ``j`` of the ``(k + 1, n)`` array
+        ``means`` is the mean given the first ``j`` appended rows, and
+        ``after[s]`` the row that push ``s`` left.  Over the appended rows,
+        ``a_j = (z_j - m - W[:j, i_j]' a[:j]) / d_j`` (``a = L^-1 (z - m)``
+        by forward substitution), then ``np.add.accumulate`` sums ``[m;
+        a_j W[j, :n]]`` down the rows in place, with the bits of a running
+        ``mu += a_j W[j, :n]``.
+        """
+        j, a, after = 0, np.empty(self.k), []
+        for (i, d), z_i in zip(self.pushed, z):
+            if d is not None:
+                a[j] = (z_i - m - self.W[:j, i] @ a[:j]) / d
+                j += 1
+            after.append(j)
+        means = np.empty((j + 1, n))
+        means[0] = m
+        np.multiply(a[:j, None], self.W[:j, :n], out=means[1:])
+        return np.add.accumulate(means, out=means), after
 
 
 def _sorted_first(targets, points) -> np.ndarray:
     """``[targets; points]``, the targets sorted by their coordinates so that
     their rows, appended in turn, do not depend on the order they come in."""
     return np.vstack([targets[np.lexsort(targets.T[::-1])], points])
-
-
-class _CarriedConditioning(_CarriedRows):
-    """The conditioning of the field at ``P`` on a growing log of readings
-    at points of ``P``: the rows and raw variances of :class:`_CarriedRows`,
-    ``alpha = L^-1 (y - m)`` and the raw means ``mu``; no covariance (that
-    of points ``B`` is ``K(B, B) - W[:k, B]' W[:k, B]``).  A reading whose
-    pivot is degenerate (a noise-free repeat, a near-duplicate) adds
-    nothing given the readings before it, so it is skipped.  ``P`` is taken
-    as checked; ``capacity`` bounds the number of readings.  The kernel row
-    of a point is computed at its first reading and kept in
-    ``kernel_rows``, one row per distinct point, at most ``capacity``.
-    """
-
-    def __init__(self, mean: MeanSpec, kernel: KernelSpec, noise_sd: float, P, capacity: int):
-        self.mean, self.noise_sd = mean, noise_sd
-        self.alpha = np.empty(capacity)
-        self.mu = np.full(len(P), float(mean.constant))
-        self.kernel_rows, self.row_of = np.empty((capacity, len(P))), {}
-        super().__init__(kernel, P, np.full(len(P), kernel.signal_variance), capacity)
-
-    def add(self, i: int, z: float) -> np.ndarray:
-        """Fold in reading ``z`` taken at ``P[i]``; return the kernel row
-        ``k(P[i], P)``, computed at the first reading there."""
-        if (r := self.row_of.get(i)) is None:
-            r = self.row_of[i] = len(self.row_of)
-            self.kernel_rows[r] = kernel_matrix(self.kernel, self.P[i : i + 1], self.P)[0]
-        row = self.kernel_rows[r]
-        pushed = self._push(i, row, self.noise_sd**2, self.kernel.jitter)
-        if pushed is not None:
-            l, d, w = pushed
-            a = (z - self.mean.constant - l @ self.alpha[: len(l)]) / d
-            self.alpha[len(l)] = a
-            self.mu += a * w
-        return row
 
 
 def _targets_after(kernel: KernelSpec, P, n: int, W0=(), var=None) -> _CarriedRows:
@@ -559,9 +552,7 @@ def _targets_after(kernel: KernelSpec, P, n: int, W0=(), var=None) -> _CarriedRo
     call.  A target whose pivot is degenerate (a duplicate target; with zero
     noise, a target at a reading) adds no row.  ``var`` is updated in place.
     """
-    if var is None:
-        var = np.full(len(P), kernel.signal_variance)
-    rows = _CarriedRows(kernel, P, var, n, W0)
+    rows = _CarriedRows(kernel, P, n, W0, var)
     for i, row in enumerate(kernel_matrix(kernel, P[:n], P)):
         rows._push(i, row, 0.0, 0.0)
     return rows

@@ -2,13 +2,15 @@
 
 Each episode starts from the prior, then repeats for a fixed horizon:
 pick a candidate location (greedily by expected information gain, or
-uniformly at random), take one noisy reading there, fold it into the
-conditioning the episode carries over targets and candidates, and keep
-the targets' posterior means and variances; every step is scored from
-them once the loop ends, into the step object that run.json prints.  A
-greedy episode also carries the candidates' variances given the
-targets' values; the next decision scores each candidate from its two
-variances.  No step conditions on the whole log afresh.
+uniformly at random), take one noisy reading there, append its row to
+the Gram-factor rows the episode carries over targets and candidates,
+and keep the targets' posterior variances.  A greedy episode also
+carries the candidates' variances given the targets' values; the next
+decision scores each candidate from its two variances.  Neither planner
+reads the values read, so the targets' means at every step are replayed
+from the kept rows once the loop ends, and every step is scored from
+them into the step object that run.json prints.  No step conditions on
+the whole log afresh.
 Episodes are deterministic given the scenario seed; noise and planner
 randomness come from separate substreams so paired comparisons stay
 paired.
@@ -30,7 +32,6 @@ from .gp import (
     MeasurementLog,
     as_points,
     kernel_matrix,
-    _CarriedConditioning,
     _CarriedRows,
     _clamped,
     _finite,
@@ -142,10 +143,11 @@ def run_episode(config: ScenarioConfig, fld: GroundTruthField) -> EpisodeTrace:
     first step.  The episode's noise draws (none at zero noise) and the
     random planner's picks are taken up front too, one call each; on
     PCG64 they are the draws one call per step would make.  The loop only
-    decides, conditions and keeps each step's target means and variances;
-    the steps are scored after it, by :func:`_steps`.  Numerical or
-    planning failures abort the episode; the raised error carries the
-    completed steps as ``exc.partial_trace``.
+    decides, appends rows and keeps each step's target variances, with one
+    kernel row per distinct pick; the means are replayed and the steps
+    scored after it, by :func:`_trace`.  Numerical or planning failures
+    abort the episode; the raised error carries the completed steps as
+    ``exc.partial_trace``.
     """
     planner_idx = PLANNER_KINDS.index(config.planner_kind)
     noise_rng = substream(config.seed, STREAM_NOISE, config.trial_index, planner_idx)
@@ -160,14 +162,14 @@ def run_episode(config: ScenarioConfig, fld: GroundTruthField) -> EpisodeTrace:
     noise = noise_rng.normal(0.0, config.noise_sd, size=H).tolist() if config.noise_sd else None
     picks = None if greedy else planner_rng.integers(len(config.candidates), size=H).tolist()
 
-    state = _CarriedConditioning(config.mean, config.kernel, config.noise_sd, points, H)
-    chosen, scores, readings = [], [], []
-    means, variances = np.empty((H, n)), np.empty((H, n))
+    state = _CarriedRows(config.kernel, points, H)
+    chosen, scores, readings, kernel_rows = [], [], [], {}
+    variances = np.empty((H, n))
     try:
         if greedy:
             # The candidates' variances given the targets' values, then the readings.
             given = _targets_after(config.kernel, _sorted_first(targets, config.candidates), n)
-            known = _CarriedRows(config.kernel, config.candidates, given.var[n:], H, given.W[: given.k, n:])
+            known = _CarriedRows(config.kernel, config.candidates, H, given.W[: given.k, n:], given.var[n:])
         for k in range(H):
             if greedy:
                 v = _clamped(config.kernel, state.var[n:])
@@ -175,24 +177,25 @@ def run_episode(config: ScenarioConfig, fld: GroundTruthField) -> EpisodeTrace:
                 scores.append(float(gains[idx]))
             else:
                 idx = picks[k]
-            reading = truth_c[idx] if noise is None else truth_c[idx] + noise[k]
-            row = state.add(n + idx, reading)
+            if (row := kernel_rows.get(idx)) is None:
+                row = kernel_rows[idx] = kernel_matrix(config.kernel, points[n + idx : n + idx + 1], points)[0]
+            # Nothing below raises: a step is complete once its row is pushed.
+            state._push(n + idx, row, config.noise_sd**2, config.kernel.jitter)
             if greedy:
                 known._push(idx, row[n:], config.noise_sd**2, config.kernel.jitter)
-            means[k], variances[k] = state.mu[:n], state.var[:n]
-            # Nothing below raises: a step is complete once its index is kept.
+            variances[k] = state.var[:n]
             chosen.append(idx)
-            readings.append(reading)
+            readings.append(truth_c[idx] if noise is None else truth_c[idx] + noise[k])
     except SensorPlanError as exc:
-        exc.partial_trace = _trace(config, _steps(config, truth_t, chosen, scores, readings, means, variances), state)
+        exc.partial_trace = _trace(config, state, truth_t, chosen, scores, readings, variances)
         raise
-    return _trace(config, _steps(config, truth_t, chosen, scores, readings, means, variances), state)
+    return _trace(config, state, truth_t, chosen, scores, readings, variances)
 
 
 def _steps(config: ScenarioConfig, truth_t, chosen, scores, readings, means, variances) -> list:
     """The step object run.json prints for each of the ``K`` complete steps
-    in ``chosen``, scored from the target means and variances (the first
-    ``K`` rows of ``means`` and ``variances``) after each.
+    in ``chosen``, scored from the target means (``K`` rows, turned into
+    residuals in place) and variances (the first ``K`` rows) after each.
 
     Each row is scored as one step's vector would be: the norm is
     ``sqrt(r @ r)`` of a contiguous row, a mean variance its row sum over
@@ -202,7 +205,7 @@ def _steps(config: ScenarioConfig, truth_t, chosen, scores, readings, means, var
     is empty), the ``_shared`` ones when no target is a candidate.
     """
     n, K = len(truth_t), len(chosen)
-    residual, variances = means[:K] - truth_t, variances[:K]
+    residual, variances = np.subtract(means, truth_t, out=means), variances[:K]
     norm = _row_norms(residual)
     error_shared = variance_shared = [None] * K
     try:
@@ -247,14 +250,18 @@ def _row_norms(R: np.ndarray) -> np.ndarray:
     return np.sqrt((R[:, None, :] @ R[:, :, None])[:, 0, 0])
 
 
-def _trace(config: ScenarioConfig, steps: list, state: _CarriedConditioning) -> EpisodeTrace:
-    """Trace whose final belief is formed once, from the carried rows:
-    ``K(T, T) - W_T' W_T`` over the targets, with diagonal ``var[:n]``."""
-    if not steps:
+def _trace(config: ScenarioConfig, state: _CarriedRows, truth_t, chosen, scores, readings, variances) -> EpisodeTrace:
+    """Trace of the steps in ``chosen``, scored by :func:`_steps` from the
+    targets' means that one replay of ``readings`` gives for every step.
+    The final belief has the last means and ``K(T, T) - W_T' W_T`` over
+    the targets, with diagonal ``var[:n]``."""
+    if not chosen:
         return EpisodeTrace(config=config, steps=())
     n = len(config.targets)
+    means, after = state._means(config.mean.constant, readings, n)
+    steps = _steps(config, truth_t, chosen, scores, readings, means[after], variances)
     W_t = state.W[: state.k, :n]
     cov = kernel_matrix(config.kernel, config.targets, config.targets) - W_t.T @ W_t
     np.fill_diagonal(cov, state.var[:n])
-    belief = GaussianBelief(config.targets, state.mu[:n], cov)
+    belief = GaussianBelief(config.targets, means[-1], cov)
     return EpisodeTrace(config=config, steps=tuple(steps), final_belief=belief)

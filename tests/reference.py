@@ -47,7 +47,7 @@ from scipy.linalg import LinAlgError, cho_solve, cholesky, solve_triangular
 from scipy.spatial.distance import cdist
 
 from senseplan import NumericalDegeneracyError, edg_exact, posterior
-from senseplan.gp import JITTER_LADDER, _CarriedConditioning, _variance_pair, jittered_cholesky, kernel_matrix
+from senseplan.gp import JITTER_LADDER, _CarriedRows, _variance_pair, jittered_cholesky, kernel_matrix
 from senseplan.harness import METRIC_FIELDS
 from senseplan.metrics import METRIC_NAMES
 from senseplan.planner import _greedy_choice
@@ -179,10 +179,10 @@ def scipy_condition(mean, kernel, Y, y, noise_sd, P):
     except LinAlgError:
         degenerate = True
     if degenerate:
-        state = _CarriedConditioning(mean, kernel, noise_sd, np.vstack([P, Y]), len(y))
-        for i, z in enumerate(y):
-            state.add(len(P) + i, z)
-        return state.W[: state.k, : len(P)], state.mu[: len(P)], state.var[: len(P)]
+        rows = _CarriedRows(kernel, np.vstack([P, Y]), len(y))
+        for i, row in enumerate(kernel_matrix(kernel, Y, rows.P), len(P)):
+            rows._push(i, row, s2, kernel.jitter)
+        return rows.W[: rows.k, : len(P)], rows._means(mean.constant, y, len(P))[0][-1], rows.var[: len(P)]
     W = solve_triangular(L, kernel_matrix(kernel, Y, P), lower=True)
     mu = mean.constant + solve_triangular(L, y - mean.constant, lower=True) @ W
     return W, mu, sf2 - np.einsum("ij,ij->j", W, W)

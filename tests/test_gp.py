@@ -427,12 +427,12 @@ class TestPosterior:
             log = MeasurementLog(repeated, np.append(log.values, log.values[0]), 0.0)
         built = []
 
-        class Spied(gp_mod._CarriedConditioning):
+        class Spied(gp_mod._CarriedRows):
             def __init__(self, *args):
                 built.append(args)
                 super().__init__(*args)
 
-        monkeypatch.setattr(gp_mod, "_CarriedConditioning", Spied)
+        monkeypatch.setattr(gp_mod, "_CarriedRows", Spied)
         cov = posterior(mean, kernel, log, query).cov
         assert np.array_equal(cov, cov.T)
         assert bool(built) == (case == "noise-free repeat")
@@ -555,7 +555,7 @@ def given_targets(kernel, targets, cands, capacity):
     episode builds them, with room for ``capacity`` readings."""
     n = len(targets)
     given = gp_mod._targets_after(kernel, gp_mod._sorted_first(targets, cands), n)
-    return gp_mod._CarriedRows(kernel, cands, given.var[n:], capacity, given.W[: given.k, n:])
+    return gp_mod._CarriedRows(kernel, cands, capacity, given.W[: given.k, n:], given.var[n:])
 
 
 class TestVariancesGivenTargets:

@@ -32,7 +32,7 @@ from senseplan import (
 )
 from senseplan.seeding import STREAM_NOISE, STREAM_PLANNER, substream
 
-from reference import greedy_on_log
+from reference import greedy_on_log, same_bits
 
 MASK = PolygonMask.rectangle(0.0, 0.0, 10.0, 10.0)
 KERNEL = KernelSpec(signal_variance=4.0, lengthscale=2.0)
@@ -364,6 +364,19 @@ class TestRunEpisode:
                     )
                     run_episode(cfg, linear_field())
 
+    @pytest.mark.parametrize("kind", PLANNER_KINDS)
+    def test_integer_kernel_parameters_give_the_float_results(self, kind):
+        """``KernelSpec`` accepts integers; the carried variances are floats
+        all the same, in an episode and in a noise-free repeat's fallback
+        conditioning."""
+        cfg = make_config(planner_kind=kind, noise_sd=0.0, n_candidates=2, horizon=6)
+        ints = ScenarioConfig(**{**cfg.__dict__, "kernel": KernelSpec(signal_variance=4, lengthscale=2)})
+        trace, expected = run_episode(ints, linear_field()), run_episode(cfg, linear_field())
+        assert trace.steps == expected.steps
+        log = MeasurementLog([s["chosen"] for s in trace.steps], [s["measurement"] for s in trace.steps], 0.0)
+        belief = posterior(MEAN, ints.kernel, log, cfg.targets)
+        assert same_bits(belief.cov, posterior(MEAN, KERNEL, log, cfg.targets).cov)
+
     @pytest.mark.parametrize("noise_sd", [0.0, 2e-6])
     def test_degenerate_repeat_adds_no_row(self, noise_sd):
         """With zero noise, or noise below about 1e-5 of the prior standard
@@ -472,7 +485,8 @@ class TestRunEpisode:
     def test_one_kernel_row_per_reading(self, monkeypatch):
         """A greedy episode computes the targets' kernel rows in one call,
         and each episode one kernel row per distinct reading location,
-        shared by both carried states in a greedy one."""
+        shared by both carried states in a greedy one, then the targets'
+        kernel matrix for the final belief."""
         calls = []
         kernel_matrix_ = gp_mod.kernel_matrix
 
@@ -481,13 +495,14 @@ class TestRunEpisode:
             return kernel_matrix_(spec, X, Y)
 
         monkeypatch.setattr(gp_mod, "kernel_matrix", counted)
+        monkeypatch.setattr(planner_mod, "kernel_matrix", counted)
         for kind in PLANNER_KINDS:
             calls.clear()
             cfg = make_config(planner_kind=kind, horizon=9, n_targets=7)
             trace = run_episode(cfg, linear_field())
             distinct = len({step["chosen_index"] for step in trace.steps})
             assert distinct < 9
-            assert calls == [7] * (kind == "greedy-edg") + [1] * distinct
+            assert calls == [7] * (kind == "greedy-edg") + [1] * distinct + [7]
 
     def test_choices_stay_in_candidate_set(self):
         for kind in ("greedy-edg", "random"):
@@ -575,7 +590,8 @@ class TestRunEpisode:
 
     def test_partial_trace_attached_on_mid_episode_failure(self, monkeypatch):
         """If scoring degenerates at step 3, the raised error carries the
-        two completed steps."""
+        two completed steps, and the final belief after them: bit for bit
+        that of the same episode run with horizon 2."""
         calls = {"n": 0}
         real = planner_mod._explained_share
 
@@ -590,7 +606,11 @@ class TestRunEpisode:
             run_episode(cfg, linear_field())
         partial = err.value.partial_trace
         assert len(partial.steps) == 2
-        assert partial.final_belief is not None
+        monkeypatch.setattr(planner_mod, "_explained_share", real)
+        short = run_episode(make_config(n_candidates=3, n_shared=1, horizon=2), linear_field())
+        assert partial.steps == short.steps
+        assert same_bits(partial.final_belief.mean, short.final_belief.mean)
+        assert same_bits(partial.final_belief.cov, short.final_belief.cov)
 
     @pytest.mark.parametrize("bad", ["x", None])
     def test_non_numeric_noise_raises_invalid_input(self, bad):
@@ -659,13 +679,16 @@ class TestStepBookkeeping:
 
     @pytest.mark.parametrize(
         "kind, noise_sd",
-        [("greedy-edg", 0.5), ("random", 0.5), ("greedy-edg", 0.0)],
+        [("greedy-edg", 0.5), ("random", 0.5), ("greedy-edg", 0.0), ("random", 0.0)],
     )
     def test_metrics_equal_the_per_step_formulas_bit_for_bit(self, kind, noise_sd):
-        """Replaying the logged readings through a fresh carried conditioning
-        and scoring each step's fresh contiguous vectors with ``sqrt(r @ r)``
-        and ``v.sum() / n`` gives every metric exactly."""
-        cfg = make_config(planner_kind=kind, noise_sd=noise_sd, **BOOKKEEPING)
+        """Appending the logged readings' rows one step at a time, updating
+        the means as each row is appended (``a = (z - m - l'alpha) / d``,
+        then ``mu += a * w``), and scoring each step's fresh contiguous
+        vectors with ``sqrt(r @ r)`` and ``v.sum() / n`` gives every metric
+        exactly, under a prior mean that is not 0.  At zero noise the random
+        planner repeats readings, whose rows are skipped."""
+        cfg = make_config(planner_kind=kind, noise_sd=noise_sd, mean=MeanSpec(1.5), **BOOKKEEPING)
         fld = linear_field()
         trace = run_episode(cfg, fld)
         n = len(cfg.targets)
@@ -673,10 +696,16 @@ class TestStepBookkeeping:
         m = len(shared)
         truth = fld.values(cfg.targets)
         points = np.vstack([cfg.targets, cfg.candidates])
-        state = gp_mod._CarriedConditioning(cfg.mean, cfg.kernel, cfg.noise_sd, points, cfg.horizon)
+        state = gp_mod._CarriedRows(cfg.kernel, points, cfg.horizon)
+        mu, alpha = np.full(len(points), float(cfg.mean.constant)), []
         for step in trace.steps:
-            state.add(n + step["chosen_index"], step["measurement"])
-            r, v = state.mu[:n] - truth, state.var[:n].copy()
+            i, k = n + step["chosen_index"], state.k
+            state._push(i, kernel_matrix(cfg.kernel, points[i : i + 1], points)[0], cfg.noise_sd**2, cfg.kernel.jitter)
+            if state.k > k:
+                d = state.pushed[-1][1]
+                alpha.append((step["measurement"] - cfg.mean.constant - state.W[:k, i] @ np.array(alpha)) / d)
+                mu += alpha[-1] * state.W[k]
+            r, v = mu[:n] - truth, state.var[:n].copy()
             r_s, v_s = r[shared], v[shared]
             norm = math.sqrt(r @ r)
             assert step["error"] == norm / n
@@ -766,14 +795,16 @@ class TestEpisodeMemory:
     """An episode holds its carried rows and no covariance matrix.
 
     In float64s, over ``n`` targets, ``C`` candidates and horizon ``H``:
-    ``2 H (n + C)`` for the first state's ``W`` and kernel-row cache; a
-    greedy episode adds ``(n + H) C`` for its second state and ``2 n (n +
-    C)`` while the targets' rows are set up.  Measured peaks were 0.97 to
-    1.08 of these counts at C = 10,000 and 2,000, H = 100 and 300; the
-    random episode at H = 100 reads 1.21, as about 3.3 MB that does not
-    grow with H (mostly the shared targets' lookup in ``_steps``, a dict
-    of C coordinate tuples) weighs more beside its smaller count.  A
-    C x C matrix would be 800 MB."""
+    ``2 H (n + C)`` for the carried rows' ``W`` over targets and
+    candidates and the kernel rows kept per distinct pick; a greedy
+    episode adds ``(n + H) C`` for its rows of the candidates' columns and
+    ``2 n (n + C)`` while the targets' rows are set up.  The means, replayed
+    after the loop, add ``O(H n)``.  Measured peaks were 0.86 to 1.07 of
+    these counts at C = 10,000 and 2,000, H = 100 and 300; the random
+    episode at H = 100 reads 1.20, as about 3.3 MB that does not grow with
+    H (mostly the shared targets' lookup in ``_steps``, a dict of C
+    coordinate tuples) weighs more beside its smaller count.  A C x C
+    matrix would be 800 MB."""
 
     N, C, H = 61, 10_000, 100
     FACTOR = 1.3
