@@ -18,8 +18,8 @@ form.  Three kinds of field are supported:
 
 Nearest-cell and nearest-node ties go to the lowest index: every cell or
 node within ``1e-12`` relative of the nearest distance ``sqrt(dx^2 +
-dy^2)`` ties.  A sampled field answers a query at one of its nodes from a
-table of node coordinates, and searches all nodes only for the others.  A
+dy^2)`` ties.  A sampled field looks a query's coordinates up among its
+nodes' and searches all nodes only for the points that are not nodes.  A
 grid searches a fixed lattice window around the query's nearest lattice
 index: any cell within the support radius ``R`` lies within ``ceil(R /
 dlat) + 1`` rows and ``ceil(R / dlon) + 1`` columns of it.  Locations are
@@ -41,7 +41,7 @@ from .errors import (
     InvalidInputError,
     PlacementError,
 )
-from .gp import KernelSpec, MeanSpec, _finite, as_point, as_points, sample_prior_field
+from .gp import KernelSpec, MeanSpec, _finite, _first_index, as_point, as_points, sample_prior_field
 
 #: Queries farther than this many cell diagonals from every non-missing
 #: cell are treated as outside the data support.
@@ -526,8 +526,8 @@ class AnalyticField(GroundTruthField):
 @dataclass(frozen=True, eq=False)
 class SampledField(GroundTruthField):
     """Field fixed by values at a node set; nearest-node lookup, ties to the
-    lowest node index.  A query at a node is answered from a table of node
-    coordinates to the lowest index there; only the others are searched."""
+    lowest node index.  A query at a node gets the lowest index with its
+    coordinates; only the points that are not nodes are searched."""
 
     nodes: np.ndarray
     node_values: np.ndarray
@@ -544,14 +544,10 @@ class SampledField(GroundTruthField):
         vals.flags.writeable = False
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "node_values", vals)
-        index: dict[tuple[float, float], int] = {}
-        for i, node in enumerate(map(tuple, nodes.tolist())):
-            index.setdefault(node, i)
-        object.__setattr__(self, "_index", index)
 
     def values(self, points) -> np.ndarray:
         pts = _points_inside(self.region, points)
-        near = np.fromiter((self._index.get(p, -1) for p in map(tuple, pts.tolist())), np.intp, len(pts))
+        near = _first_index(pts, self.nodes)
         if len(off := np.flatnonzero(near < 0)):
             near[off] = _nearest(self.nodes, pts[off])
         return self.node_values[near]
@@ -579,6 +575,12 @@ def field_value(fld: GroundTruthField, x) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _unique_points(*arrays) -> np.ndarray:
+    """The rows of ``arrays``, stacked, with only the first row at each location."""
+    P = np.vstack(arrays)
+    return P[_first_index(P, P) == np.arange(len(P))]
+
+
 def place_scenario(
     mask: RoIMask,
     n_targets: int,
@@ -599,22 +601,22 @@ def place_scenario(
     xmin, ymin, xmax, ymax = mask.bounds()
     rng = np.random.default_rng(seed)
     need = n_targets + n_candidates - n_shared
-    found: dict[tuple[float, float], None] = {}
+    pts = np.empty((0, 2))
     for attempts in range(0, MAX_PLACEMENT_ATTEMPTS, PLACEMENT_BATCH):
         # Each row is the pair one unbatched ``uniform`` call would draw, so
         # the accepted points do not depend on the batch size.
         size = (min(PLACEMENT_BATCH, MAX_PLACEMENT_ATTEMPTS - attempts), 2)
         draws = rng.uniform((xmin, ymin), (xmax, ymax), size=size)
-        accepted = draws[mask.contains(draws)]
-        # Rows go into ``found`` only as many at a time as are still needed.
-        while len(accepted) and len(found) < need:
-            take = need - len(found)
-            found.update(dict.fromkeys(map(tuple, accepted[:take].tolist())))
-            accepted = accepted[take:]
-        if len(found) >= need:
-            pts = as_points(list(found)[:need])
-            return pts[:n_targets], as_points(np.vstack([pts[:n_shared], pts[n_targets:]]))
+        # ``reshape`` also takes a mask's one flag for the whole batch.
+        pts = np.vstack([pts, draws[mask.contains(draws)].reshape(-1, 2)])
+        if len(pts) < need:
+            continue
+        # Deduplicate the rows needed, and all rows only if repeats leave too few.
+        if len(kept := _unique_points(pts[:need])) < need:
+            kept = _unique_points(pts)
+        if len(kept) >= need:
+            return as_points(kept[:n_targets]), as_points(np.vstack([kept[:n_shared], kept[n_targets:need]]))
     raise PlacementError(
-        f"placed only {len(found)} of {need} points after "
+        f"placed only {len(_unique_points(pts))} of {need} points after "
         f"{MAX_PLACEMENT_ATTEMPTS} attempts; is the mask mostly empty?"
     )

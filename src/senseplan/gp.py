@@ -146,6 +146,18 @@ def _integer_at_least(value, least: int) -> bool:
     return not isinstance(value, bool) and isinstance(value, (int, np.integer)) and value >= least
 
 
+def _first_index(points, keys) -> np.ndarray:
+    """For each row of ``points``, the index of the first row of ``keys`` at
+    the same coordinates, or -1; ``-0.0`` equals ``0.0``.  Each row of the
+    checked ``(n, 2)`` arrays is read as a complex number, sorting by x, then y."""
+    p, k = (np.ascontiguousarray(a).view(np.complex128).ravel() for a in (points, keys))
+    if len(k) == 0:
+        return np.full(len(p), -1, dtype=np.intp)
+    order = np.argsort(k, kind="stable")
+    first = order[np.minimum(k[order].searchsorted(p), len(k) - 1)]
+    return np.where(k[first] == p, first, -1)
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     """Isotropic squared-exponential covariance.
@@ -217,15 +229,13 @@ class MeasurementLog:
         if not (_finite(self.noise_sd) and self.noise_sd >= 0):
             raise InvalidInputError("noise_sd must be finite and >= 0")
         if self.noise_sd == 0 and len(vals) > 1:
-            # Sorting by coordinates puts the readings at one location side by side.
-            order = np.lexsort(pts.T[::-1])
-            p, v = pts[order], vals[order]
-            clash = np.flatnonzero(np.all(p[1:] == p[:-1], axis=1) & (v[1:] != v[:-1]))
-            if len(clash):
-                i = clash[0]
+            # A clash is a reading that differs from the first one at its location.
+            first = _first_index(pts, pts)
+            if len(clash := np.flatnonzero(vals != vals[first])):
+                i, j = first[clash[0]], clash[0]
                 raise InvalidInputError(
-                    f"noise-free readings {float(v[i])!r} and {float(v[i + 1])!r} at "
-                    f"{tuple(p[i].tolist())} contradict each other"
+                    f"noise-free readings {float(vals[i])!r} and {float(vals[j])!r} at "
+                    f"{tuple(pts[i].tolist())} contradict each other"
                 )
         vals = vals.copy()
         vals.flags.writeable = False

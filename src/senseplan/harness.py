@@ -31,6 +31,7 @@ from .environment import (
     PolygonMask,
     RoIMask,
     _csv_rows,
+    _unique_points,
     load_grid_csv,
     place_scenario,
     sample_field,
@@ -127,13 +128,6 @@ def trial_field(
     finally:
         for setter, threads in restore:
             setter(threads)
-
-
-def _unique_points(*arrays) -> np.ndarray:
-    seen = {}
-    for arr in arrays:
-        seen.update(dict.fromkeys(map(tuple, arr.tolist())))
-    return np.array(list(seen))
 
 
 def _trace_to_dict(trace: EpisodeTrace, trial: int, planner: str) -> dict:

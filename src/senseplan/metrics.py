@@ -16,34 +16,22 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import InvalidInputError
-from .gp import as_points
+from .gp import _first_index, as_points
 
 #: Metric names that appear in aggregated series output, in column order.
 METRIC_NAMES = ("error-V", "variance-V", "error-I", "variance-I")
 
 
 def intersection_indices(points_a, points_b) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of coordinate-identical points, ordered by appearance in A.
-
-    Membership is exact floating-point equality; points that should be
-    shared must be constructed once and reused bitwise.  An empty
-    intersection raises InvalidInputError.
-    """
-    a = as_points(points_a)
-    b = as_points(points_b)
-    lookup = {}
-    for j, pt in enumerate(map(tuple, b.tolist())):
-        lookup.setdefault(pt, j)
-    idx_a = []
-    idx_b = []
-    for i, pt in enumerate(map(tuple, a.tolist())):
-        j = lookup.get(pt)
-        if j is not None:
-            idx_a.append(i)
-            idx_b.append(j)
-    if not idx_a:
+    """Indices of the points of A found in B, in the order of A, and of each
+    one's first match in B.  Membership is exact floating-point equality;
+    points that should be shared must be constructed once and reused
+    bitwise.  An empty intersection raises InvalidInputError."""
+    idx_b = _first_index(as_points(points_a), as_points(points_b))
+    idx_a = np.flatnonzero(idx_b >= 0)
+    if not len(idx_a):
         raise InvalidInputError("the point sets share no exact coordinates")
-    return np.array(idx_a, dtype=int), np.array(idx_b, dtype=int)
+    return idx_a, idx_b[idx_a]
 
 
 def aggregate_series(per_trial) -> dict:

@@ -35,6 +35,9 @@ standard library's ``ConfigParser``.
 :func:`greedy_on_log` is the greedy rule's pick and gain vector for a
 fixed log, as ``greedy_select`` computes them, for the tests that read
 every candidate's gain.
+
+:func:`first_index_reference` finds exact-coordinate matches with a dict
+of coordinate tuples, for checking the package's sorted lookup.
 """
 
 import io
@@ -227,3 +230,13 @@ def greedy_on_log(kernel, log, candidates, targets):
     """Index of the greedy pick and every candidate's gain, from one
     conditioning of ``log`` and the targets."""
     return _greedy_choice(kernel, log.noise_sd, *_variance_pair(kernel, log, targets, candidates))
+
+
+def first_index_reference(points, keys):
+    """For each row of ``points``, the index of the first row of ``keys``
+    with the same coordinates, or -1, from a dict of coordinate tuples
+    (``-0.0`` and ``0.0`` hash and compare equal)."""
+    lookup = {}
+    for j, key in enumerate(map(tuple, np.asarray(keys).tolist())):
+        lookup.setdefault(key, j)
+    return np.array([lookup.get(pt, -1) for pt in map(tuple, np.asarray(points).tolist())], dtype=np.intp)

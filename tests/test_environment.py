@@ -613,3 +613,29 @@ class TestPlacement:
         monkeypatch.setattr(env, "MAX_PLACEMENT_ATTEMPTS", 2000)
         with pytest.raises(PlacementError, match="2000 attempts"):
             place_scenario(NoMask(), 3, 3, 1, seed=0)
+
+    def test_repeated_draws_are_placed_once(self, monkeypatch):
+        """A box one subnormal wide holds four points, so draws repeat: the
+        first draw of each is placed, in draw order, and a fifth point is
+        never found."""
+
+        class TinyBox(env.RoIMask):
+            def contains(self, points):
+                return np.ones(len(points), dtype=bool)
+
+            def bounds(self):
+                return (0.0, 0.0, 5e-324, 5e-324)
+
+        rng = np.random.default_rng(3)
+        draws, first = 0, []
+        while len(first) < 4:
+            pt, draws = rng.uniform((0.0, 0.0), (5e-324, 5e-324)).tolist(), draws + 1
+            if pt not in first:
+                first.append(pt)
+        assert draws > 4
+        targets, candidates = place_scenario(TinyBox(), 3, 2, 1, seed=3)
+        np.testing.assert_array_equal(targets, first[:3])
+        np.testing.assert_array_equal(candidates, first[:1] + first[3:])
+        monkeypatch.setattr(env, "MAX_PLACEMENT_ATTEMPTS", 3000)
+        with pytest.raises(PlacementError, match="placed only 4 of 5 points after 3000"):
+            place_scenario(TinyBox(), 3, 3, 1, seed=3)

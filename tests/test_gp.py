@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.linalg
-from reference import ladder_cholesky, prior_draw, same_bits, scipy_condition
+from reference import first_index_reference, ladder_cholesky, prior_draw, same_bits, scipy_condition
 from scipy.spatial.distance import cdist
 
 import senseplan.gp as gp_mod
@@ -399,6 +399,45 @@ class TestMeasurementLog:
             MeasurementLog(pts[:2], [0.3, 0.5], noise_sd=0.0).append((0.0, 0.0), 0.9)
         assert len(MeasurementLog(pts, [0.3, 0.5, 0.3], noise_sd=0.0)) == 3
         assert len(MeasurementLog(pts, [0.3, 0.5, 0.9], noise_sd=0.1)) == 3
+
+    def test_the_first_clash_in_log_order_is_named(self):
+        """With two locations in conflict, the error names the first reading
+        that differs from an earlier one at its location, the earlier one
+        first, though the other location sorts before it."""
+        pts = [[1.0, 0.0], [2.0, 0.0], [2.0, 0.0], [1.0, 0.0]]
+        with pytest.raises(InvalidInputError, match=r"^noise-free readings 0\.7 and 0\.4 at \(2\.0, 0\.0\) "):
+            MeasurementLog(pts, [0.1, 0.7, 0.4, 0.2], noise_sd=0.0)
+
+
+class TestFirstIndex:
+    """``gp._first_index`` against a dict of coordinate tuples."""
+
+    VALUES = (0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1.0, 2.5, 1e300)
+
+    def test_matches_a_dict_of_coordinate_tuples(self):
+        """Both arrays are drawn from a few pairs of the values above and
+        their twins with each zero's sign flipped, so they hold repeats,
+        matches across the sign of zero, and misses.  Up to 39 keys, so
+        that equal keys pass through the sort's partitioning, where an
+        unstable sort would reorder them."""
+        rng = np.random.default_rng(2026)
+        seen = dict.fromkeys(["repeated key", "repeated point", "signed zero", "miss", "no keys"], 0)
+        for _ in range(2000):
+            pool = rng.choice(self.VALUES, size=(4, 2))
+            pool = np.vstack([pool, np.where(pool == 0, -pool, pool)])
+            keys = pool[rng.integers(0, 8, size=rng.integers(0, 40))]
+            points = pool[rng.integers(0, 8, size=rng.integers(0, 9))]
+            got = gp_mod._first_index(points, keys)
+            expected = first_index_reference(points, keys)
+            assert got.dtype == np.intp
+            np.testing.assert_array_equal(got, expected)
+            hit = expected >= 0
+            seen["repeated key"] += len(set(first_index_reference(keys, keys).tolist())) < len(keys)
+            seen["repeated point"] += len(set(expected[hit].tolist())) < hit.sum()
+            seen["signed zero"] += bool(np.any(np.signbit(points[hit]) != np.signbit(keys[expected[hit]])))
+            seen["miss"] += not hit.all()
+            seen["no keys"] += len(keys) == 0
+        assert min(seen.values()) >= 20, seen
 
 
 class TestPosterior:

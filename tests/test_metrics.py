@@ -32,6 +32,22 @@ class TestIntersection:
         with pytest.raises(InvalidInputError):
             intersection_indices(a, b)
 
+    @pytest.mark.parametrize(
+        "a, b",
+        [(np.empty((0, 2)), [[0.0, 0.0]]), ([[0.0, 0.0]], np.empty((0, 2)))],
+        ids=["empty-a", "empty-b"],
+    )
+    def test_empty_point_set_is_an_error(self, a, b):
+        with pytest.raises(InvalidInputError, match="share no exact coordinates"):
+            intersection_indices(a, b)
+
+    def test_each_point_of_a_gets_its_first_match_in_b(self):
+        a = np.array([[1.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
+        b = np.array([[-0.0, 0.0], [1.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
+        ia, ib = intersection_indices(a, b)
+        np.testing.assert_array_equal(ia, [0, 1, 2])
+        np.testing.assert_array_equal(ib, [1, 0, 1])
+
 
 class TestAggregation:
     def test_mean_and_sample_sd(self):

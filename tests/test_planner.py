@@ -799,12 +799,11 @@ class TestEpisodeMemory:
     candidates and the kernel rows kept per distinct pick; a greedy
     episode adds ``(n + H) C`` for its rows of the candidates' columns and
     ``2 n (n + C)`` while the targets' rows are set up.  The means, replayed
-    after the loop, add ``O(H n)``.  Measured peaks were 0.86 to 1.07 of
-    these counts at C = 10,000 and 2,000, H = 100 and 300; the random
-    episode at H = 100 reads 1.20, as about 3.3 MB that does not grow with
-    H (mostly the shared targets' lookup in ``_steps``, a dict of C
-    coordinate tuples) weighs more beside its smaller count.  A C x C
-    matrix would be 800 MB."""
+    after the loop, add ``O(H n)``.  At C = 10,000 and H = 100 the
+    measured peaks are 0.89 (greedy) and 1.07 (random) of these counts;
+    the random episode's smaller count leaves more weight to the memory
+    that does not grow with H, such as the sorted lookup of the shared
+    targets in ``_steps``.  A C x C matrix would be 800 MB."""
 
     N, C, H = 61, 10_000, 100
     FACTOR = 1.3

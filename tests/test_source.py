@@ -306,3 +306,20 @@ def test_floats_are_formatted_only_by_the_memo():
     ]
     inside = {id(node) for node in ast.walk(memo)}
     assert calls and [node.lineno for node in calls if id(node) not in inside] == []
+
+
+def test_locations_are_matched_only_by_the_sorted_lookup():
+    """Exact-coordinate matches go through ``gp._first_index``, so no module
+    calls ``map(tuple, ...)`` to key a dictionary by coordinate tuples."""
+    calls = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "map"
+        and node.args
+        and isinstance(node.args[0], ast.Name)
+        and node.args[0].id == "tuple"
+    ]
+    assert calls == []
