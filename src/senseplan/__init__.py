@@ -49,11 +49,6 @@ from .environment import (
     sample_field,
     save_grid_csv,
 )
-from .metrics import (
-    METRIC_NAMES,
-    aggregate_series,
-    intersection_indices,
-)
 from .planner import (
     PLANNER_KINDS,
     EpisodeTrace,
@@ -78,7 +73,6 @@ __all__ = [
     "GroundTruthField",
     "InvalidInputError",
     "KernelSpec",
-    "METRIC_NAMES",
     "MeanSpec",
     "MeasurementLog",
     "NumericalDegeneracyError",
@@ -91,13 +85,11 @@ __all__ = [
     "ScenarioConfig",
     "SensorPlanError",
     "UnnormalizedFormResult",
-    "aggregate_series",
     "edg_exact",
     "edg_quadrature",
     "edg_unnormalized_form",
     "field_value",
     "greedy_select",
-    "intersection_indices",
     "jittered_cholesky",
     "kernel_matrix",
     "kl_gaussian",

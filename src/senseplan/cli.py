@@ -21,6 +21,7 @@ from .errors import (
 )
 from .gp import MeasurementLog
 from .harness import (
+    METRIC_NAMES,
     execute_run,
     load_log_csv,
     render_score_table,
@@ -28,7 +29,6 @@ from .harness import (
     validate_run_config,
     write_outputs,
 )
-from .metrics import METRIC_NAMES
 
 EXIT_OK = 0
 EXIT_CONFIG = 2

@@ -560,7 +560,9 @@ def sample_field(
     seed: int,
     region: RoIMask,
 ) -> SampledField:
-    """Draw one prior field realization at ``nodes`` and wrap it as a field."""
+    """Draw one prior field realization at ``nodes`` and wrap it as a field;
+    the draw's bits depend on the caller's BLAS threads, as
+    :func:`~senseplan.gp.sample_prior_field` says."""
     return SampledField(nodes, sample_prior_field(mean, kernel, nodes, seed), region)
 
 

@@ -50,7 +50,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from .errors import InvalidInputError, NumericalDegeneracyError
 
@@ -72,10 +71,11 @@ def _load_flapack():
     ``scipy.linalg`` instead would also load scipy's array-API layer, which
     clones numpy's namespace (``numpy.f2py`` and ``numpy.testing`` with it).
     The extension registers under its own name, so a later ``import
-    scipy.linalg`` reuses this module.  Raises ImportError naming the
-    directory searched if the extension is not there.
+    scipy.linalg`` reuses this module.  Only scipy's directory is looked
+    up, so scipy's own ``__init__`` does not run.  Raises ImportError
+    naming the directory searched if the extension is not there.
     """
-    where = f"{scipy.__path__[0]}/linalg"
+    where = f"{importlib.util.find_spec('scipy').submodule_search_locations[0]}/linalg"
     loader = (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES)
     spec = importlib.machinery.FileFinder(where, loader).find_spec("scipy.linalg._flapack")
     if spec is None:
@@ -588,7 +588,10 @@ def _variance_pair(kernel: KernelSpec, log: MeasurementLog, targets, points):
 
 
 def sample_prior_field(mean: MeanSpec, kernel: KernelSpec, grid, seed: int) -> np.ndarray:
-    """One draw of the prior field at ``grid``, deterministic given ``seed``.
+    """One draw of the prior field at ``grid``, deterministic given ``seed``
+    and the caller's BLAS thread count: a threaded OpenBLAS factors with
+    other bits from about 150 nodes up, so only a call on one BLAS thread
+    matches a run's field (:func:`~senseplan.harness.trial_field`) there.
 
     The kernel matrix is factored in its own buffer, as ``K.T``: it is
     exactly symmetric, and its transpose holds the same values in Fortran

@@ -1,4 +1,4 @@
-"""Experiment driver: paired planner trials, score tables, validation.
+"""Experiment driver: paired trials, metric tables, score tables, validation.
 
 A run executes ``trials`` independent scenarios.  Within a trial every
 configured planner sees the same ground-truth field and the same
@@ -11,6 +11,7 @@ which keeps the output bytes independent of the worker count.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import ctypes
 import functools
 import hashlib
@@ -39,7 +40,6 @@ from .environment import (
 from .errors import ConfigError, DataError, NumericalDegeneracyError, SensorPlanError
 from .gp import KernelSpec, MeanSpec, MeasurementLog, _variance_pair, as_points
 from .infogain import _explained_share, _unnormalized, edg_quadrature
-from .metrics import METRIC_NAMES, aggregate_series
 from .planner import EpisodeTrace, ScenarioConfig, _greedy_choice, run_episode
 from .seeding import (
     SEED_SCHEME,
@@ -48,8 +48,12 @@ from .seeding import (
     substream_seed,
 )
 
-#: Map from aggregated metric name to the step key behind it in run.json;
-#: series.csv writes the METRIC_NAMES among them.
+#: Map from aggregated metric name to the step key behind it in run.json.
+#: Over a set of N targets, the estimating error is ``||mu - truth||_2 / N``
+#: and the estimating variance ``tr(Sigma) / N``.  Suffix ``-V`` takes
+#: every target, suffix ``-I`` the targets that are also candidates.  The
+#: root-mean-square error is an auxiliary diagnostic: it divides the norm
+#: by ``sqrt(N)`` rather than ``N``.
 METRIC_FIELDS = {
     "error-V": "error",
     "variance-V": "variance",
@@ -57,6 +61,9 @@ METRIC_FIELDS = {
     "variance-I": "variance_shared",
     "rmse-V": "rmse",
 }
+
+#: The metrics series.csv writes, in column order.
+METRIC_NAMES = ("error-V", "variance-V", "error-I", "variance-I")
 
 
 @functools.lru_cache(maxsize=8)
@@ -119,15 +126,10 @@ def trial_field(
         return AnalyticField(cfg.analytic_name, dict(cfg.analytic_params), mask)
     mean, kernel = _specs(cfg)
     nodes = _unique_points(targets, candidates)
-    # A threaded OpenBLAS Cholesky rounds differently from about 150 nodes up.
-    restore = _one_blas_thread()
-    try:
+    with _blas_on_one_thread():
         return sample_field(
             mean, kernel, nodes, substream_seed(cfg.seed, STREAM_FIELD, trial), mask
         )
-    finally:
-        for setter, threads in restore:
-            setter(threads)
 
 
 def _trace_to_dict(trace: EpisodeTrace, trial: int, planner: str) -> dict:
@@ -191,6 +193,19 @@ def _field_provenance(cfg: RunConfig) -> dict:
     }
 
 
+def aggregate_series(per_trial) -> dict:
+    """Collapse a (trials, steps) list of step values to the per-step
+    ``{"mean": [...], "sd": [...]}`` lists that run.json prints; a null
+    value reads as NaN, and a NaN prints as None.
+
+    The standard deviation uses ddof=1 across trials; a single trial
+    yields sd 0.0 rather than NaN.
+    """
+    arr = np.array(per_trial, dtype=float)
+    sd = arr.std(axis=0, ddof=1) if len(arr) > 1 else np.zeros(arr.shape[1])
+    return {key: [None if v != v else v for v in col.tolist()] for key, col in (("mean", arr.mean(axis=0)), ("sd", sd))}
+
+
 def execute_run(cfg: RunConfig, workers: int = 1) -> dict:
     """Run all trials and assemble the JSON-ready run record.
 
@@ -213,7 +228,6 @@ def execute_run(cfg: RunConfig, workers: int = 1) -> dict:
         ) as pool:
             results = list(pool.map(functools.partial(run_trial, cfg), trials))
 
-    # A null (None) value reads as NaN in the float array.
     aggregates = {
         kind: {
             name: aggregate_series([[step[field] for step in res["traces"][kind]["steps"]] for res in results])
@@ -296,6 +310,20 @@ def _one_blas_thread() -> list:
                 setter(1)
                 break
     return restore
+
+
+@contextlib.contextmanager
+def _blas_on_one_thread():
+    """Run the block with every loaded OpenBLAS on one thread, and restore
+    each one's thread count after it.  A threaded OpenBLAS Cholesky rounds
+    differently from about 150 rows up, so a factorization whose bits must
+    not depend on the caller's thread count runs in such a block."""
+    restore = _one_blas_thread()
+    try:
+        yield
+    finally:
+        for setter, threads in restore:
+            setter(threads)
 
 
 class _FloatText(dict):
@@ -474,28 +502,30 @@ def score_table(cfg: RunConfig, log: MeasurementLog) -> dict:
     argmax row index as chosen by the greedy rule.  One conditioning gives
     the ``edg_exact`` column, the greedy rule's own gain vector, and the
     ``edg_unnormalized`` one, NaN where degenerate; only the quadrature
-    oracle runs per candidate.
+    oracle runs per candidate.  It all runs on one BLAS thread, whatever
+    the caller's, so that the table's bits do not depend on it.
     """
-    mask = build_mask(cfg)
-    targets, candidates = trial_placement(cfg, mask, 0)
-    if not (inside := mask.contains(log.locations)).all():
-        i = int(np.argmin(inside))
-        raise DataError(f"measurement log row {i + 1} at {tuple(log.locations[i])} lies outside the region of interest")
-    mean, kernel = _specs(cfg)
-    var, explained = _variance_pair(kernel, log, targets, candidates)
-    argmax, gains = _greedy_choice(kernel, log.noise_sd, var, explained)
-    exact = np.where(gains == -np.inf, np.nan, gains)
-    rho = _explained_share(kernel, log.noise_sd, var, explained)
-    unnormalized = _unnormalized(kernel, log.noise_sd, var, rho, exact) if len(log) else exact
-    rows = []
-    for idx, cand in enumerate(candidates):
-        try:
-            quadrature = edg_quadrature(mean, kernel, log, cand, targets)
-        except NumericalDegeneracyError:
-            quadrature = float("nan")
-        row = {"index": idx, "x": float(cand[0]), "y": float(cand[1]), "edg_exact": float(exact[idx])}
-        rows.append({**row, "edg_quadrature": quadrature, "edg_unnormalized": float(unnormalized[idx])})
-    return {"rows": rows, "argmax": argmax, "argmax_score": float(gains[argmax])}
+    with _blas_on_one_thread():
+        mask = build_mask(cfg)
+        targets, candidates = trial_placement(cfg, mask, 0)
+        if not (inside := mask.contains(log.locations)).all():
+            i = int(np.argmin(inside))
+            raise DataError(f"measurement log row {i + 1} at {tuple(log.locations[i])} lies outside the region of interest")
+        mean, kernel = _specs(cfg)
+        var, explained = _variance_pair(kernel, log, targets, candidates)
+        argmax, gains = _greedy_choice(kernel, log.noise_sd, var, explained)
+        exact = np.where(gains == -np.inf, np.nan, gains)
+        rho = _explained_share(kernel, log.noise_sd, var, explained)
+        unnormalized = _unnormalized(kernel, log.noise_sd, var, rho, exact) if len(log) else exact
+        rows = []
+        for idx, cand in enumerate(candidates):
+            try:
+                quadrature = edg_quadrature(mean, kernel, log, cand, targets)
+            except NumericalDegeneracyError:
+                quadrature = float("nan")
+            row = {"index": idx, "x": float(cand[0]), "y": float(cand[1]), "edg_exact": float(exact[idx])}
+            rows.append({**row, "edg_quadrature": quadrature, "edg_unnormalized": float(unnormalized[idx])})
+        return {"rows": rows, "argmax": argmax, "argmax_score": float(gains[argmax])}
 
 
 def render_score_table(table: dict) -> str:

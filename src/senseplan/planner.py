@@ -35,6 +35,7 @@ from .gp import (
     _CarriedRows,
     _clamped,
     _finite,
+    _first_index,
     _integer_at_least,
     _sorted_first,
     _targets_after,
@@ -42,7 +43,6 @@ from .gp import (
 )
 from .environment import GroundTruthField
 from .infogain import _explained_share
-from .metrics import intersection_indices
 from .seeding import STREAM_NOISE, STREAM_PLANNER, substream
 
 #: Recognized planner kinds, in the order used for seed derivation.
@@ -208,11 +208,8 @@ def _steps(config: ScenarioConfig, truth_t, chosen, scores, readings, means, var
     residual, variances = np.subtract(means, truth_t, out=means), variances[:K]
     norm = _row_norms(residual)
     error_shared = variance_shared = [None] * K
-    try:
-        shared_t, _ = intersection_indices(config.targets, config.candidates)
-    except InvalidInputError:
-        pass
-    else:
+    shared_t = np.flatnonzero(_first_index(config.targets, config.candidates) >= 0)
+    if len(shared_t):
         r_s = np.ascontiguousarray(residual[:, shared_t])
         error_shared = (_row_norms(r_s) / len(shared_t)).tolist()
         variance_shared = (np.ascontiguousarray(variances[:, shared_t]).sum(axis=1) / len(shared_t)).tolist()

@@ -51,8 +51,7 @@ from scipy.spatial.distance import cdist
 
 from senseplan import NumericalDegeneracyError, edg_exact, posterior
 from senseplan.gp import JITTER_LADDER, _CarriedRows, _variance_pair, jittered_cholesky, kernel_matrix
-from senseplan.harness import METRIC_FIELDS
-from senseplan.metrics import METRIC_NAMES
+from senseplan.harness import METRIC_FIELDS, METRIC_NAMES
 from senseplan.planner import _greedy_choice
 
 DPS = 40

@@ -33,9 +33,11 @@ from senseplan.harness import (
     _OPENBLAS_SET_THREADS,
     _loaded_openblas,
     _one_blas_thread,
+    aggregate_series,
     execute_run,
     load_log_csv,
     render_run_json,
+    render_score_table,
     render_series_csv,
     score_table,
     validate_run_config,
@@ -251,6 +253,24 @@ def test_unique_points_keep_the_first_of_each_location():
     out = harness_mod._unique_points(a, b)
     np.testing.assert_array_equal(out, [[1.0, 2.0], [0.0, 0.5], [3.0, 4.0]])
     assert not np.signbit(out[1, 0])
+
+
+class TestAggregation:
+    def test_mean_and_sample_sd(self):
+        per_trial = np.array([[1.0, 2.0], [3.0, 6.0]])
+        series = aggregate_series(per_trial)
+        assert series["mean"] == [2.0, 4.0]
+        np.testing.assert_allclose(series["sd"], np.std(per_trial, axis=0, ddof=1))
+
+    def test_single_trial_sd_is_zero(self):
+        series = aggregate_series(np.array([[5.0, 4.0, 3.0]]))
+        assert series["sd"] == [0.0, 0.0, 0.0]
+
+    def test_nan_prints_as_none(self):
+        """A step with no value in some trial (NaN, as run.json's null reads)
+        has no mean and no sd; a single trial's sd stays 0.0 beside it."""
+        assert aggregate_series([[1.0, None], [3.0, 5.0]]) == {"mean": [2.0, None], "sd": [math.sqrt(2.0), None]}
+        assert aggregate_series([[1.0, None]]) == {"mean": [1.0, None], "sd": [0.0, 0.0]}
 
 
 class TestExecuteRun:
@@ -583,6 +603,28 @@ candidates = 1,0; -1,0
 
 
 class TestScore:
+    @pytest.mark.skipif(
+        not openblas_thread_counts(), reason="no OpenBLAS thread-count getter and setter found"
+    )
+    def test_table_bits_do_not_depend_on_blas_threads(self):
+        """A 200-reading log's table prints the same text whether the caller
+        runs every OpenBLAS on one thread or two: a threaded factor of its
+        Gram matrix would round differently."""
+        cfg = parse_config_text(WIDE_GP_SAMPLE)
+        rng = np.random.default_rng(5)
+        log = MeasurementLog(rng.uniform(0, 10, (200, 2)), rng.normal(0, 3, 200), cfg.noise_sd)
+        texts = []
+        restore = _one_blas_thread()
+        try:
+            for threads in (1, 2):
+                for setter, _ in restore:
+                    setter(threads)
+                texts.append(render_score_table(score_table(cfg, log)))
+        finally:
+            for setter, threads in restore:
+                setter(threads)
+        assert texts[0] == texts[1]
+
     def test_mirror_symmetric_candidates_tie(self):
         """Two candidates mirror-symmetric about a lone target score the
         same gain with an empty log."""

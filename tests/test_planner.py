@@ -23,7 +23,6 @@ from senseplan import (
     edg_quadrature,
     field_value,
     greedy_select,
-    intersection_indices,
     kernel_matrix,
     place_scenario,
     posterior,
@@ -32,7 +31,7 @@ from senseplan import (
 )
 from senseplan.seeding import STREAM_NOISE, STREAM_PLANNER, substream
 
-from reference import greedy_on_log, same_bits
+from reference import first_index_reference, greedy_on_log, same_bits
 
 MASK = PolygonMask.rectangle(0.0, 0.0, 10.0, 10.0)
 KERNEL = KernelSpec(signal_variance=4.0, lengthscale=2.0)
@@ -89,7 +88,7 @@ def fresh_metrics(cfg, fld, steps):
     """A step's five metrics from a fresh posterior on the readings of
     ``steps``."""
     truth = fld.values(cfg.targets)
-    shared, _ = intersection_indices(cfg.targets, cfg.candidates)
+    shared = np.flatnonzero(first_index_reference(cfg.targets, cfg.candidates) >= 0)
     log = MeasurementLog([s["chosen"] for s in steps], [s["measurement"] for s in steps], cfg.noise_sd)
     return written_out_metrics(posterior(cfg.mean, cfg.kernel, log, cfg.targets), truth, shared)
 
@@ -434,7 +433,7 @@ class TestRunEpisode:
                 fld = linear_field()
                 trace = run_episode(cfg, fld)
                 truth = np.array([field_value(fld, pt) for pt in cfg.targets])
-                shared, _ = intersection_indices(cfg.targets, cfg.candidates)
+                shared = np.flatnonzero(first_index_reference(cfg.targets, cfg.candidates) >= 0)
                 log = MeasurementLog.empty(cfg.noise_sd)
                 for step in trace.steps:
                     log = log.append(step["chosen"], step["measurement"])
@@ -692,7 +691,7 @@ class TestStepBookkeeping:
         fld = linear_field()
         trace = run_episode(cfg, fld)
         n = len(cfg.targets)
-        shared, _ = intersection_indices(cfg.targets, cfg.candidates)
+        shared = np.flatnonzero(first_index_reference(cfg.targets, cfg.candidates) >= 0)
         m = len(shared)
         truth = fld.values(cfg.targets)
         points = np.vstack([cfg.targets, cfg.candidates])
